@@ -8,96 +8,16 @@ tight-binding chain reservoir (exact).
 
 __version__ = "0.1.0"
 
-from .classical import (
-    EpRegime,
-    Regime,
-    SupermodePair,
-    classical_power_curve,
-    classify_ep,
-    coupler_matrix,
-    propagate_classical,
-    supermodes,
-)
-from .core import (
-    ClassicalInput,
-    ComplexMatrix2,
-    CouplerParams,
-    DecayCurve,
-    Indistinguishable,
-    PolarizationEntangled,
-    PropagationGrid,
-    ScatteringMatrix,
-    TwoPhotonInput,
-    validate,
-)
-from .quantum import (
-    Backend,
-    Lattice,
-    Markovian,
-    TwoPhotonOccupations,
-    mean_photon_number,
-    occupations_indistinguishable,
-    survival_curve,
-    survival_entangled,
-    survival_fermionic,
-    survival_indistinguishable,
-    two_photon_oracle,
-    two_photon_oracle_kron,
-)
-from .reservoir import (
-    FullSystemState,
-    GoldenRuleRate,
-    LatticePropagator,
-    LatticeReservoir,
-    full_hamiltonian,
-    golden_rule_gamma,
-    lattice_gamma,
-    min_lattice_size,
-    nonmarkovian_scattering,
-)
-from .scattering import scattering_curve, scattering_matrix
+from . import classical, core, quantum, reservoir, scattering
+from .classical import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .quantum import *  # noqa: F401,F403
+from .reservoir import *  # noqa: F401,F403
+from .scattering import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "ClassicalInput",
-    "ComplexMatrix2",
-    "CouplerParams",
-    "DecayCurve",
-    "Indistinguishable",
-    "PolarizationEntangled",
-    "PropagationGrid",
-    "ScatteringMatrix",
-    "TwoPhotonInput",
-    "validate",
-    "EpRegime",
-    "Regime",
-    "SupermodePair",
-    "classical_power_curve",
-    "classify_ep",
-    "coupler_matrix",
-    "propagate_classical",
-    "supermodes",
-    "scattering_curve",
-    "scattering_matrix",
-    "FullSystemState",
-    "GoldenRuleRate",
-    "LatticePropagator",
-    "LatticeReservoir",
-    "full_hamiltonian",
-    "golden_rule_gamma",
-    "lattice_gamma",
-    "min_lattice_size",
-    "nonmarkovian_scattering",
-    "Backend",
-    "Lattice",
-    "Markovian",
-    "TwoPhotonOccupations",
-    "mean_photon_number",
-    "occupations_indistinguishable",
-    "survival_curve",
-    "survival_entangled",
-    "survival_fermionic",
-    "survival_indistinguishable",
-    "two_photon_oracle",
-    "two_photon_oracle_kron",
+# The public names are declared once, in each submodule's __all__.
+__all__ = ["__version__"] + [
+    name
+    for module in (core, classical, scattering, reservoir, quantum)
+    for name in module.__all__
 ]

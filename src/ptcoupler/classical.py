@@ -33,7 +33,6 @@ __all__ = [
     "Regime",
     "SupermodePair",
     "EpRegime",
-    "EP_DISCRIMINANT_TOL",
     "coupler_matrix",
     "supermodes",
     "classify_ep",

@@ -8,6 +8,13 @@ fig4   entangled-pair survival vs distance (a) and vs loss rate (b)
 fig5   fermionic-pair survival with the explicit chain reservoir
 sweep  Cartesian parameter sweep driven by a config file
 
+The table _COMMANDS declares each subcommand (help line, flags from
+_FLAGS). build_parser() runs subcommand <name> as the module-level
+cmd_<name>, looked up when the parser is built, so a wrapper installed on
+that attribute is what runs. fig2, fig3 and fig4 panel (a) write one CSV
+per loss rate through _write_per_gamma: metadata = the command's leading
+keys, the settings every figure records (_shared), its trailing keys.
+
 CSV format
 ----------
 Every data file starts with '# key=value' metadata lines, then one header
@@ -46,6 +53,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +70,6 @@ from .core import (
 )
 from .quantum import (
     Lattice,
-    Markovian,
     mean_photon_number,
     survival_curve,
     survival_entangled,
@@ -83,12 +90,18 @@ __all__ = [
     "main",
 ]
 
-FLOAT_FORMAT = ".17g"
-
-
 def format_float(x: float) -> str:
     """17 significant digits: parses back to the identical double."""
-    return format(float(x), FLOAT_FORMAT)
+    return format(float(x), ".17g")
+
+
+def _format_value(value) -> str:
+    """Metadata or sidecar value: floats by format_float, lists joined by ';'."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_format_value, value))
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +110,7 @@ def format_float(x: float) -> str:
 
 def write_table(path, metadata: dict, header: list[str], rows) -> None:
     lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(row))
+    lines += [",".join(row) for row in (header, *rows)]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -143,107 +154,96 @@ def read_decay_curves(path) -> tuple[dict, list[DecayCurve]]:
     return metadata, curves
 
 
-def _write_sidecar(outdir: Path, command: str, settings: dict, files: list[str]) -> None:
-    lines = [f"command={command}"]
-    lines += [f"{key}={value}" for key, value in settings.items()]
-    lines.append("files=" + ";".join(files))
+def _metadata(values: dict) -> dict:
+    """CSV metadata: the package version, then values (command first)."""
+    return {"version": __version__} | {key: _format_value(v) for key, v in values.items()}
+
+
+def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
+    """<command>_run.txt: the command, then one key=value line per setting."""
+    lines = [f"{key}={_format_value(v)}" for key, v in ({"command": command} | settings).items()]
     (outdir / f"{command}_run.txt").write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _base_metadata(command: str, **values) -> dict:
-    meta = {"version": __version__, "command": command}
-    for key, value in values.items():
-        if isinstance(value, float):
-            meta[key] = format_float(value)
-        else:
-            meta[key] = str(value)
-    return meta
 
 
 # ---------------------------------------------------------------------------
 # Figure commands
 # ---------------------------------------------------------------------------
 
-def cmd_fig2(args) -> int:
-    kappa = args.kappa
-    zmax = args.zmax if args.zmax is not None else 10.0 / kappa
-    points = args.points if args.points is not None else 501
-    gammas = [args.gamma] if args.gamma is not None else [0.5 * kappa, 2.0 * kappa, 10.0 * kappa]
-    grid = PropagationGrid(zmax, points)
+def _setup(args, zmax: float, points: int) -> tuple[PropagationGrid, Path]:
+    """The z grid from --zmax/--points, else from the command's defaults
+    (zmax in units of 1/kappa), then the output directory."""
+    grid = PropagationGrid(
+        args.zmax if args.zmax is not None else zmax / args.kappa,
+        args.points if args.points is not None else points,
+    )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    return grid, outdir
+
+
+def _rates(value, kappa: float, defaults: tuple[float, ...]) -> list[float]:
+    """The single rate given by a flag, else the defaults in units of kappa."""
+    return [value] if value is not None else [d * kappa for d in defaults]
+
+
+def _shared(args, grid: PropagationGrid, **swept) -> dict:
+    """The settings every figure records, with its swept values after kappa."""
+    return {"kappa": args.kappa, **swept, "beta1": args.beta1, "beta2": args.beta2,
+            "zmax": grid.z_max, "points": grid.num_points}
+
+
+def _write_per_gamma(args, grid, outdir, name, defaults, curves_for, head, tail=None):
+    """One CSV per loss rate (--gamma, else the defaults in units of kappa),
+    <name>_gamma<gamma/kappa>.csv, holding curves_for(params); its metadata
+    is head, the shared settings, tail. Returns the rates and file names."""
+    gammas = _rates(args.gamma, args.kappa, defaults)
     written = []
     for gamma in gammas:
-        params = CouplerParams(args.beta1, args.beta2, kappa, gamma)
-        balanced = classical_power_curve(params, ClassicalInput.BALANCED_ORTHOGONAL, grid)
-        single = classical_power_curve(params, ClassicalInput.SINGLE_WAVEGUIDE, grid)
-        meta = _base_metadata(
-            "fig2", backend="markovian", kappa=kappa, gamma=gamma,
-            beta1=args.beta1, beta2=args.beta2, zmax=zmax, points=points,
-            solid="power_balanced_orthogonal", dashed="power_single_waveguide",
-        )
-        name = f"fig2_gamma{gamma / kappa:g}.csv"
-        write_decay_curves(outdir / name, meta, [balanced, single])
-        written.append(name)
-    _write_sidecar(outdir, "fig2", {
-        "kappa": format_float(kappa), "gammas": ";".join(map(format_float, gammas)),
-        "beta1": format_float(args.beta1), "beta2": format_float(args.beta2),
-        "zmax": format_float(zmax), "points": points,
-    }, written)
+        params = CouplerParams(args.beta1, args.beta2, args.kappa, gamma)
+        meta = _metadata(head | _shared(args, grid, gamma=gamma) | (tail or {}))
+        file = f"{name}_gamma{gamma / args.kappa:g}.csv"
+        write_decay_curves(outdir / file, meta, curves_for(params))
+        written.append(file)
+    return gammas, written
+
+
+def cmd_fig2(args) -> int:
+    grid, outdir = _setup(args, 10.0, 501)
+    launches = (ClassicalInput.BALANCED_ORTHOGONAL, ClassicalInput.SINGLE_WAVEGUIDE)
+    gammas, written = _write_per_gamma(
+        args, grid, outdir, "fig2", (0.5, 2.0, 10.0),
+        lambda params: [classical_power_curve(params, launch, grid) for launch in launches],
+        {"command": "fig2", "backend": "markovian"},
+        {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"},
+    )
+    _write_sidecar(outdir, "fig2", _shared(args, grid, gammas=gammas) | {"files": written})
     return 0
 
 
 def cmd_fig3(args) -> int:
-    kappa = args.kappa
-    zmax = args.zmax if args.zmax is not None else 10.0 / kappa
-    points = args.points if args.points is not None else 501
-    gammas = [args.gamma] if args.gamma is not None else [0.5 * kappa, 2.0 * kappa, 10.0 * kappa]
-    grid = PropagationGrid(zmax, points)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for gamma in gammas:
-        params = CouplerParams(args.beta1, args.beta2, kappa, gamma)
-        curve = survival_curve(params, Indistinguishable(), grid)
-        meta = _base_metadata(
-            "fig3", backend="markovian", input="indistinguishable_pair",
-            kappa=kappa, gamma=gamma, beta1=args.beta1, beta2=args.beta2,
-            zmax=zmax, points=points,
-        )
-        name = f"fig3_gamma{gamma / kappa:g}.csv"
-        write_decay_curves(outdir / name, meta, [curve])
-        written.append(name)
-    _write_sidecar(outdir, "fig3", {
-        "kappa": format_float(kappa), "gammas": ";".join(map(format_float, gammas)),
-        "beta1": format_float(args.beta1), "beta2": format_float(args.beta2),
-        "zmax": format_float(zmax), "points": points,
-    }, written)
+    grid, outdir = _setup(args, 10.0, 501)
+    gammas, written = _write_per_gamma(
+        args, grid, outdir, "fig3", (0.5, 2.0, 10.0),
+        lambda params: [survival_curve(params, Indistinguishable(), grid)],
+        {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"},
+    )
+    _write_sidecar(outdir, "fig3", _shared(args, grid, gammas=gammas) | {"files": written})
     return 0
 
 
 def cmd_fig4(args) -> int:
+    grid, outdir = _setup(args, 3.0, 301)
     kappa = args.kappa
-    zmax = args.zmax if args.zmax is not None else 3.0 / kappa
-    points = args.points if args.points is not None else 301
-    gammas = [args.gamma] if args.gamma is not None else [0.625 * kappa, 2.5 * kappa]
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
-    grid = PropagationGrid(zmax, points)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    head = {"command": "fig4", "panel": "a", "backend": "markovian",
+            "input": "polarization_entangled_pair"}
 
     # Panel (a): survival vs distance, one file per loss rate.
-    for gamma in gammas:
-        params = CouplerParams(args.beta1, args.beta2, kappa, gamma)
-        curves = [survival_curve(params, PolarizationEntangled(phi), grid) for phi in phis]
-        meta = _base_metadata(
-            "fig4", panel="a", backend="markovian", input="polarization_entangled_pair",
-            kappa=kappa, gamma=gamma, beta1=args.beta1, beta2=args.beta2,
-            zmax=zmax, points=points, phis=";".join(map(format_float, phis)),
-        )
-        name = f"fig4a_gamma{gamma / kappa:g}.csv"
-        write_decay_curves(outdir / name, meta, curves)
-        written.append(name)
+    gammas, written = _write_per_gamma(
+        args, grid, outdir, "fig4a", (0.625, 2.5),
+        lambda params: [survival_curve(params, PolarizationEntangled(phi), grid) for phi in phis],
+        head, {"phis": phis},
+    )
 
     # Panel (b): survival at the fixed distance z0 against the loss rate.
     # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
@@ -255,62 +255,48 @@ def cmd_fig4(args) -> int:
         params = CouplerParams(args.beta1, args.beta2, kappa, float(gamma))
         s = scattering_matrix(params, z0)
         rows.append([format_float(gamma)] + [format_float(survival_entangled(s, phi)) for phi in phis])
-    meta = _base_metadata(
-        "fig4", panel="b", backend="markovian", input="polarization_entangled_pair",
-        kappa=kappa, beta1=args.beta1, beta2=args.beta2,
-        z0=z0, kappa_z0=3.0, gamma_min=0.0, gamma_max=5.0 * kappa, gamma_points=201,
-        phis=";".join(map(format_float, phis)),
-    )
+    meta = _metadata(head | {
+        "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
+        "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
+        "gamma_points": 201, "phis": phis,
+    })
     write_table(outdir / "fig4b.csv", meta, header, rows)
     written.append("fig4b.csv")
 
-    _write_sidecar(outdir, "fig4", {
-        "kappa": format_float(kappa), "gammas": ";".join(map(format_float, gammas)),
-        "phis": ";".join(map(format_float, phis)),
-        "beta1": format_float(args.beta1), "beta2": format_float(args.beta2),
-        "zmax": format_float(zmax), "points": points, "z0": format_float(z0),
-    }, written)
+    settings = _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0, "files": written}
+    _write_sidecar(outdir, "fig4", settings)
     return 0
 
 
 def cmd_fig5(args) -> int:
+    grid, outdir = _setup(args, 3.0, 301)
     kappa = args.kappa
-    zmax = args.zmax if args.zmax is not None else 3.0 / kappa
-    points = args.points if args.points is not None else 301
     sigma = args.sigma if args.sigma is not None else 20.0 * kappa
-    rhos = [args.rho] if args.rho is not None else [5.0 * kappa, 10.0 * kappa]
+    rhos = _rates(args.rho, kappa, (5.0, 10.0))
     phi = args.phi if args.phi is not None else math.pi
-    nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, zmax)
+    nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, grid.z_max)
     params = CouplerParams(args.beta1, args.beta2, kappa, 0.0)
-    grid = PropagationGrid(zmax, points)
     zs = grid.points()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for rho in rhos:
         reservoir = LatticeReservoir(sigma=sigma, rho=rho, n_sites=nsites, beta_lattice=args.beta2)
         exact = survival_curve(params, PolarizationEntangled(phi), grid, Lattice(reservoir))
         gamma_eff = lattice_gamma(sigma, rho)
-        lattice_curve = DecayCurve.from_arrays("survival_lattice", zs, exact.values())
-        markov_curve = DecayCurve.from_arrays(
-            "survival_markovian_exponential", zs, np.exp(-2.0 * gamma_eff * zs)
-        )
-        meta = _base_metadata(
-            "fig5", backend="lattice", input="polarization_entangled_pair",
-            kappa=kappa, beta1=args.beta1, beta2=args.beta2, phi=phi,
-            sigma=sigma, rho=rho, nsites=nsites, beta_lattice=args.beta2,
-            gamma_eff=gamma_eff, zmax=zmax, points=points,
-            dashed="exp(-2*gamma_eff*z)",
-        )
+        markov = np.exp(-2.0 * gamma_eff * zs)
+        curves = [DecayCurve.from_arrays("survival_lattice", zs, exact.values()),
+                  DecayCurve.from_arrays("survival_markovian_exponential", zs, markov)]
+        meta = _metadata({
+            "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
+            "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
+            "sigma": sigma, "rho": rho, "nsites": nsites, "beta_lattice": args.beta2,
+            "gamma_eff": gamma_eff, "zmax": grid.z_max, "points": grid.num_points,
+            "dashed": "exp(-2*gamma_eff*z)",
+        })
         name = f"fig5_rho{rho / kappa:g}.csv"
-        write_decay_curves(outdir / name, meta, [lattice_curve, markov_curve])
+        write_decay_curves(outdir / name, meta, curves)
         written.append(name)
-    _write_sidecar(outdir, "fig5", {
-        "kappa": format_float(kappa), "rhos": ";".join(map(format_float, rhos)),
-        "sigma": format_float(sigma), "phi": format_float(phi), "nsites": nsites,
-        "beta1": format_float(args.beta1), "beta2": format_float(args.beta2),
-        "zmax": format_float(zmax), "points": points,
-    }, written)
+    settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
+    _write_sidecar(outdir, "fig5", settings | {"files": written})
     return 0
 
 
@@ -318,28 +304,23 @@ def cmd_fig5(args) -> int:
 # Sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_OBSERVABLES = (
-    "classical_power",
-    "mean_photon_number",
-    "p_boson",
-    "p_entangled",
-    "p_fermion",
-    "ep_regime",
-    "eigenvalue_gap",
-)
+# One cell of a sweep row: observable name -> f(s, phi, params_eff).
+_SWEEP_CELLS = {
+    "classical_power": lambda s, phi, p: format_float(0.5 * mean_photon_number(s)),
+    "mean_photon_number": lambda s, phi, p: format_float(mean_photon_number(s)),
+    "p_boson": lambda s, phi, p: format_float(survival_indistinguishable(s)),
+    "p_entangled": lambda s, phi, p: format_float(survival_entangled(s, phi)),
+    "p_fermion": lambda s, phi, p: format_float(survival_fermionic(s)),
+    "ep_regime": lambda s, phi, p: classify_ep(p).regime.value,
+    "eigenvalue_gap": lambda s, phi, p: format_float(supermodes(p).gap()),
+}
 
-_SWEEP_KEYS = (
-    "backend", "gamma", "rho", "phi", "z", "observables",
-    "kappa", "beta1", "beta2", "sigma", "nsites", "beta_lattice",
-)
-
-
-class SweepConfig:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
+SWEEP_OBSERVABLES = tuple(_SWEEP_CELLS)
 
 
 def _parse_number(key: str, token: str) -> float:
+    if not token:
+        raise ValueError(f"config: {key}: empty entry")
     try:
         value = float(token)
     except ValueError:
@@ -350,19 +331,57 @@ def _parse_number(key: str, token: str) -> float:
 
 
 def _parse_number_list(key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    out = []
-    for i, token in enumerate(raw.split(",")):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"config: {key}[{i}]: empty entry")
-        out.append(_parse_number(f"{key}[{i}]", token))
-    return tuple(out)
+    return tuple(_parse_number(f"{key}[{i}]", tok.strip()) for i, tok in enumerate(raw.split(",")))
+
+
+def _parse_integer(key: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"config: {key}: could not parse {token!r} as an integer") from None
+
+
+def _parse_backend(key: str, value: str) -> str:
+    if value not in ("markovian", "lattice"):
+        raise ValueError(f"config: {key}: must be markovian or lattice, got {value!r}")
+    return value
+
+
+def _parse_observables(key: str, raw: str) -> tuple[str, ...]:
+    observables = tuple(tok.strip() for tok in raw.split(","))
+    for name in observables:
+        if name not in SWEEP_OBSERVABLES:
+            raise ValueError(f"config: {key}: unknown observable {name!r}")
+    return observables
+
+
+def _key(parse, default=None):
+    """A config key: parse(key, value) reads a non-empty value."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A parsed sweep config: one field per config key, of the same name.
+    parse_sweep_config reads the keys in field order, so the order below
+    decides which error a config with several faults reports first."""
+
+    backend: str = field(metadata={"parse": _parse_backend})
+    observables: tuple[str, ...] = _key(_parse_observables, SWEEP_OBSERVABLES)
+    nsites: int | None = _key(_parse_integer)
+    gamma: tuple[float, ...] = _key(_parse_number_list, ())
+    rho: tuple[float, ...] = _key(_parse_number_list, ())
+    phi: tuple[float, ...] = _key(_parse_number_list, ())
+    z: tuple[float, ...] = _key(_parse_number_list, ())
+    kappa: float = _key(_parse_number, 1.0)
+    beta1: float = _key(_parse_number, 0.0)
+    beta2: float = _key(_parse_number, 0.0)
+    sigma: float | None = _key(_parse_number)
+    beta_lattice: float | None = _key(_parse_number)
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
+    keys = fields(SweepConfig)
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -372,71 +391,20 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SWEEP_KEYS:
+        if key not in {f.name for f in keys}:
             raise ValueError(f"config: unknown key {key!r}")
         if key in entries:
             raise ValueError(f"config: duplicate key {key!r}")
         entries[key] = value
 
-    backend = entries.get("backend")
-    if backend is None:
+    if "backend" not in entries:
         raise ValueError("config: backend: required (markovian or lattice)")
-    if backend not in ("markovian", "lattice"):
-        raise ValueError(f"config: backend: must be markovian or lattice, got {backend!r}")
-
-    if "observables" in entries and entries["observables"].strip():
-        observables = tuple(tok.strip() for tok in entries["observables"].split(","))
-        for name in observables:
-            if name not in SWEEP_OBSERVABLES:
-                raise ValueError(f"config: observables: unknown observable {name!r}")
-    else:
-        observables = SWEEP_OBSERVABLES
-
-    nsites = None
-    if entries.get("nsites", "").strip():
-        token = entries["nsites"].strip()
-        try:
-            nsites = int(token)
-        except ValueError:
-            raise ValueError(f"config: nsites: could not parse {token!r} as an integer") from None
-
-    def scalar(key: str, default):
-        if entries.get(key, "").strip():
-            return _parse_number(key, entries[key].strip())
-        return default
-
-    return SweepConfig(
-        backend=backend,
-        gamma=_parse_number_list("gamma", entries.get("gamma", "")),
-        rho=_parse_number_list("rho", entries.get("rho", "")),
-        phi=_parse_number_list("phi", entries.get("phi", "")),
-        z=_parse_number_list("z", entries.get("z", "")),
-        observables=observables,
-        kappa=scalar("kappa", 1.0),
-        beta1=scalar("beta1", 0.0),
-        beta2=scalar("beta2", 0.0),
-        sigma=scalar("sigma", None),
-        nsites=nsites,
-        beta_lattice=scalar("beta_lattice", None),
-    )
-
-
-def _observable_cell(name: str, s, phi: float, params_eff: CouplerParams) -> str:
-    if name == "classical_power":
-        return format_float(0.5 * mean_photon_number(s))
-    if name == "mean_photon_number":
-        return format_float(mean_photon_number(s))
-    if name == "p_boson":
-        return format_float(survival_indistinguishable(s))
-    if name == "p_entangled":
-        return format_float(survival_entangled(s, phi))
-    if name == "p_fermion":
-        return format_float(survival_fermionic(s))
-    if name == "ep_regime":
-        return classify_ep(params_eff).regime.value
-    if name == "eigenvalue_gap":
-        return format_float(supermodes(params_eff).gap())
-    raise ValueError(f"unknown observable {name!r}")
+    # An empty value keeps the key's default; backend has none.
+    return SweepConfig(**{
+        f.name: f.metadata["parse"](f.name, entries[f.name])
+        for f in keys
+        if entries.get(f.name) or f.name == "backend"
+    })
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
@@ -457,53 +425,48 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
         raise ValueError("config: ep_regime: requires beta1 == beta2")
 
     header = [axis_name, "phi", "z"] + list(cfg.observables)
-    meta = _base_metadata(
-        "sweep", backend=cfg.backend, kappa=cfg.kappa,
-        beta1=cfg.beta1, beta2=cfg.beta2,
-    )
+    values = {"command": "sweep", "backend": cfg.backend, "kappa": cfg.kappa,
+              "beta1": cfg.beta1, "beta2": cfg.beta2}
     if cfg.backend == "lattice":
-        meta["sigma"] = format_float(cfg.sigma)
-        meta["regime_columns_use"] = "effective_gamma=rho^2/(2*sigma)"
+        values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
+    meta = _metadata(values)
 
     rows: list[list[str]] = []
     if not (axis and cfg.phi and cfg.z):
         return meta, header, rows
 
+    cells = [_SWEEP_CELLS[name] for name in cfg.observables]
     for a in axis:
         if cfg.backend == "markovian":
             params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, a)
             s_for = lambda z: scattering_matrix(params_eff, z)
         else:
             params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, lattice_gamma(cfg.sigma, a))
-            zmax = max(cfg.z)
-            nsites = cfg.nsites if cfg.nsites is not None else (
-                min_lattice_size(cfg.sigma, zmax) if zmax > 0.0 else 11
-            )
+            nsites = cfg.nsites
+            if nsites is None:
+                nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
             beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
             reservoir = LatticeReservoir(cfg.sigma, a, nsites, beta_lattice)
-            propagator = LatticePropagator(
-                CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, 0.0), reservoir
-            )
-            s_for = propagator.scattering
+            s_for = LatticePropagator(replace(params_eff, gamma=0.0), reservoir).scattering
         s_by_z = {z: s_for(z) for z in cfg.z}
         for phi in cfg.phi:
             for z in cfg.z:
                 s = s_by_z[z]
                 rows.append(
                     [format_float(a), format_float(phi), format_float(z)]
-                    + [_observable_cell(name, s, phi, params_eff) for name in cfg.observables]
+                    + [cell(s, phi, params_eff) for cell in cells]
                 )
     return meta, header, rows
 
 
 def cmd_sweep(args) -> int:
-    text = Path(args.config).read_text()
-    cfg = parse_sweep_config(text)
+    cfg = parse_sweep_config(Path(args.config).read_text())
     meta, header, rows = run_sweep(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_table(outdir / "sweep.csv", meta, header, rows)
-    _write_sidecar(outdir, "sweep", {"config": str(args.config), "rows": len(rows)}, ["sweep.csv"])
+    settings = {"config": args.config, "rows": len(rows), "files": ["sweep.csv"]}
+    _write_sidecar(outdir, "sweep", settings)
     return 0
 
 
@@ -511,13 +474,10 @@ def cmd_sweep(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-class _CliError(Exception):
-    """Bad flags or bad config: reported on stderr, exit code 1."""
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        # Bad flags are reported like a bad config: on stderr, exit code 1.
+        raise ValueError(message)
 
 
 def _positive_float(text: str) -> float:
@@ -527,29 +487,38 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
-def _add_common(sub, *, gamma=False, phi=False, lattice=False):
-    sub.add_argument("--out", default=".", help="output directory (created if missing)")
-    sub.add_argument("--points", type=int, default=None, help="grid points along z")
-    sub.add_argument("--zmax", type=float, default=None, help="largest propagation distance")
-    sub.add_argument("--kappa", type=_positive_float, default=1.0, help="coupling rate")
-    sub.add_argument("--beta1", type=float, default=0.0, help="propagation constant, arm 1")
-    sub.add_argument("--beta2", type=float, default=0.0, help="propagation constant, arm 2")
-    if gamma:
-        sub.add_argument("--gamma", type=float, default=None,
-                         help="single loss rate replacing the default set")
-    if phi:
-        sub.add_argument("--phi", type=float, default=None,
-                         help="single exchange phase replacing the default")
-    if lattice:
-        sub.add_argument("--sigma", type=float, default=None, help="chain hopping rate")
-        sub.add_argument("--rho", type=float, default=None,
-                         help="single chain coupling replacing the default set")
-        sub.add_argument("--nsites", type=int, default=None, help="chain length")
+# Every flag once: name -> add_argument keywords (default None unless given).
+_FLAGS = {
+    "config": dict(required=True, help="path to the sweep config file"),
+    "out": dict(default=".", help="output directory (created if missing)"),
+    "points": dict(type=int, help="grid points along z"),
+    "zmax": dict(type=float, help="largest propagation distance"),
+    "kappa": dict(type=_positive_float, default=1.0, help="coupling rate"),
+    "beta1": dict(type=float, default=0.0, help="propagation constant, arm 1"),
+    "beta2": dict(type=float, default=0.0, help="propagation constant, arm 2"),
+    "gamma": dict(type=float, help="single loss rate replacing the default set"),
+    "phi": dict(type=float, help="single exchange phase replacing the default"),
+    "sigma": dict(type=float, help="chain hopping rate"),
+    "rho": dict(type=float, help="single chain coupling replacing the default set"),
+    "nsites": dict(type=int, help="chain length"),
+}
+
+_FIGURE_FLAGS = ("out", "points", "zmax", "kappa", "beta1", "beta2")
+
+# Subcommand name -> (help, flags in --help order); it runs cmd_<name>.
+_COMMANDS = {
+    "fig2": ("classical power decay curves", _FIGURE_FLAGS + ("gamma",)),
+    "fig3": ("indistinguishable-pair survival curves", _FIGURE_FLAGS + ("gamma",)),
+    "fig4": ("entangled-pair survival vs z and vs loss rate", _FIGURE_FLAGS + ("gamma", "phi")),
+    "fig5": ("fermionic-pair survival with the chain reservoir",
+             _FIGURE_FLAGS + ("phi", "sigma", "rho", "nsites")),
+    "sweep": ("config-driven Cartesian sweep", ("config", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -558,28 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lossy two-waveguide coupler: decay curves and pair-survival datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-
-    p2 = sub.add_parser("fig2", help="classical power decay curves")
-    _add_common(p2, gamma=True)
-    p2.set_defaults(func=cmd_fig2)
-
-    p3 = sub.add_parser("fig3", help="indistinguishable-pair survival curves")
-    _add_common(p3, gamma=True)
-    p3.set_defaults(func=cmd_fig3)
-
-    p4 = sub.add_parser("fig4", help="entangled-pair survival vs z and vs loss rate")
-    _add_common(p4, gamma=True, phi=True)
-    p4.set_defaults(func=cmd_fig4)
-
-    p5 = sub.add_parser("fig5", help="fermionic-pair survival with the chain reservoir")
-    _add_common(p5, phi=True, lattice=True)
-    p5.set_defaults(func=cmd_fig5)
-
-    ps = sub.add_parser("sweep", help="config-driven Cartesian sweep")
-    ps.add_argument("--config", required=True, help="path to the sweep config file")
-    ps.add_argument("--out", default=".", help="output directory (created if missing)")
-    ps.set_defaults(func=cmd_sweep)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        # Looked up now, not at import, so a wrapper on the attribute runs.
+        command.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -588,15 +541,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

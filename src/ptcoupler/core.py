@@ -17,7 +17,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "PASSIVITY_TOL",
     "CouplerParams",
     "validate",
     "ComplexMatrix2",

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     CouplerParams,
@@ -223,6 +222,8 @@ def two_photon_oracle(h, input_state: TwoPhotonInput, z: float) -> float:
         raise ValueError("h must be a square matrix of size >= 2")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError("z must be finite and non-negative")
+    import scipy.linalg  # imported here so that importing ptcoupler loads no scipy
+
     u = scipy.linalg.expm(-1j * z * h)
     a = _pair_amplitudes(u, input_state)
     weight = 2.0 if isinstance(input_state, Indistinguishable) else 1.0
@@ -254,6 +255,8 @@ def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
         psi0[1, 0] = rt * np.exp(1j * input_state.phi)
     else:
         raise ValueError(f"unknown two-photon input {input_state!r}")
+    import scipy.linalg  # imported here so that importing ptcoupler loads no scipy
+
     psi = scipy.linalg.expm(-1j * z * h2) @ psi0.reshape(-1)
     psi = psi.reshape(n, n)
     p = float(np.sum(np.abs(psi[:2, :2]) ** 2))

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ComplexMatrix2, CouplerParams, ScatteringMatrix, validate
 
@@ -127,6 +126,7 @@ def golden_rule_gamma(
         raise ValueError("beta2 must be finite")
     if scan_points < 8:
         raise ValueError("scan_points must be at least 8")
+    from scipy.optimize import brentq  # imported here so that importing ptcoupler loads no scipy
 
     def f(k: float) -> float:
         return dispersion(k) - beta2

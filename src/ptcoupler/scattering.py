@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ComplexMatrix2, CouplerParams, PropagationGrid, ScatteringMatrix, validate
 
-__all__ = ["SINC_SERIES_THRESHOLD", "scattering_matrix", "scattering_curve"]
+__all__ = ["scattering_matrix", "scattering_curve"]
 
 # Below this value of |w z| the direct quotient sin(w z)/w is replaced by
 # its series; four terms leave a truncation error ~ (1e-4)^8 / 9!, which is

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from ptcoupler.classical import classify_ep, supermodes
 from ptcoupler.cli import (
     SWEEP_OBSERVABLES,
+    SweepConfig,
     format_float,
     main,
     parse_sweep_config,
@@ -235,6 +237,46 @@ def test_fig5_small_custom_run(tmp_path):
     assert len(curves[0].z_values()) == 11
 
 
+# -- output layout ----------------------------------------------------------
+
+SMALL_SWEEP = "backend = markovian\ngamma = 1\nphi = 0\nz = 1\n"
+FIGURE_SIDECAR = "command kappa gammas beta1 beta2 zmax points files"
+
+
+@pytest.mark.parametrize("argv, csv, metadata_keys, sidecar_keys", [
+    (["fig2", "--points", "3"], "fig2_gamma2.csv",
+     "version command backend kappa gamma beta1 beta2 zmax points solid dashed",
+     FIGURE_SIDECAR),
+    (["fig3", "--points", "3"], "fig3_gamma2.csv",
+     "version command backend input kappa gamma beta1 beta2 zmax points",
+     FIGURE_SIDECAR),
+    (["fig4", "--points", "3"], "fig4a_gamma2.5.csv",
+     "version command panel backend input kappa gamma beta1 beta2 zmax points phis",
+     "command kappa gammas phis beta1 beta2 zmax points z0 files"),
+    (["fig4", "--points", "3"], "fig4b.csv",
+     "version command panel backend input kappa beta1 beta2 z0 kappa_z0 gamma_min "
+     "gamma_max gamma_points phis",
+     "command kappa gammas phis beta1 beta2 zmax points z0 files"),
+    (["fig5", "--points", "3", "--sigma", "2", "--zmax", "0.5"], "fig5_rho5.csv",
+     "version command backend input kappa beta1 beta2 phi sigma rho nsites beta_lattice "
+     "gamma_eff zmax points dashed",
+     "command kappa rhos sigma phi nsites beta1 beta2 zmax points files"),
+    (["sweep"], "sweep.csv",
+     "version command backend kappa beta1 beta2",
+     "command config rows files"),
+])
+def test_output_layout(tmp_path, argv, csv, metadata_keys, sidecar_keys):
+    if argv == ["sweep"]:
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SMALL_SWEEP)
+        argv = ["sweep", "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    metadata, _, _ = read_table(tmp_path / csv)
+    assert list(metadata) == metadata_keys.split()
+    sidecar = (tmp_path / f"{argv[0]}_run.txt").read_text().splitlines()
+    assert [line.partition("=")[0] for line in sidecar] == sidecar_keys.split()
+
+
 # -- sweep ------------------------------------------------------------------
 
 def sweep_config_text(**overrides):
@@ -348,6 +390,42 @@ def test_sweep_config_errors_exit_1(tmp_path):
         assert code == 1, f"accepted bad config: {text!r}"
 
 
+def test_sweep_config_is_a_frozen_dataclass():
+    cfg = parse_sweep_config("backend = markovian\n")
+    assert cfg == SweepConfig("markovian")
+    assert cfg.observables == SWEEP_OBSERVABLES
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.kappa = 2.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("backend\n", "config line 1: expected 'key = value'"),
+    ("gamma = x\nfoo = 1\n", "config: unknown key 'foo'"),
+    ("z = x\nz = 1\n", "config: duplicate key 'z'"),
+    ("gamma = x\n", "config: backend: required (markovian or lattice)"),
+    ("backend =\n", "config: backend: must be markovian or lattice, got ''"),
+    # Several faults: backend, observables, nsites, the axis lists (gamma,
+    # rho, phi, z), then the scalars, each reported before the next.
+    ("backend = quantum\nobservables = nope\n",
+     "config: backend: must be markovian or lattice, got 'quantum'"),
+    ("backend = markovian\ngamma = x\nnsites = 2\nobservables = p_boson, nope\n",
+     "config: observables: unknown observable 'nope'"),
+    ("backend = markovian\ngamma = x\nnsites = 2.5\n",
+     "config: nsites: could not parse '2.5' as an integer"),
+    ("backend = markovian\nkappa = x\nz = y\nphi = 1\nrho = w\n",
+     "config: rho[0]: could not parse 'w' as a number"),
+    ("backend = markovian\nbeta_lattice = x\nsigma = y\nbeta1 = inf\n",
+     "config: beta1: must be finite, got 'inf'"),
+    # Within one axis list, token by token.
+    ("backend = markovian\ngamma = 1, , oops\n", "config: gamma[1]: empty entry"),
+    ("backend = markovian\ngamma = oops, ,\n", "config: gamma[0]: could not parse 'oops' as a number"),
+])
+def test_sweep_config_error_messages_and_order(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_sweep_config(text)
+    assert str(info.value) == message
+
+
 def test_parse_sweep_config_defaults():
     cfg = parse_sweep_config(sweep_config_text() + "# trailing comment\n")
     assert cfg.backend == "markovian"
@@ -360,11 +438,15 @@ def test_parse_sweep_config_defaults():
 
 # -- entry point ------------------------------------------------------------
 
-def test_bad_flags_exit_1(tmp_path):
+def test_bad_flags_exit_1(tmp_path, capsys):
     assert main(["fig2", "--no-such-flag"]) == 1
     assert main([]) == 1
     assert main(["fig2", "--out", str(tmp_path), "--kappa", "-1.0"]) == 1
     assert main(["fig4", "--out", str(tmp_path), "--phi", "5.0"]) == 1
+    capsys.readouterr()
+    # kappa sets the default zmax; an infinite one must be blamed on --kappa.
+    assert main(["fig2", "--out", str(tmp_path), "--kappa", "inf"]) == 1
+    assert "--kappa" in capsys.readouterr().err
 
 
 def test_io_failures_exit_2(tmp_path):
