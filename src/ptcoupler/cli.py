@@ -448,7 +448,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
             beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
             reservoir = LatticeReservoir(cfg.sigma, a, nsites, beta_lattice)
             s_for = LatticePropagator(replace(params_eff, gamma=0.0), reservoir).scattering
-        s_by_z = {z: s_for(z) for z in cfg.z}
+        # Farthest first, so a lattice's work limit is checked before any work.
+        s_by_z = {z: s_for(z) for z in sorted(cfg.z, reverse=True)}
         for phi in cfg.phi:
             for z in cfg.z:
                 s = s_by_z[z]

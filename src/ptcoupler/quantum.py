@@ -181,7 +181,9 @@ def survival_curve(
                 "intrinsic loss and explicit reservoir are mutually exclusive"
             )
         propagator = LatticePropagator(params, backend.reservoir)
-        mats = [propagator.scattering(z) for z in zs]
+        # Farthest first: its work limit is checked before any chain vector
+        # is allocated, and the series moments are extended once.
+        mats = [propagator.scattering(z) for z in zs[::-1]][::-1]
     elif isinstance(backend, Markovian):
         mats = [scattering_matrix(params, z) for z in zs]
     else:

@@ -19,9 +19,14 @@ excitation then hybridizes into bound states instead of decaying.
 The chain is kept finite here, which is exact until the propagated front
 (group velocity at most 2 sigma) reaches the far end and wraps back;
 min_lattice_size picks a length with a safety margin against that. The
-full single-photon problem is a real symmetric matrix, so exact dynamics
-at any coupling strength comes from one eigendecomposition per system
-(LatticePropagator), amortized over every requested distance.
+full single-photon problem is a real symmetric sparse matrix, so exact
+dynamics at any coupling strength comes from a Chebyshev series of
+e^{-iHz} (LatticePropagator): the chain is applied as a stencil, never
+built, and the 2x2 coupler-block moments of the series are computed once
+per system and extended on demand. A distance needing M terms costs
+O((n + 2) M) time and O(n + M) memory, and a request beyond
+SITE_STEP_LIMIT site-steps (or 1e7 sites) is refused before the chain is
+allocated.
 """
 
 from __future__ import annotations
@@ -44,6 +49,31 @@ __all__ = [
     "LatticePropagator",
     "nonmarkovian_scattering",
 ]
+
+
+# Limits of one propagation, checked before any vector of the chain's
+# length is allocated. Work: each of the M Chebyshev terms of the requested
+# distance is a stencil pass over the n_sites + 2 sites plus a fixed
+# interpreter cost worth _STEP_OVERHEAD_SITES sites (about 20 us against
+# about 10 ns a site on a 2-vCPU x86 machine, where 1e9 site-steps take
+# 10-20 s); the overhead term also bounds M, and with it the memory of the
+# moments, on short chains. Memory: the recurrence keeps about six vectors
+# of 2 (n_sites + 2) doubles, about 1 GB at _MAX_SITES.
+SITE_STEP_LIMIT = 10**9
+_STEP_OVERHEAD_SITES = 2000
+_MAX_SITES = 10**7
+
+# Series lengths are rounded up to a multiple of this, so that nearby
+# distances share one transform of the moments.
+_TERMS_STEP = 64
+_SERIES_PHASES = (2.0, -2.0j, -2.0, 2.0j)  # 2 (-i)^m for m mod 4
+
+
+def _chebyshev_terms(x: float) -> float:
+    """Number of terms of e^{-ixt} = sum_m (2 - delta_m0) (-i)^m J_m(x) T_m(t)
+    on [-1, 1] past which every |J_m(x)| is below 1e-20: J_m(x) dies within
+    about 10 x^(1/3) past m = x."""
+    return x + 12.0 * x ** (1.0 / 3.0) + 20.0
 
 
 @dataclass(frozen=True)
@@ -187,6 +217,12 @@ def min_lattice_size(sigma: float, z_max: float, safety: float = 2.5) -> int:
     return int(math.ceil(safety * 2.0 * sigma * z_max)) + 10
 
 
+def _require_lossless(params: CouplerParams) -> None:
+    validate(params)
+    if params.gamma != 0.0:
+        raise ValueError("intrinsic loss and explicit reservoir are mutually exclusive")
+
+
 def full_hamiltonian(params: CouplerParams, lattice: LatticeReservoir) -> np.ndarray:
     """Real symmetric single-photon matrix of coupler plus chain.
 
@@ -198,9 +234,7 @@ def full_hamiltonian(params: CouplerParams, lattice: LatticeReservoir) -> np.nda
     loss channel here, and stacking a phenomenological rate on top of it
     would double-count.
     """
-    validate(params)
-    if params.gamma != 0.0:
-        raise ValueError("intrinsic loss and explicit reservoir are mutually exclusive")
+    _require_lossless(params)
     n = lattice.n_sites
     h = np.zeros((n + 2, n + 2))
     h[0, 0] = params.beta1
@@ -246,43 +280,160 @@ class FullSystemState:
 
 
 class LatticePropagator:
-    """Spectral propagator e^{-i H z} of the coupler + chain system.
+    """Propagator e^{-i H z} of the coupler + chain system; H is never built.
 
-    One eigendecomposition of the real symmetric H serves every distance;
-    the 2x2 coupler block, full columns and full-state evolution are all
-    O(n^2) per distance afterwards.
+    A Gershgorin bound puts the spectrum of H in [c - r, c + r], and
+
+        e^{-iHz} = e^{-icz} sum_m (2 - delta_m0) (-i)^m J_m(rz) T_m((H - c) / r)
+
+    (Tal-Ezer & Kosloff 1984). The coupler block needs only the 2x2 moments
+    mu_m = <a|T_m((H - c) / r)|b> between the two arms, which the three-term
+    Chebyshev recurrence on the two arm vectors yields one per sparse
+    stencil pass (the kernel-polynomial moments of Weisse et al. 2006). A
+    distance z needs M ~ rz + O((rz)^{1/3}) terms, so S(z) costs
+    O((n + 2) M) time and O(n + M) memory. The moments are kept and
+    extended on demand, and so is their transform for the last series
+    length, so a further distance costs O(M). column and evolve apply the
+    same series to one vector. A distance whose recurrence would exceed
+    SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
+    ValueError before any vector of the chain's length is allocated.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
-        h = full_hamiltonian(params, lattice)
+        _require_lossless(params)
         self.params = params
         self.lattice = lattice
-        self.size = h.shape[0]
-        self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
+        self.size = lattice.n_sites + 2
+        self._mid = 2 + (lattice.n_sites - 1) // 2
+        chain = lattice.sigma * min(2, lattice.n_sites - 1) + lattice.rho
+        discs = (
+            (params.beta1, params.kappa),
+            (params.beta2, params.kappa + lattice.rho),
+            (lattice.beta_lattice, chain),
+        )
+        lo = min(center - radius for center, radius in discs)
+        hi = max(center + radius for center, radius in discs)
+        self._center = 0.5 * (lo + hi)
+        self._radius = 0.5 * (hi - lo)
+        c, r = self._center, self._radius
+        self._stencil = (
+            (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
+            params.kappa / r, lattice.rho / r, lattice.sigma / r,
+        )
+        self._moments = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)  # mu_0 = 1
+        self._filled = 1
+        self._pair = None  # T_{m-1}, T_m applied to the arm vectors, m = _filled
+        self._table_size, self._table = 0, None
 
-    def _phases(self, z: float) -> np.ndarray:
+    def _step(self, x: np.ndarray) -> np.ndarray:
+        """((H - c) / r) x for a vector or a stack of column vectors."""
+        d1, d2, d_chain, kappa, rho, sigma = self._stencil
+        mid = self._mid
+        y = d_chain * x
+        y[0] = d1 * x[0] + kappa * x[1]
+        y[1] = d2 * x[1] + kappa * x[0] + rho * x[mid]
+        y[mid] += rho * x[1]
+        y[2:-1] += sigma * x[3:]
+        y[3:] += sigma * x[2:-1]
+        return y
+
+    def _series(self, z: float) -> tuple[complex, np.ndarray, int]:
+        """The series of e^{-iHz}: its phase e^{-icz}, an FFT length N whose
+        half N / 2 >= M is the number of terms, and the samples
+        f_k = e^{-irz sin(2 pi k / N)} for k = 0 .. N / 4.
+
+        By Jacobi-Anger, e^{irz sin(tau)} = sum_m J_m(rz) e^{im tau}, so the
+        inverse FFT of f over the N-point period gives J_m(rz) for m < N / 2;
+        the orders aliased onto them exceed N / 2 >= M, where J is
+        negligible. sin(pi - tau) = sin(tau) and sin(tau + pi) = -sin(tau)
+        determine f from its first quarter period.
+        """
         if not math.isfinite(z) or z < 0.0:
             raise ValueError("z must be finite and non-negative")
-        return np.exp(-1j * self._eigenvalues * z)
+        x = self._radius * z
+        terms = _chebyshev_terms(x)
+        site_steps = (self.size + _STEP_OVERHEAD_SITES) * terms
+        if site_steps > SITE_STEP_LIMIT or self.size > _MAX_SITES:
+            raise ValueError(
+                f"chain reservoir too large: sigma = {self.lattice.sigma:g}, z = {z:g} and "
+                f"n_sites = {self.lattice.n_sites} need about {site_steps:.3g} site-steps; "
+                f"the limits are {SITE_STEP_LIMIT:.0e} site-steps and {_MAX_SITES:.0e} sites"
+            )
+        size = 2 * _TERMS_STEP * math.ceil(terms / _TERMS_STEP)
+        samples = np.exp(-1j * x * np.sin(np.arange(size // 4 + 1) * (2.0 * math.pi / size)))
+        return np.exp(-1j * self._center * z), samples, size
+
+    def _moments_upto(self, count: int) -> np.ndarray:
+        """nu_m = (2 - delta_m0) (-i)^m mu_m for m < count, as a (count, 4)
+        array of the row-major 2x2 blocks."""
+        if count > self._filled:
+            if self._pair is None:
+                arms = np.zeros((self.size, 2))
+                arms[0, 0] = arms[1, 1] = 1.0
+                self._pair = (arms, self._step(arms))
+            if count > len(self._moments):
+                grown = np.empty((max(count, 2 * len(self._moments)), 4), dtype=complex)
+                grown[: self._filled] = self._moments[: self._filled]
+                self._moments = grown
+            prev, cur = self._pair
+            for m in range(self._filled, count):
+                self._moments[m] = _SERIES_PHASES[m % 4] * cur[:2].ravel()
+                prev, cur = cur, 2.0 * self._step(cur) - prev
+            self._pair = (prev, cur)
+            self._filled = count
+        return self._moments[:count]
+
+    def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """P and Q with sum_m J_m(rz) nu_m = f @ P + conj(f) @ Q for the
+        quarter-period samples f of _series.
+
+        The sum is sum_k e^{-irz sin(tau_k)} w_k over the N-point period,
+        w the inverse FFT of nu_0 .. nu_{N/2-1}; P gathers the w_k whose
+        sample is f_j (k = j, N/2 - j) and Q those whose sample is conj f_j
+        (k = N/2 + j, N - j). The tables of the last N are kept.
+        """
+        if self._table_size != size:
+            w = np.fft.ifft(self._moments_upto(size // 2), n=size, axis=0)
+            q = size // 4
+            plus, minus = w[: q + 1].copy(), w[2 * q : 3 * q + 1].copy()
+            plus[1:q] += w[2 * q - 1 : q : -1]
+            minus[1:q] += w[size - 1 : 3 * q : -1]
+            self._table_size, self._table = size, (plus, minus)
+        return self._table
+
+    def _propagate(
+        self, vector: np.ndarray, series: tuple[complex, np.ndarray, int]
+    ) -> np.ndarray:
+        phase, samples, size = series
+        half = np.concatenate((samples, samples[-2::-1]))  # k = 0 .. N/2; Hermitian beyond
+        bessel = np.fft.irfft(half, size)[: size // 2]
+        prev, cur = vector, self._step(vector)
+        out = bessel[0] * vector.astype(complex)
+        for m in range(1, size // 2):
+            out += (_SERIES_PHASES[m % 4] * bessel[m]) * cur
+            prev, cur = cur, 2.0 * self._step(cur) - prev
+        return phase * out
 
     def scattering(self, z: float) -> ScatteringMatrix:
         """Propagator restricted to the two coupler arms."""
-        v2 = self._eigenvectors[:2, :]
-        block = (v2 * self._phases(z)) @ v2.T
-        return ScatteringMatrix(ComplexMatrix2.from_array(block), z=float(z))
+        phase, samples, size = self._series(z)
+        plus, minus = self._tables(size)
+        block = phase * (samples @ plus + samples.conj() @ minus)
+        return ScatteringMatrix(ComplexMatrix2.from_array(block.reshape(2, 2)), z=float(z))
 
     def column(self, index: int, z: float) -> np.ndarray:
         """Full amplitude vector evolved from the given basis state."""
-        v = self._eigenvectors
-        return v @ (self._phases(z) * v[index, :])
+        series = self._series(z)  # the work limit is checked before allocating
+        start = np.zeros(self.size)
+        start[index] = 1.0
+        return self._propagate(start, series)
 
     def evolve(self, state: FullSystemState, z: float) -> FullSystemState:
         if state.amplitudes.size != self.size:
             raise ValueError(
                 f"state has {state.amplitudes.size} amplitudes, system has {self.size}"
             )
-        v = self._eigenvectors
-        out = v @ (self._phases(z) * (v.T @ state.amplitudes))
+        out = self._propagate(state.amplitudes, self._series(z))
         norm_in = float(np.linalg.norm(state.amplitudes))
         norm_out = float(np.linalg.norm(out))
         # H is Hermitian, so any norm drift is numerical failure, not physics.
@@ -296,7 +447,7 @@ def nonmarkovian_scattering(
 ) -> ScatteringMatrix:
     """Exact coupler-block propagator with the chain traced explicitly.
 
-    Convenience wrapper diagonalizing per call; build a LatticePropagator
-    once when many distances are needed.
+    Convenience wrapper building the series moments per call; build a
+    LatticePropagator once when many distances are needed.
     """
     return LatticePropagator(params, lattice).scattering(z)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ptcoupler.classical import classify_ep, supermodes
+import ptcoupler
 from ptcoupler.cli import (
     SWEEP_OBSERVABLES,
     SweepConfig,
@@ -237,6 +242,14 @@ def test_fig5_small_custom_run(tmp_path):
     assert len(curves[0].z_values()) == 11
 
 
+def test_fig5_byte_identical_reruns(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["fig5", "--out", str(a)]) == 0
+    assert main(["fig5", "--out", str(b)]) == 0
+    for name in ("fig5_rho5.csv", "fig5_rho10.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 # -- output layout ----------------------------------------------------------
 
 SMALL_SWEEP = "backend = markovian\ngamma = 1\nphi = 0\nz = 1\n"
@@ -370,6 +383,25 @@ def test_sweep_lattice_backend(tmp_path):
     for row in rows:
         assert row[4] in ("below", "at", "above")
         assert 0.0 <= float(row[3]) <= 1.0
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fig5", "--sigma", "1e6", "--points", "2"], None),
+    (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1",
+                                              sigma="1e6", phi="0", z="0, 1")),
+], ids=["fig5", "sweep"])
+def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config):
+    # sigma = 1e6 asks for a chain of millions of sites; it must be refused
+    # with a message before anything of that size is allocated.
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config)
+        argv = argv + [str(tmp_path / "sweep.cfg")]
+    src = str(Path(ptcoupler.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "ptcoupler", *argv, "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: chain reservoir too large: sigma = 1e+06")
 
 
 def test_sweep_config_errors_exit_1(tmp_path):

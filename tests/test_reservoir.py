@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ptcoupler.core import CouplerParams
 from ptcoupler.reservoir import (
+    SITE_STEP_LIMIT,
     FullSystemState,
     LatticePropagator,
     LatticeReservoir,
@@ -211,6 +214,66 @@ def test_evolve_matches_column_and_checks_size():
     assert abs(evolved.norm() - 1.0) < 1e-10
     with pytest.raises(ValueError, match="amplitudes"):
         prop.evolve(FullSystemState.basis_state(5, 0), 1.0)
+
+
+# Detuned arms and an off-center band, so that neither the Gershgorin
+# center nor any symmetry of H is zero.
+ORACLE_PARAMS = CouplerParams(beta1=0.3, beta2=-0.4, kappa=1.2, gamma=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 30, 31])
+def test_propagator_matches_expm(n):
+    lat = LatticeReservoir(sigma=1.7, rho=0.9, n_sites=n, beta_lattice=0.25)
+    h = full_hamiltonian(ORACLE_PARAMS, lat)
+    prop = LatticePropagator(ORACLE_PARAMS, lat)
+    for z in np.linspace(0.0, 5.0, 11):
+        u = scipy.linalg.expm(-1j * z * h)
+        assert np.abs(prop.scattering(z).as_array() - u[:2, :2]).max() <= 1e-12
+        for index in (0, 1, n + 1):
+            assert np.abs(prop.column(index, z) - u[:, index]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [310, 311])
+def test_propagator_matches_dense_eigh(n):
+    lat = LatticeReservoir(sigma=20.0, rho=10.0, n_sites=n, beta_lattice=0.25)
+    w, v = np.linalg.eigh(full_hamiltonian(ORACLE_PARAMS, lat))
+    prop = LatticePropagator(ORACLE_PARAMS, lat)
+    for z in np.linspace(0.0, 3.0, 31):
+        expected = (v[:2] * np.exp(-1j * w * z)) @ v[:2].T
+        assert np.abs(prop.scattering(z).as_array() - expected).max() <= 1e-12
+
+
+def test_cached_moments_do_not_change_results():
+    lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=311, beta_lattice=0.25)
+    used = LatticePropagator(ORACLE_PARAMS, lat)
+    used.scattering(3.0)
+    for z in (1.0, 0.0, 2.5, 3.0):
+        fresh = LatticePropagator(ORACLE_PARAMS, lat).scattering(z).as_array()
+        assert np.array_equal(used.scattering(z).as_array(), fresh)
+
+
+def test_oversized_chain_refused_before_allocating():
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    lat = LatticeReservoir(sigma=1e6, rho=5.0, n_sites=min_lattice_size(1e6, 3.0))
+    tracemalloc.start()
+    try:
+        prop = LatticePropagator(params, lat)
+        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 15000010"):
+            prop.scattering(3.0)
+        for z in (0.0, 1e-9):  # little work, but the chain alone is too long
+            with pytest.raises(ValueError, match="site-steps"):
+                prop.scattering(z)
+        with pytest.raises(ValueError, match="site-steps"):
+            prop.column(0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a chain vector alone would be 120 MB
+    # A short chain over a long distance is bounded too: the step count
+    # itself, not just the chain length, sets the work and the memory.
+    short = LatticePropagator(params, LatticeReservoir(sigma=20.0, rho=5.0, n_sites=1))
+    with pytest.raises(ValueError, match="site-steps"):
+        short.scattering(SITE_STEP_LIMIT / 10.0)
 
 
 def test_truncation_insensitivity():
