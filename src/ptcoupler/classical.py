@@ -27,7 +27,7 @@ from .core import (
     PropagationGrid,
     validate,
 )
-from .scattering import scattering_matrix
+from .scattering import half_trace_and_omega, scattering_array, scattering_matrix
 
 __all__ = [
     "Regime",
@@ -98,9 +98,7 @@ def supermodes(params: CouplerParams) -> SupermodePair:
     coalescence point, where iterative solvers are ill-conditioned.
     """
     validate(params)
-    half_trace = 0.5 * (params.beta1 + params.beta2 - 1j * params.gamma)
-    d = 0.5 * (params.beta1 - params.beta2 + 1j * params.gamma)
-    omega = np.sqrt(complex(params.kappa * params.kappa + d * d))
+    half_trace, _, omega = half_trace_and_omega(params)
     lams = sorted(
         (complex(half_trace + omega), complex(half_trace - omega)),
         key=lambda lam: (-lam.imag, lam.real),
@@ -157,13 +155,12 @@ def classical_power_curve(
     if not isinstance(input_state, ClassicalInput):
         raise ValueError(f"unknown classical input {input_state!r}")
     zs = grid.points()
-    values = np.empty_like(zs)
-    for i, z in enumerate(zs):
-        s = scattering_matrix(params, z)
-        p_from_arm1 = abs(s.s11) ** 2 + abs(s.s21) ** 2
-        if input_state is ClassicalInput.SINGLE_WAVEGUIDE:
-            values[i] = p_from_arm1
-        else:
-            p_from_arm2 = abs(s.s12) ** 2 + abs(s.s22) ** 2
-            values[i] = 0.5 * (p_from_arm1 + p_from_arm2)
+    s, _ = scattering_array(params, zs)
+    power = np.abs(s) ** 2
+    p_from_arm1 = power[:, 0, 0] + power[:, 1, 0]
+    if input_state is ClassicalInput.SINGLE_WAVEGUIDE:
+        values = p_from_arm1
+    else:
+        p_from_arm2 = power[:, 0, 1] + power[:, 1, 1]
+        values = 0.5 * (p_from_arm1 + p_from_arm2)
     return DecayCurve.from_arrays(f"power_{input_state.value}", zs, values)

@@ -77,7 +77,9 @@ from .quantum import (
     survival_indistinguishable,
 )
 from .reservoir import LatticePropagator, LatticeReservoir, lattice_gamma, min_lattice_size
-from .scattering import scattering_matrix
+# scattering_matrix stays bound here: perfbench/tracing.py wraps it at every
+# module that binds it.
+from .scattering import scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
     "format_float",
@@ -250,11 +252,9 @@ def cmd_fig4(args) -> int:
     z0 = 3.0 / kappa
     gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
     header = ["gamma"] + [f"survival_phi_{phi:.12g}" for phi in phis]
-    rows = []
-    for gamma in gamma_axis:
-        params = CouplerParams(args.beta1, args.beta2, kappa, float(gamma))
-        s = scattering_matrix(params, z0)
-        rows.append([format_float(gamma)] + [format_float(survival_entangled(s, phi)) for phi in phis])
+    s, _ = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
+    columns = [gamma_axis] + [survival_entangled(s, phi) for phi in phis]
+    rows = ([format_float(col[i]) for col in columns] for i in range(len(gamma_axis)))
     meta = _metadata(head | {
         "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
         "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
@@ -304,18 +304,22 @@ def cmd_fig5(args) -> int:
 # Sweep
 # ---------------------------------------------------------------------------
 
-# One cell of a sweep row: observable name -> f(s, phi, params_eff).
-_SWEEP_CELLS = {
-    "classical_power": lambda s, phi, p: format_float(0.5 * mean_photon_number(s)),
-    "mean_photon_number": lambda s, phi, p: format_float(mean_photon_number(s)),
-    "p_boson": lambda s, phi, p: format_float(survival_indistinguishable(s)),
-    "p_entangled": lambda s, phi, p: format_float(survival_entangled(s, phi)),
-    "p_fermion": lambda s, phi, p: format_float(survival_fermionic(s)),
-    "ep_regime": lambda s, phi, p: classify_ep(p).regime.value,
-    "eigenvalue_gap": lambda s, phi, p: format_float(supermodes(p).gap()),
+# One sweep column: observable name -> its values for one axis value,
+# f(s, det, phis, params_eff) with s the (z, 2, 2) propagators over the z
+# list and det their determinants (reduced for the memoryless coupler,
+# entrywise for the lattice). A value is a string, a number, an array over
+# z or an array over (phi, z).
+_SWEEP_COLUMNS = {
+    "classical_power": lambda s, det, phis, p: 0.5 * mean_photon_number(s),
+    "mean_photon_number": lambda s, det, phis, p: mean_photon_number(s),
+    "p_boson": lambda s, det, phis, p: survival_indistinguishable(s),
+    "p_entangled": lambda s, det, phis, p: [survival_entangled(s, phi) for phi in phis],
+    "p_fermion": lambda s, det, phis, p: survival_fermionic(s, det),
+    "ep_regime": lambda s, det, phis, p: classify_ep(p).regime.value,
+    "eigenvalue_gap": lambda s, det, phis, p: supermodes(p).gap(),
 }
 
-SWEEP_OBSERVABLES = tuple(_SWEEP_CELLS)
+SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
 
 
 def _parse_number(key: str, token: str) -> float:
@@ -435,11 +439,14 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
     if not (axis and cfg.phi and cfg.z):
         return meta, header, rows
 
-    cells = [_SWEEP_CELLS[name] for name in cfg.observables]
+    columns = [_SWEEP_COLUMNS[name] for name in cfg.observables]
+    shape = (len(cfg.phi), len(cfg.z))
+    phis = [format_float(phi) for phi in cfg.phi]
+    zs = [format_float(z) for z in cfg.z]
     for a in axis:
         if cfg.backend == "markovian":
             params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, a)
-            s_for = lambda z: scattering_matrix(params_eff, z)
+            s, det = scattering_array(params_eff, cfg.z)
         else:
             params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, lattice_gamma(cfg.sigma, a))
             nsites = cfg.nsites
@@ -447,17 +454,26 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
                 nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
             beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
             reservoir = LatticeReservoir(cfg.sigma, a, nsites, beta_lattice)
-            s_for = LatticePropagator(replace(params_eff, gamma=0.0), reservoir).scattering
-        # Farthest first, so a lattice's work limit is checked before any work.
-        s_by_z = {z: s_for(z) for z in sorted(cfg.z, reverse=True)}
-        for phi in cfg.phi:
-            for z in cfg.z:
-                s = s_by_z[z]
-                rows.append(
-                    [format_float(a), format_float(phi), format_float(z)]
-                    + [cell(s, phi, params_eff) for cell in cells]
-                )
+            propagator = LatticePropagator(replace(params_eff, gamma=0.0), reservoir)
+            # Farthest first, so the work limit is checked before any work.
+            by_z = {z: propagator.scattering(z) for z in sorted(cfg.z, reverse=True)}
+            s = np.stack([by_z[z].as_array() for z in cfg.z])
+            det = np.array([by_z[z].determinant for z in cfg.z])
+        cells = [_format_cells(column(s, det, cfg.phi, params_eff), shape) for column in columns]
+        head = format_float(a)
+        for i, phi in enumerate(phis):
+            for j, z in enumerate(zs):
+                rows.append([head, phi, z] + [cell[i, j] for cell in cells])
     return meta, header, rows
+
+
+def _format_cells(value, shape: tuple[int, int]) -> np.ndarray:
+    """One sweep column for one axis value as text, broadcast to (phi, z)."""
+    if isinstance(value, str):
+        return np.broadcast_to(np.array(value, dtype=object), shape)
+    value = np.asarray(value, dtype=float)
+    text = np.array([format_float(v) for v in value.ravel()], dtype=object)
+    return np.broadcast_to(text.reshape(value.shape), shape)
 
 
 def cmd_sweep(args) -> int:

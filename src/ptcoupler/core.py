@@ -45,6 +45,20 @@ def _require_finite_complex(name: str, value: complex) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _all(mask) -> bool:
+    """Whether a boolean array, or one boolean, holds everywhere. A numpy
+    reduction costs microseconds even on one value, which the check of a
+    single ScatteringMatrix would pay several times over."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _require_all_finite(name: str, value, kind=complex) -> None:
+    """_require_finite for a number or an array, naming the first bad value."""
+    finite = np.isfinite(value)
+    if not _all(finite):
+        raise ValueError(f"{name} must be finite, got {kind(np.ravel(value)[np.argmin(finite)])!r}")
+
+
 @dataclass(frozen=True)
 class CouplerParams:
     """Coupled-mode parameters of a directional coupler with one lossy arm.
@@ -111,6 +125,61 @@ class ComplexMatrix2:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
+def largest_singular_value(s11, s12, s21, s22):
+    """Largest singular value of [[s11, s12], [s21, s22]]: of one matrix
+    given by four numbers, or of every matrix of four arrays of entries.
+
+    Closed form from the eigenvalues of H = S S^dagger:
+    sigma^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2. The discriminant
+    is summed as (H11 - H22)^2 + 4 |H12|^2, the same number without the
+    cancellation that would cost half its digits when the two singular
+    values nearly coincide, as they do for any near-unitary S.
+    """
+    h11 = abs(s11) ** 2 + abs(s12) ** 2
+    h22 = abs(s21) ** 2 + abs(s22) ** 2
+    h12 = s11 * s21.conjugate() + s12 * s22.conjugate()
+    return (0.5 * (h11 + h22 + ((h11 - h22) ** 2 + 4.0 * abs(h12) ** 2) ** 0.5)) ** 0.5
+
+
+def require_non_negative(name: str, values) -> np.ndarray:
+    """values (a number or an array) as a float array, after checking that
+    every one is finite and non-negative; errors name them as name."""
+    values = np.asarray(values, dtype=float)
+    _require_all_finite(name, values, float)
+    if not _all(values >= 0.0):
+        raise ValueError(f"{name} must be non-negative")
+    return values
+
+
+def check_propagators(entries, z, det=None) -> None:
+    """Raise ValueError unless every matrix [[s11, s12], [s21, s22]] of
+    entries = (s11, s12, s21, s22), four numbers or four arrays of one
+    shape, is a legal propagator over its distance z.
+
+    z must be finite and non-negative, the entries finite, the largest
+    singular value at most 1 + PASSIVITY_TOL, and det, when given, finite
+    and within 1e-9 of the entrywise determinant. The one check behind
+    ScatteringMatrix and the array propagator of the scattering module.
+    """
+    require_non_negative("z", z)
+    smax = largest_singular_value(*entries)
+    # A non-finite entry makes smax NaN or inf, so the entries are searched
+    # only when this fails; "not <=" counts NaN as a failure.
+    if not _all(smax <= 1.0 + PASSIVITY_TOL):
+        for name, entry in zip(("m11", "m12", "m21", "m22"), entries):
+            _require_all_finite(name, entry)
+        raise ValueError(
+            f"matrix is not passive: largest singular value {float(np.max(smax))!r} exceeds 1"
+        )
+    if det is not None:
+        s11, s12, s21, s22 = entries
+        # Entrywise cancellation noise is bounded by ~1e-15, so any
+        # disagreement past this guard is a wiring bug, not roundoff.
+        if not _all(abs(det - (s11 * s22 - s12 * s21)) <= 1e-9):
+            _require_all_finite("det", det)
+            raise ValueError("det disagrees with the matrix entries")
+
+
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """Propagator of the two coupler amplitudes over a distance z.
@@ -129,20 +198,8 @@ class ScatteringMatrix:
     det: complex | None = None
 
     def __post_init__(self):
-        _require_finite("z", self.z)
-        if self.z < 0.0:
-            raise ValueError("z must be non-negative")
-        smax = float(np.linalg.svd(self.s.as_array(), compute_uv=False)[0])
-        if smax > 1.0 + PASSIVITY_TOL:
-            raise ValueError(
-                f"matrix is not passive: largest singular value {smax!r} exceeds 1"
-            )
-        if self.det is not None:
-            _require_finite_complex("det", self.det)
-            # Entrywise cancellation noise is bounded by ~1e-15, so any
-            # disagreement past this guard is a wiring bug, not roundoff.
-            if abs(self.det - self.s.determinant()) > 1e-9:
-                raise ValueError("det disagrees with the matrix entries")
+        s = self.s
+        check_propagators((s.m11, s.m12, s.m21, s.m22), self.z, self.det)
 
     @property
     def determinant(self) -> complex:
@@ -172,9 +229,17 @@ class ScatteringMatrix:
         return self.s.as_array()
 
 
+# Largest accepted grid, checked before anything of its size is allocated.
+# A fig3 curve peaks at about 0.4 GB resident per 10**6 points (the grid's
+# propagators, their temporaries and the CSV text), so this refuses only
+# grids that need several GB, not every large one.
+MAX_GRID_POINTS = 10**7
+
+
 @dataclass(frozen=True)
 class PropagationGrid:
-    """Uniform grid of propagation distances from 0 to z_max inclusive."""
+    """Uniform grid of propagation distances from 0 to z_max inclusive,
+    with 2 to MAX_GRID_POINTS points."""
 
     z_max: float
     num_points: int
@@ -185,37 +250,53 @@ class PropagationGrid:
             raise ValueError("z_max must be positive")
         if self.num_points < 2:
             raise ValueError("num_points must be at least 2")
+        if self.num_points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"num_points must be at most {MAX_GRID_POINTS}, got {self.num_points}"
+            )
 
     def points(self) -> np.ndarray:
         # linspace pins the first point to exactly 0.0 and the last to z_max
         return np.linspace(0.0, self.z_max, self.num_points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCurve:
-    """A sampled z-series of a non-negative observable, starting at z = 0."""
+    """A sampled z-series of a non-negative observable, starting at z = 0.
+
+    points takes any sequence of (z, value) pairs and is kept as a
+    read-only (N, 2) float array. Curves compare and hash by label and
+    point values.
+    """
 
     label: str
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
 
     def __post_init__(self):
         if not self.label:
             raise ValueError("label must be non-empty")
         if "," in self.label or "\n" in self.label:
             raise ValueError("label must not contain commas or newlines")
-        if len(self.points) == 0:
+        points = np.array(self.points, dtype=float)
+        if points.size == 0:
             raise ValueError("points must be non-empty")
-        if self.points[0][0] != 0.0:
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError("points must be (z, value) pairs")
+        z, values = points[:, 0], points[:, 1]
+        if z[0] != 0.0:
             raise ValueError("first grid point must be z = 0")
-        prev = None
-        for z, value in self.points:
-            _require_finite("z", z)
-            _require_finite("value", value)
-            if value < 0.0:
-                raise ValueError(f"curve values must be non-negative, got {value!r}")
-            if prev is not None and z <= prev:
-                raise ValueError("z values must be strictly increasing")
-            prev = z
+        bad = ~np.isfinite(points).all(axis=1) | (values < 0.0)
+        bad[1:] |= z[1:] <= z[:-1]
+        if bad.any():
+            # Report the first bad point, its checks in this order.
+            i = int(np.argmax(bad))
+            _require_finite("z", float(z[i]))
+            _require_finite("value", float(values[i]))
+            if values[i] < 0.0:
+                raise ValueError(f"curve values must be non-negative, got {float(values[i])!r}")
+            raise ValueError("z values must be strictly increasing")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_arrays(cls, label: str, z, values) -> "DecayCurve":
@@ -223,13 +304,22 @@ class DecayCurve:
         values = np.asarray(values, dtype=float)
         if z.shape != values.shape or z.ndim != 1:
             raise ValueError("z and values must be 1-d arrays of equal length")
-        return cls(label, tuple((float(a), float(b)) for a, b in zip(z, values)))
+        return cls(label, np.stack([z, values], axis=1))
+
+    def __eq__(self, other):
+        if not isinstance(other, DecayCurve):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.label, (self.points + 0.0).tobytes()))
 
     def z_values(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
+        return self.points[:, 0]
 
     def values(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        return self.points[:, 1]
 
 
 class ClassicalInput(Enum):

@@ -40,7 +40,9 @@ from .core import (
     validate,
 )
 from .reservoir import LatticePropagator, LatticeReservoir
-from .scattering import scattering_matrix
+# scattering_matrix stays bound here: perfbench/tracing.py wraps it at every
+# module that binds it.
+from .scattering import scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
     "TwoPhotonOccupations",
@@ -62,10 +64,26 @@ __all__ = [
 _EXCURSION_TOL = 1e-12
 
 
-def _clamp_probability(p: float, what: str) -> float:
-    if p < -_EXCURSION_TOL or p > 1.0 + _EXCURSION_TOL:
-        raise RuntimeError(f"{what} = {p!r} lies outside [0, 1] beyond roundoff")
-    return min(max(p, 0.0), 1.0)
+def _clamp_probability(p, what: str):
+    """p (a number or an array) clipped to [0, 1]; raises RuntimeError
+    naming the first value that strays beyond roundoff."""
+    p = np.asarray(p, dtype=float)
+    bad = (p < -_EXCURSION_TOL) | (p > 1.0 + _EXCURSION_TOL)
+    if bad.any():
+        raise RuntimeError(f"{what} = {float(p[bad][0])!r} lies outside [0, 1] beyond roundoff")
+    return np.clip(p, 0.0, 1.0)
+
+
+def _batch(s) -> np.ndarray:
+    """The matrices of s: an array (..., 2, 2) as given, or one
+    ScatteringMatrix as a batch of one."""
+    return s.as_array()[None] if isinstance(s, ScatteringMatrix) else np.asarray(s)
+
+
+def _unbatch(s, value):
+    """An observable's value for s: a float for one ScatteringMatrix, else
+    the array over the batch."""
+    return value[0] if isinstance(s, ScatteringMatrix) else value
 
 
 @dataclass(frozen=True)
@@ -87,58 +105,75 @@ class TwoPhotonOccupations:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _occupations(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """p20, p02, p11, p_lost of the indistinguishable pair, over a batch."""
+    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    p20 = _clamp_probability(2.0 * np.abs(s11 * s12) ** 2, "p20")
+    p02 = _clamp_probability(2.0 * np.abs(s21 * s22) ** 2, "p02")
+    p11 = _clamp_probability(np.abs(s11 * s22 + s12 * s21) ** 2, "p11")
+    p_lost = _clamp_probability(1.0 - p20 - p02 - p11, "p_lost")
+    return p20, p02, p11, p_lost
+
+
 def occupations_indistinguishable(s: ScatteringMatrix) -> TwoPhotonOccupations:
     """Occupations for the indistinguishable pair, one photon per arm."""
-    p20 = _clamp_probability(2.0 * abs(s.s11 * s.s12) ** 2, "p20")
-    p02 = _clamp_probability(2.0 * abs(s.s21 * s.s22) ** 2, "p02")
-    p11 = _clamp_probability(abs(s.s11 * s.s22 + s.s12 * s.s21) ** 2, "p11")
-    p_lost = _clamp_probability(1.0 - p20 - p02 - p11, "p_lost")
-    return TwoPhotonOccupations(p20, p02, p11, p_lost)
+    return TwoPhotonOccupations(*(float(p[0]) for p in _occupations(_batch(s))))
 
 
-def survival_indistinguishable(s: ScatteringMatrix) -> float:
+# The observables below take one ScatteringMatrix and return a float, or an
+# array of matrices (..., 2, 2) and return an array of shape (...).
+
+def survival_indistinguishable(s) -> float | np.ndarray:
     """Probability that both photons of the bosonic pair stay guided."""
-    occ = occupations_indistinguishable(s)
-    return _clamp_probability(occ.p20 + occ.p02 + occ.p11, "survival")
+    p20, p02, p11, _ = _occupations(_batch(s))
+    return _unbatch(s, _clamp_probability(p20 + p02 + p11, "survival"))
 
 
-def survival_entangled(s: ScatteringMatrix, phi: float) -> float:
+def survival_entangled(s, phi: float) -> float | np.ndarray:
     """Pair survival for the polarization-entangled input with exchange
     phase phi. phi = 0 reproduces the indistinguishable result, phi = pi
     the fermionic one; in between the interference term is weighted by
     cos(phi)."""
     if not math.isfinite(phi) or not 0.0 <= phi <= math.pi:
         raise ValueError("phi must lie in [0, pi]")
-    a = s.s11 * s.s22
-    b = s.s12 * s.s21
-    bunching = abs(s.s11 * s.s12) ** 2 + abs(s.s21 * s.s22) ** 2
+    m = _batch(s)
+    s11, s12, s21, s22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    a = s11 * s22
+    b = s12 * s21
+    bunching = np.abs(s11 * s12) ** 2 + np.abs(s21 * s22) ** 2
     p = (
         2.0 * math.cos(0.5 * phi) ** 2 * bunching
-        + abs(a) ** 2
-        + abs(b) ** 2
+        + np.abs(a) ** 2
+        + np.abs(b) ** 2
         + math.cos(phi) * 2.0 * (a * b.conjugate()).real
     )
-    return _clamp_probability(p, "survival")
+    return _unbatch(s, _clamp_probability(p, "survival"))
 
 
-def survival_fermionic(s: ScatteringMatrix) -> float:
+def survival_fermionic(s, det=None) -> float | np.ndarray:
     """Pair survival for the antisymmetric (phi = pi) input: |det S|^2.
 
-    Uses the reduced determinant when the matrix carries one, so for the
-    memoryless coupler this is e^{-2 gamma z} to a few ulp at any distance,
-    immune to the cancellation that would wash out the entrywise product
-    difference."""
-    return _clamp_probability(abs(s.determinant) ** 2, "survival")
+    Uses the reduced determinant when there is one: the one a
+    ScatteringMatrix carries, or det (shape (...)), which an array of
+    matrices must come with. For the memoryless coupler this is
+    e^{-2 gamma z} to a few ulp at any distance, immune to the cancellation
+    that would wash out the entrywise product difference."""
+    if isinstance(s, ScatteringMatrix):
+        det = np.array([s.determinant])
+    elif det is None:
+        raise ValueError("det is required with an array of matrices")
+    return _unbatch(s, _clamp_probability(np.abs(det) ** 2, "survival"))
 
 
-def mean_photon_number(s: ScatteringMatrix) -> float:
+def mean_photon_number(s) -> float | np.ndarray:
     """Mean guided photon number of the pair: each photon survives with its
     single-photon probability, so the expectation is the sum of the two
     column norms of S. Equals twice the balanced-orthogonal classical
     power."""
-    p_from_arm1 = abs(s.s11) ** 2 + abs(s.s21) ** 2
-    p_from_arm2 = abs(s.s12) ** 2 + abs(s.s22) ** 2
-    return p_from_arm1 + p_from_arm2
+    power = np.abs(_batch(s)) ** 2
+    p_from_arm1 = power[..., 0, 0] + power[..., 1, 0]
+    p_from_arm2 = power[..., 0, 1] + power[..., 1, 1]
+    return _unbatch(s, p_from_arm1 + p_from_arm2)
 
 
 @dataclass(frozen=True)
@@ -183,12 +218,12 @@ def survival_curve(
         propagator = LatticePropagator(params, backend.reservoir)
         # Farthest first: its work limit is checked before any chain vector
         # is allocated, and the series moments are extended once.
-        mats = [propagator.scattering(z) for z in zs[::-1]][::-1]
+        s = np.stack([propagator.scattering(z).as_array() for z in zs[::-1]])[::-1]
     elif isinstance(backend, Markovian):
-        mats = [scattering_matrix(params, z) for z in zs]
+        s, _ = scattering_array(params, zs)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return DecayCurve.from_arrays(label, zs, [fn(s) for s in mats])
+    return DecayCurve.from_arrays(label, zs, fn(s))
 
 
 def _pair_amplitudes(u: np.ndarray, input_state: TwoPhotonInput) -> np.ndarray:

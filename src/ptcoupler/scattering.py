@@ -1,68 +1,149 @@
-"""Closed-form propagator exp(-i M z) of the coupled-mode equation.
+"""Closed-form propagator exp(-i M z) of the coupled-mode equation, for
+whole arrays of distances (and loss rates) in one call.
 
-For the 2x2 coupled-mode matrix M the exponential reduces to
+The 2x2 coupled-mode matrix M = [[beta1, kappa], [kappa, beta2 - i gamma]]
+has half trace h = (beta1 + beta2 - i gamma)/2 and M - h I =
+[[d, kappa], [kappa, -d]] with d = (beta1 - beta2 + i gamma)/2, so
 
-    exp(-i M z) = e^{-i (tr M/2) z} [cos(w z) I - i (sin(w z)/w) (M - (tr M/2) I)]
+    exp(-i M z) = e^{-i h z} [cos(w z) I - i (sin(w z)/w) (M - h I)],
+    w^2 = kappa^2 + d^2,
 
-with w^2 = kappa^2 + ((beta1 - beta2 + i gamma)/2)^2 complex. Both cos(w z)
-and sin(w z)/w are even functions of w, so the branch of the complex square
-root is irrelevant, and the w -> 0 limit (the eigenvalue-coalescence point
-gamma = 2 kappa of the beta1 = beta2 coupler) is reached smoothly through a
-short power series instead of a 0/0. Generic eigendecomposition loses half
-its digits near that point; this single code path does not.
+and the eigenvalues of M (the supermodes) are h + w and h - w.
 
-The determinant of the propagator is carried separately in its reduced
-form exp(-i tr(M) z): the entrywise product difference underflows into
+Branch and stable factoring. The root is taken with Im w >= 0, which makes
+h + w the slower-decaying supermode: the exponential e^{-i (h + w) z} has
+modulus at most 1 for every passive coupler. Factoring it out of both
+terms leaves only bounded factors,
+
+    e^{-i h z} cos(w z)   = e^{-i (h + w) z} (1 + q/2)
+    e^{-i h z} sin(w z)/w = e^{-i (h + w) z} q/(2 i w),   q = expm1(2 i w z),
+
+with |1 + q| = |e^{2 i w z}| <= 1. Multiplying the decaying e^{-i h z} by
+the growing cos(w z) instead overflows into NaN once gamma z passes about
+1400 above the exceptional point, where the propagator itself is finite
+(loss-induced transparency keeps |S11| near 1). expm1 keeps q/(2 i w)
+accurate to a few ulp as w z -> 0; below |w z| = SINC_SERIES_THRESHOLD a
+short series replaces the quotient, so the coalescence point gamma =
+2 kappa of the beta1 = beta2 coupler (w = 0) is reached without a 0/0.
+Generic eigendecomposition loses half its digits near that point; this
+single code path does not.
+
+Array shapes. scattering_array(params, z, gamma) broadcasts the distances
+z against the loss rates gamma (default params.gamma) to one shape B and
+returns S with shape B + (2, 2), complex, and the determinants with shape
+B. The determinant is carried separately in its reduced form
+exp(-i tr(M) z): the entrywise product difference underflows into
 cancellation noise as soon as gamma z is large, while the reduced value
-stays correct to a few ulp.
+stays correct to a few ulp. scattering_matrix and scattering_curve wrap
+the same arrays as ScatteringMatrix records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ComplexMatrix2, CouplerParams, PropagationGrid, ScatteringMatrix, validate
+from .core import (
+    ComplexMatrix2,
+    CouplerParams,
+    PropagationGrid,
+    ScatteringMatrix,
+    check_propagators,
+    require_non_negative,
+    validate,
+)
 
 __all__ = ["scattering_matrix", "scattering_curve"]
 
-# Below this value of |w z| the direct quotient sin(w z)/w is replaced by
-# its series; four terms leave a truncation error ~ (1e-4)^8 / 9!, which is
-# far below double precision.
+# Below this value of |w z| the quotient expm1(2 i w z)/(2 i w) is replaced
+# by its series; five terms leave a relative truncation error of about
+# (2e-4)^5 / 6!, far below double precision.
 SINC_SERIES_THRESHOLD = 1e-4
 
 
-def _sin_over_omega(omega: complex, z: float) -> complex:
-    """sin(omega z)/omega, even in omega, exact in the omega -> 0 limit."""
-    x = omega * z
-    if abs(x) < SINC_SERIES_THRESHOLD:
-        x2 = x * x
-        return z * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
-    return np.sin(x) / omega
+def half_trace_and_omega(params: CouplerParams, gamma=None) -> tuple:
+    """h = tr M/2, d = (M11 - M22)/2 and the root w of kappa^2 + d^2 with
+    Im w >= 0, so that h + w is the slower-decaying eigenvalue of M. Of two
+    real roots (no loss) the one with the sign of Re d is taken, so that
+    w + d never cancels.
+
+    gamma, when given, replaces params.gamma (any array shape)."""
+    gamma = params.gamma if gamma is None else gamma
+    half_trace = 0.5 * (params.beta1 + params.beta2 - 1j * gamma)
+    d = 0.5 * (params.beta1 - params.beta2 + 1j * gamma)
+    omega = np.sqrt(params.kappa * params.kappa + d * d + 0j)
+    flip = (omega.imag < 0.0) | ((omega.imag == 0.0) & (omega.real * np.real(d) < 0.0))
+    return half_trace, d, np.where(flip, -omega, omega)
+
+
+def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.ndarray, np.ndarray]:
+    """S, shape B + (2, 2), and the reduced determinants, shape B, for
+    validated distances z and loss rates gamma; the matrices are not
+    checked here."""
+    half_trace, d, omega = half_trace_and_omega(params, gamma)
+    # h + w = beta1 + (w - d) = beta1 + kappa^2/(w + d): Im h and Im w
+    # nearly cancel far above the exceptional point, w + d never does.
+    slow_mode = params.beta1 + params.kappa * params.kappa / (omega + d)
+
+    wz = omega * z
+    shape = np.shape(wz)
+    x = np.atleast_1d(wz)
+    q = np.expm1(2j * x)
+    small = np.abs(x) < SINC_SERIES_THRESHOLD
+    sinc = q / (2j * np.where(small, 1.0, omega))  # e^{i w z} sin(w z)/w
+    if small.any():
+        y = 2j * x[small]
+        z_small = np.broadcast_to(z, x.shape)[small]
+        sinc[small] = z_small * (1.0 + y / 2.0 * (1.0 + y / 3.0 * (1.0 + y / 4.0 * (1.0 + y / 5.0))))
+    slow = np.exp(-1j * slow_mode * z)
+    cos = slow * (1.0 + 0.5 * q)
+    sin = slow * sinc
+    off = -1j * sin * params.kappa
+    s = np.array([[cos - 1j * sin * d, off], [off, cos + 1j * sin * d]])  # (2, 2) + x.shape
+    s = s.transpose(tuple(range(2, s.ndim)) + (0, 1)).reshape(shape + (2, 2))
+    return s, np.reshape(np.exp(-2j * half_trace * z), shape)
+
+
+def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude transfer matrices of the bare lossy coupler, all at once.
+
+    z is an array of distances; gamma, when given, an array of loss rates
+    that replaces params.gamma. Both broadcast to one shape B (a gamma axis
+    against a z grid: gamma[:, None] and z[None, :]). Returns S with shape
+    B + (2, 2) and the reduced determinants e^{-i tr(M) z}, shape B.
+
+    The loss enters as the imaginary part -i gamma of the second diagonal
+    element, so every propagator is passive: both singular values stay at
+    or below 1, and |det| = e^{-gamma z}. Every matrix passes the checks of
+    ScatteringMatrix (check_propagators).
+    """
+    validate(params)
+    if gamma is not None:
+        gamma = require_non_negative("gamma", gamma)
+    z = require_non_negative("z", z)
+    s, det = _propagators(params, z, gamma)
+    check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z, det)
+    return s, det
+
+
+def _records(params: CouplerParams, z) -> list[ScatteringMatrix]:
+    """ScatteringMatrix records at the distances z, each checked once, by
+    its own construction."""
+    validate(params)
+    # Always an array: numpy's scalar and array loops may round differently.
+    z = np.atleast_1d(require_non_negative("z", z))
+    s, det = _propagators(params, z)
+    return [
+        ScatteringMatrix(ComplexMatrix2(*m), z=zi, det=di)
+        for m, di, zi in zip(s.reshape(-1, 4).tolist(), det.tolist(), z.tolist())
+    ]
 
 
 def scattering_matrix(params: CouplerParams, z: float) -> ScatteringMatrix:
-    """Amplitude transfer matrix of the bare lossy coupler over distance z.
-
-    The loss enters as the imaginary part -i gamma of the second diagonal
-    element, so the propagator is passive: both singular values stay at or
-    below 1, and |det| = e^{-gamma z}.
-    """
-    validate(params)
-    half_trace = 0.5 * (params.beta1 + params.beta2 - 1j * params.gamma)
-    d = 0.5 * (params.beta1 - params.beta2 + 1j * params.gamma)
-    omega = np.sqrt(complex(params.kappa * params.kappa + d * d))
-
-    prefactor = np.exp(-1j * half_trace * z)
-    c = np.cos(omega * z)
-    s = _sin_over_omega(omega, z)
-
-    m11 = prefactor * (c - 1j * s * d)
-    m12 = prefactor * (-1j * s * params.kappa)
-    m22 = prefactor * (c + 1j * s * d)
-    det = np.exp(-1j * (params.beta1 + params.beta2 - 1j * params.gamma) * z)
-    return ScatteringMatrix(ComplexMatrix2(m11, m12, m12, m22), z=float(z), det=complex(det))
+    """Amplitude transfer matrix of the bare lossy coupler over distance z:
+    the one-point batch of the closed form of scattering_array."""
+    return _records(params, z)[0]
 
 
 def scattering_curve(params: CouplerParams, grid: PropagationGrid) -> list[ScatteringMatrix]:
     """Transfer matrices on every point of the grid, in grid order."""
-    return [scattering_matrix(params, z) for z in grid.points()]
+    return _records(params, grid.points())

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,14 @@ from ptcoupler.cli import (
     run_sweep,
     write_decay_curves,
 )
-from ptcoupler.core import CouplerParams, DecayCurve
+from ptcoupler.core import MAX_GRID_POINTS, CouplerParams, DecayCurve
 from ptcoupler.quantum import (
     mean_photon_number,
     survival_entangled,
     survival_fermionic,
     survival_indistinguishable,
 )
+from ptcoupler.reservoir import LatticePropagator, LatticeReservoir
 from ptcoupler.scattering import scattering_matrix
 
 
@@ -132,6 +134,19 @@ def test_fig2_flag_overrides(tmp_path):
     assert metadata["gamma"] == "1"
 
 
+def test_fig2_strong_loss_stays_finite(tmp_path):
+    # gamma z reaches 4000 on the default grid, far past where cos(w z)
+    # alone overflows; the emitted power must stay finite and physical.
+    assert main(["fig2", "--gamma", "400", "--out", str(tmp_path)]) == 0
+    _, curves = read_decay_curves(tmp_path / "fig2_gamma400.csv")
+    for c in curves:
+        values = np.asarray(c.values())
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    # Loss-induced transparency: the single-arm launch keeps ~e^{-z/200}.
+    single = curve_by_label(curves, "power_single_waveguide")
+    assert single.values()[-1] == pytest.approx(math.exp(-2.0 * 10.0 / 400.0), rel=1e-3)
+
+
 def test_fig2_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["fig2", "--out", str(a)]) == 0
@@ -214,6 +229,15 @@ def test_fig4_panel_b_outputs(tmp_path):
     i = 100
     assert gammas[i] == 2.5
     assert boson_like.values()[i] / fermi_like.values()[i] > 100.0
+
+
+def test_fig4_panel_b_matches_per_rate_propagators(tmp_path):
+    assert main(["fig4", "--out", str(tmp_path), "--beta1", "0.3", "--points", "3"]) == 0
+    _, curves = read_decay_curves(tmp_path / "fig4b.csv")
+    for c, phi in zip(curves, (0.0, 2.0 * math.pi / 3.0, math.pi), strict=True):
+        for gamma, value in zip(c.z_values(), c.values()):
+            s = scattering_matrix(CouplerParams(0.3, 0.0, 1.0, float(gamma)), 3.0)
+            assert abs(value - survival_entangled(s, phi)) < 1e-14
 
 
 # -- fig5 -------------------------------------------------------------------
@@ -348,6 +372,25 @@ def test_sweep_single_tuple_matches_library_bit_for_bit(tmp_path):
     assert row == expected
 
 
+def test_sweep_regime_columns_once_per_axis_value(tmp_path, monkeypatch):
+    import ptcoupler.cli as cli
+
+    calls = {"classify_ep": 0, "supermodes": 0}
+
+    def counted(name, fn):
+        def wrapper(params):
+            calls[name] += 1
+            return fn(params)
+        return wrapper
+
+    monkeypatch.setattr(cli, "classify_ep", counted("classify_ep", classify_ep))
+    monkeypatch.setattr(cli, "supermodes", counted("supermodes", supermodes))
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(gamma="0.5, 2, 3", z="0, 1, 1.5"))
+    assert code == 0
+    assert len(read_table(csv)[2]) == 3 * 2 * 3
+    assert calls == {"classify_ep": 3, "supermodes": 3}
+
+
 def test_sweep_gap_closes_at_critical_loss(tmp_path):
     code, csv = run_sweep_cli(
         tmp_path, sweep_config_text(gamma="1.9, 2, 2.1", phi="0", z="1",
@@ -385,6 +428,20 @@ def test_sweep_lattice_backend(tmp_path):
         assert 0.0 <= float(row[3]) <= 1.0
 
 
+def test_sweep_lattice_fermion_matches_library_bit_for_bit(tmp_path):
+    text = sweep_config_text(
+        backend="lattice", gamma="", rho="2", sigma="5", nsites="21",
+        phi="0", z="0.5, 1", observables="p_fermion",
+    )
+    code, csv = run_sweep_cli(tmp_path, text)
+    assert code == 0
+    _, _, rows = read_table(csv)
+    propagator = LatticePropagator(CouplerParams(0.0, 0.0, 1.0, 0.0), LatticeReservoir(5.0, 2.0, 21, 0.0))
+    assert [row[3] for row in rows] == [
+        format_float(survival_fermionic(propagator.scattering(z))) for z in (0.5, 1.0)
+    ]
+
+
 @pytest.mark.parametrize("argv, config", [
     (["fig5", "--sigma", "1e6", "--points", "2"], None),
     (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1",
@@ -402,6 +459,30 @@ def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: chain reservoir too large: sigma = 1e+06")
+
+
+def test_oversized_grid_exits_1_without_traceback(tmp_path):
+    src = str(Path(ptcoupler.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ptcoupler", "fig2", "--points", "1000000000000",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        f"error: num_points must be at most {MAX_GRID_POINTS}, got 1000000000000\n")
+
+
+def test_oversized_grid_refused_before_allocating(tmp_path):
+    tracemalloc.start()
+    try:
+        code = main(["fig2", "--points", "1000000000000", "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1e6  # the grid alone would be 8 TB
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_config_errors_exit_1(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ptcoupler.core import (
+    MAX_GRID_POINTS,
     PASSIVITY_TOL,
     ClassicalInput,
     ComplexMatrix2,
@@ -16,6 +17,8 @@ from ptcoupler.core import (
     PolarizationEntangled,
     PropagationGrid,
     ScatteringMatrix,
+    check_propagators,
+    largest_singular_value,
     validate,
 )
 
@@ -168,3 +171,87 @@ def test_entangled_phi_range():
 
 def test_indistinguishable_is_value_like():
     assert Indistinguishable() == Indistinguishable()
+
+
+# -- array checks -----------------------------------------------------------
+
+def entries_of(mats):
+    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
+
+
+def test_closed_form_singular_value_matches_svd():
+    rng = np.random.default_rng(11)
+    general = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    h = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    w, v = np.linalg.eigh(h + h.conj().transpose(0, 2, 1))
+    unitary = v * np.exp(1j * w)[:, None, :] @ v.conj().transpose(0, 2, 1)
+    rank_one = general[:, :, :1] * general[:, :1, :]
+    eps = np.finfo(float).eps
+    for mats in (general, unitary, rank_one, np.zeros((1, 2, 2))):
+        svd = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.all(np.abs(largest_singular_value(*entries_of(mats)) - svd) <= 8 * eps * svd)
+    # Near-unitary matrices keep every digit, so the passivity slack holds.
+    assert np.abs(largest_singular_value(*entries_of(unitary)) - 1.0).max() < 8 * eps
+    # Four numbers give the same value as an array of one matrix.
+    one = [complex(x) for x in general[0].ravel()]
+    expected = largest_singular_value(*entries_of(general[:1]))[0]
+    assert largest_singular_value(*one) == pytest.approx(expected, rel=8 * eps)
+
+
+def test_check_propagators_names_the_fault_in_an_array():
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+    z = np.array([0.0, 1.0, 2.0])
+    check_propagators(entries_of(eye), z, np.ones(3))
+    bad = eye.copy()
+    bad[2, 1, 0] = complex(math.nan, 1.0)
+    with pytest.raises(ValueError, match=r"m21 must be finite, got \(nan\+1j\)"):
+        check_propagators(entries_of(bad), z)
+    gain = eye.copy()
+    gain[1, 1, 1] = 1.5
+    with pytest.raises(ValueError, match="largest singular value 1.5 exceeds 1"):
+        check_propagators(entries_of(gain), z)
+    with pytest.raises(ValueError, match="det disagrees"):
+        check_propagators(entries_of(eye), z, np.array([1.0, 1.0, 0.5]))
+    with pytest.raises(ValueError, match="det must be finite"):
+        check_propagators(entries_of(eye), z, np.array([1.0, math.inf, 1.0]))
+    with pytest.raises(ValueError, match="z must be non-negative"):
+        check_propagators(entries_of(eye), -z)
+
+
+def test_grid_size_limit():
+    PropagationGrid(1.0, MAX_GRID_POINTS)  # allocates nothing until points()
+    with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}, got 1000000000000"):
+        PropagationGrid(1.0, 10**12)
+
+
+def test_curve_reports_the_first_bad_point():
+    # Point 1 has a negative value, point 2 a NaN z: point 1 is reported.
+    with pytest.raises(ValueError, match="non-negative, got -1.0"):
+        DecayCurve.from_arrays("p", [0.0, 1.0, math.nan], [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="z must be finite, got nan"):
+        DecayCurve.from_arrays("p", [0.0, math.nan, 0.5], [1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="value must be finite, got inf"):
+        DecayCurve.from_arrays("p", [0.0, 1.0, 0.5], [1.0, math.inf, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):  # before its z order
+        DecayCurve.from_arrays("p", [0.0, 1.0, 0.5], [1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DecayCurve.from_arrays("p", [0.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        DecayCurve.from_arrays("p", [], [])
+
+
+def test_curve_points_are_read_only():
+    c = DecayCurve("p", ((0.0, 1.0), (1.0, 0.5)))
+    assert c.points.shape == (2, 2)
+    with pytest.raises(ValueError):
+        c.values()[0] = 2.0
+
+
+def test_curves_compare_and_hash_by_value():
+    a = DecayCurve("p", ((0.0, 1.0), (1.0, 0.5)))
+    b = DecayCurve.from_arrays("p", [-0.0, 1.0], [1.0, 0.5])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != DecayCurve("q", a.points)
+    assert a != DecayCurve("p", ((0.0, 1.0), (1.0, 0.25)))
+    assert a != ((0.0, 1.0), (1.0, 0.5))

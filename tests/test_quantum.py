@@ -27,7 +27,7 @@ from ptcoupler.quantum import (
     two_photon_oracle_kron,
 )
 from ptcoupler.reservoir import LatticePropagator, LatticeReservoir, full_hamiltonian
-from ptcoupler.scattering import scattering_matrix
+from ptcoupler.scattering import scattering_array, scattering_matrix
 
 E_MINUS_4 = 0.018315638888734179
 
@@ -300,3 +300,47 @@ def test_kron_oracle_agrees_with_congruence():
 def test_kron_oracle_rejects_large_systems():
     with pytest.raises(ValueError, match="small systems"):
         two_photon_oracle_kron(np.eye(13), Indistinguishable(), 1.0)
+
+
+# -- array observables -----------------------------------------------------
+
+def test_array_observables_match_the_per_matrix_loop():
+    # The array form against the one-matrix form, point by point; both
+    # evaluate the same formulas, so only the last bits may differ.
+    params = CouplerParams(0.3, -0.2, 1.1, 0.0)
+    gammas = np.array([0.0, 0.7, 2.2, 9.0])[:, None]
+    zs = np.linspace(0.0, 6.0, 13)[None, :]
+    s, det = scattering_array(params, zs, gamma=gammas)
+    arrays = {
+        "boson": survival_indistinguishable(s),
+        "entangled": survival_entangled(s, 1.2),
+        "fermion": survival_fermionic(s, det),
+        "mean": mean_photon_number(s),
+    }
+    for value in arrays.values():
+        assert value.shape == (4, 13)
+    for i, gamma in np.ndenumerate(gammas[:, 0]):
+        for j, z in np.ndenumerate(zs[0]):
+            one = scattering_matrix(CouplerParams(0.3, -0.2, 1.1, float(gamma)), float(z))
+            expected = {
+                "boson": survival_indistinguishable(one),
+                "entangled": survival_entangled(one, 1.2),
+                "fermion": survival_fermionic(one),
+                "mean": mean_photon_number(one),
+            }
+            for name, value in expected.items():
+                assert isinstance(value, float)
+                assert abs(arrays[name][i + j] - value) < 1e-14, name
+
+
+def test_fermionic_survival_of_an_array_needs_its_determinants():
+    s, _ = scattering_array(CouplerParams(0.0, 0.0, 1.0, 1.0), np.linspace(0.0, 2.0, 3))
+    with pytest.raises(ValueError, match="det is required"):
+        survival_fermionic(s)
+
+
+def test_clamp_on_arrays():
+    clipped = _clamp_probability(np.array([-0.5e-12, 0.25, 1.0 + 0.5e-12]), "p")
+    assert clipped.tolist() == [0.0, 0.25, 1.0]
+    with pytest.raises(RuntimeError, match=r"p_lost = -1e-06 lies outside \[0, 1\] beyond roundoff"):
+        _clamp_probability(np.array([0.5, -1e-6, 2.0]), "p_lost")

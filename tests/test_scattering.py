@@ -8,7 +8,12 @@ import hypothesis.strategies as st
 
 from ptcoupler.classical import coupler_matrix
 from ptcoupler.core import CouplerParams, PropagationGrid
-from ptcoupler.scattering import SINC_SERIES_THRESHOLD, scattering_curve, scattering_matrix
+from ptcoupler.scattering import (
+    SINC_SERIES_THRESHOLD,
+    scattering_array,
+    scattering_curve,
+    scattering_matrix,
+)
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -153,3 +158,56 @@ def test_rejects_corrupted_params_and_negative_z():
     p = CouplerParams(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         scattering_matrix(p, -1.0)
+
+
+# -- array form and the strong-loss regime -----------------------------------
+
+@pytest.mark.parametrize("beta1, beta2, kappa", [
+    (0.0, 0.0, 1.0), (0.3, -0.2, 1.3), (-0.5, 0.5, 0.7), (2.0, -1.0, 1.0),
+])
+@pytest.mark.parametrize("gamma", [100.0, 400.0])
+def test_strong_loss_matches_expm(beta1, beta2, kappa, gamma):
+    # Far above the exceptional point cos(w z) alone overflows once gamma z
+    # passes ~1400; the propagator stays finite and |S11| stays near 1.
+    p = CouplerParams(beta1, beta2, kappa, gamma)
+    zs = np.concatenate([np.linspace(0.0, 20.0, 21), np.geomspace(1e2, 1e4, 9) / gamma])
+    s, det = scattering_array(p, zs)
+    m = coupler_matrix(p).as_array()
+    for z, mine, d in zip(zs, s, det):
+        dense = scipy.linalg.expm(-1j * z * m)
+        assert np.abs(mine - dense).max() < 1e-12
+        assert abs(d - np.exp(-1j * (beta1 + beta2) * z - gamma * z)) <= 1e-12 * abs(d)
+    one = scattering_matrix(p, 1e4 / gamma).as_array()
+    assert np.abs(one - s[-1]).max() < 1e-15
+
+
+def test_loss_induced_transparency_value():
+    # gamma = 100, z = 20: the slow supermode decays at ~kappa^2/gamma.
+    s = scattering_matrix(CouplerParams(0.0, 0.0, 1.0, 100.0), 20.0)
+    assert abs(abs(s.s11) - 0.8187962713581) < 1e-12
+
+
+def test_array_broadcasts_a_loss_axis_against_a_z_grid():
+    p = CouplerParams(0.4, -0.1, 1.2, 0.0)
+    gammas = np.array([0.0, 1.0, 2.4, 2.4 * (1.0 + 1e-9), 7.0, 300.0])
+    zs = np.linspace(0.0, 5.0, 11)
+    s, det = scattering_array(p, zs[None, :], gamma=gammas[:, None])
+    assert s.shape == (6, 11, 2, 2) and det.shape == (6, 11)
+    for i, gamma in enumerate(gammas):
+        q = CouplerParams(p.beta1, p.beta2, p.kappa, float(gamma))
+        for j, z in enumerate(zs):
+            one = scattering_matrix(q, float(z))
+            assert np.abs(one.as_array() - s[i, j]).max() < 1e-15
+            assert abs(one.det - det[i, j]) < 1e-15
+
+
+def test_array_rejects_bad_distances_and_loss_rates():
+    p = CouplerParams(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="z must be non-negative"):
+        scattering_array(p, [0.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="z must be finite, got nan"):
+        scattering_array(p, [0.0, math.nan])
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        scattering_array(p, 1.0, gamma=[1.0, math.inf])
+    with pytest.raises(ValueError, match="gamma must be non-negative"):
+        scattering_array(p, 1.0, gamma=[1.0, -2.0])
