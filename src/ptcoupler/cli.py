@@ -45,12 +45,23 @@ Flat 'key = value' lines; '#' starts a comment; lists are comma-separated.
 One output row per (gamma-or-rho, phi, z) tuple, in declared order. For
 the lattice backend the ep_regime and eigenvalue_gap columns use the
 effective rate rho^2 / (2 sigma). Empty axis lists produce a header-only
-file. Exit codes: 0 success, 1 bad flags or config, 2 I/O failure.
+file; a sweep of more than core.MAX_GRID_POINTS rows is refused before
+anything is computed. Exit codes: 0 success, 1 bad flags or config, 2 I/O
+failure.
+
+run_sweep works on arrays. One propagator call covers the whole sweep:
+scattering_array over (axis, z) for the markovian backend, one
+LatticePropagator.scattering_array over the z list per rho for the lattice.
+Each column (_SWEEP_COLUMNS) is then computed once over (axis, z),
+(axis, phi, z) or the axis alone, each computed value formatted once, and
+the rows are zipped from the column texts. write_table streams its lines
+to the file in chunks.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -61,6 +72,7 @@ import numpy as np
 from . import __version__
 from .classical import classical_power_curve, classify_ep, supermodes
 from .core import (
+    MAX_GRID_POINTS,
     ClassicalInput,
     CouplerParams,
     DecayCurve,
@@ -110,10 +122,20 @@ def _format_value(value) -> str:
 # CSV writing and reading
 # ---------------------------------------------------------------------------
 
+# Lines joined per write: the text of a large table is never held whole.
+_WRITE_LINES = 4096
+
+
 def write_table(path, metadata: dict, header: list[str], rows) -> None:
-    lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines += [",".join(row) for row in (header, *rows)]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """'# key=value' metadata lines, the header, then rows (any iterable of
+    sequences of strings), written _WRITE_LINES lines at a time."""
+    lines = itertools.chain(
+        [f"# {key}={value}" for key, value in metadata.items()],
+        map(",".join, itertools.chain([header], rows)),
+    )
+    with open(path, "w", newline="\n") as out:
+        while chunk := list(itertools.islice(lines, _WRITE_LINES)):
+            out.write("\n".join(chunk) + "\n")
 
 
 def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
@@ -126,8 +148,7 @@ def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
             raise ValueError("curves must share one z grid")
     header = ["z"] + [curve.label for curve in curves]
     columns = [zs] + [curve.values() for curve in curves]
-    rows = ([format_float(col[i]) for col in columns] for i in range(len(zs)))
-    write_table(path, metadata, header, rows)
+    write_table(path, metadata, header, zip(*(map(format_float, c.tolist()) for c in columns)))
 
 
 def read_decay_curves(path) -> tuple[dict, list[DecayCurve]]:
@@ -304,20 +325,27 @@ def cmd_fig5(args) -> int:
 # Sweep
 # ---------------------------------------------------------------------------
 
-# One sweep column: observable name -> its values for one axis value,
-# f(s, det, phis, params_eff) with s the (z, 2, 2) propagators over the z
-# list and det their determinants (reduced for the memoryless coupler,
-# entrywise for the lattice). A value is a string, a number, an array over
-# z or an array over (phi, z).
+# One sweep column: observable name -> its values over the whole sweep,
+# f(s, det, phis, params) with s the propagators, shape (axis, 1, z, 2, 2),
+# det their determinants (reduced for the memoryless coupler, entrywise for
+# the lattice) and params the coupler of each axis value. The values
+# broadcast against (axis, phi, z).
 _SWEEP_COLUMNS = {
-    "classical_power": lambda s, det, phis, p: 0.5 * mean_photon_number(s),
-    "mean_photon_number": lambda s, det, phis, p: mean_photon_number(s),
-    "p_boson": lambda s, det, phis, p: survival_indistinguishable(s),
-    "p_entangled": lambda s, det, phis, p: [survival_entangled(s, phi) for phi in phis],
-    "p_fermion": lambda s, det, phis, p: survival_fermionic(s, det),
-    "ep_regime": lambda s, det, phis, p: classify_ep(p).regime.value,
-    "eigenvalue_gap": lambda s, det, phis, p: supermodes(p).gap(),
+    "classical_power": lambda s, det, phis, params: 0.5 * mean_photon_number(s),
+    "mean_photon_number": lambda s, det, phis, params: mean_photon_number(s),
+    "p_boson": lambda s, det, phis, params: survival_indistinguishable(s),
+    "p_entangled": lambda s, det, phis, params: np.concatenate(
+        [survival_entangled(s, phi) for phi in phis], axis=1),
+    "p_fermion": lambda s, det, phis, params: survival_fermionic(s, det),
+    "ep_regime": lambda s, det, phis, params: _per_axis(classify_ep(p).regime.value for p in params),
+    "eigenvalue_gap": lambda s, det, phis, params: _per_axis(supermodes(p).gap() for p in params),
 }
+
+
+def _per_axis(values) -> np.ndarray:
+    """One value per axis value, shaped (axis, 1, 1)."""
+    return np.array(list(values))[:, None, None]
+
 
 SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
 
@@ -411,7 +439,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     })
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[tuple[str, ...]]]:
     if cfg.backend == "markovian":
         if cfg.rho:
             raise ValueError("config: rho: only meaningful with backend=lattice")
@@ -428,52 +456,54 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[list[str]]]:
     if "ep_regime" in cfg.observables and cfg.beta1 != cfg.beta2:
         raise ValueError("config: ep_regime: requires beta1 == beta2")
 
+    counts = (len(axis), len(cfg.phi), len(cfg.z))
+    rows = math.prod(counts)
+    if rows > MAX_GRID_POINTS:
+        raise ValueError(
+            f"config: the sweep has {rows} rows ({axis_name} x phi x z = "
+            f"{' x '.join(map(str, counts))}); the limit is {MAX_GRID_POINTS}"
+        )
+
     header = [axis_name, "phi", "z"] + list(cfg.observables)
     values = {"command": "sweep", "backend": cfg.backend, "kappa": cfg.kappa,
               "beta1": cfg.beta1, "beta2": cfg.beta2}
     if cfg.backend == "lattice":
         values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
     meta = _metadata(values)
+    if not rows:
+        return meta, header, []
 
-    rows: list[list[str]] = []
-    if not (axis and cfg.phi and cfg.z):
-        return meta, header, rows
-
-    columns = [_SWEEP_COLUMNS[name] for name in cfg.observables]
-    shape = (len(cfg.phi), len(cfg.z))
-    phis = [format_float(phi) for phi in cfg.phi]
-    zs = [format_float(z) for z in cfg.z]
-    for a in axis:
-        if cfg.backend == "markovian":
-            params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, a)
-            s, det = scattering_array(params_eff, cfg.z)
-        else:
-            params_eff = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa, lattice_gamma(cfg.sigma, a))
-            nsites = cfg.nsites
-            if nsites is None:
-                nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
-            beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
-            reservoir = LatticeReservoir(cfg.sigma, a, nsites, beta_lattice)
-            propagator = LatticePropagator(replace(params_eff, gamma=0.0), reservoir)
-            # Farthest first, so the work limit is checked before any work.
-            by_z = {z: propagator.scattering(z) for z in sorted(cfg.z, reverse=True)}
-            s = np.stack([by_z[z].as_array() for z in cfg.z])
-            det = np.array([by_z[z].determinant for z in cfg.z])
-        cells = [_format_cells(column(s, det, cfg.phi, params_eff), shape) for column in columns]
-        head = format_float(a)
-        for i, phi in enumerate(phis):
-            for j, z in enumerate(zs):
-                rows.append([head, phi, z] + [cell[i, j] for cell in cells])
-    return meta, header, rows
+    bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
+    axis_values, zs = np.array(axis), np.array(cfg.z)
+    if cfg.backend == "markovian":
+        params = [replace(bare, gamma=gamma) for gamma in axis]
+        s, det = scattering_array(bare, zs[None, :], gamma=axis_values[:, None])
+    else:
+        params = [replace(bare, gamma=lattice_gamma(cfg.sigma, rho)) for rho in axis]
+        nsites = cfg.nsites
+        if nsites is None:
+            nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
+        beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
+        # Each propagator checks its work limit at the farthest z first.
+        s, det = map(np.stack, zip(*(
+            LatticePropagator(bare, LatticeReservoir(cfg.sigma, rho, nsites, beta_lattice))
+            .scattering_array(zs)
+            for rho in axis
+        )))
+    s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
+    keys = [axis_values[:, None, None], np.array(cfg.phi)[:, None], zs]
+    columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, params) for name in cfg.observables]
+    return meta, header, list(zip(*(_column_text(column, counts) for column in columns)))
 
 
-def _format_cells(value, shape: tuple[int, int]) -> np.ndarray:
-    """One sweep column for one axis value as text, broadcast to (phi, z)."""
-    if isinstance(value, str):
-        return np.broadcast_to(np.array(value, dtype=object), shape)
-    value = np.asarray(value, dtype=float)
-    text = np.array([format_float(v) for v in value.ravel()], dtype=object)
-    return np.broadcast_to(text.reshape(value.shape), shape)
+def _column_text(values, shape: tuple[int, int, int]) -> list[str]:
+    """One sweep column as text in row order: each value formatted once,
+    then broadcast over (axis, phi, z)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        text = list(map(format_float, values.ravel().tolist()))
+        values = np.array(text, dtype=object).reshape(values.shape)
+    return np.broadcast_to(values.astype(object), shape).ravel().tolist()
 
 
 def cmd_sweep(args) -> int:

@@ -141,6 +141,18 @@ def largest_singular_value(s11, s12, s21, s22):
     return (0.5 * (h11 + h22 + ((h11 - h22) ** 2 + 4.0 * abs(h12) ** 2) ** 0.5)) ** 0.5
 
 
+def entrywise_determinants(s: np.ndarray) -> np.ndarray:
+    """s11 s22 - s12 s21 of every matrix of an array (..., 2, 2): for each
+    one the same double as ComplexMatrix2.determinant. The products are
+    formed from real ones, as Python's complex arithmetic forms them;
+    numpy's complex multiply may fuse them and round differently."""
+    a, b, c, d = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    det = np.empty(a.shape, dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return det
+
+
 def require_non_negative(name: str, values) -> np.ndarray:
     """values (a number or an array) as a float array, after checking that
     every one is finite and non-negative; errors name them as name."""
@@ -159,7 +171,8 @@ def check_propagators(entries, z, det=None) -> None:
     z must be finite and non-negative, the entries finite, the largest
     singular value at most 1 + PASSIVITY_TOL, and det, when given, finite
     and within 1e-9 of the entrywise determinant. The one check behind
-    ScatteringMatrix and the array propagator of the scattering module.
+    ScatteringMatrix and the array propagators of the scattering and
+    reservoir modules.
     """
     require_non_negative("z", z)
     smax = largest_singular_value(*entries)
@@ -229,10 +242,11 @@ class ScatteringMatrix:
         return self.s.as_array()
 
 
-# Largest accepted grid, checked before anything of its size is allocated.
-# A fig3 curve peaks at about 0.4 GB resident per 10**6 points (the grid's
-# propagators, their temporaries and the CSV text), so this refuses only
-# grids that need several GB, not every large one.
+# Largest accepted grid, and largest sweep (rows), checked before anything
+# of its size is allocated. A fig3 curve peaks at about 0.25 GB resident per
+# 10**6 points (the grid's propagators and their temporaries; the CSV is
+# written in chunks), a markovian sweep at about 0.4 GB per 10**6 rows (the
+# row texts), so this refuses only sizes that need several GB.
 MAX_GRID_POINTS = 10**7
 
 

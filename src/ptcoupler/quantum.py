@@ -215,10 +215,7 @@ def survival_curve(
             raise ValueError(
                 "intrinsic loss and explicit reservoir are mutually exclusive"
             )
-        propagator = LatticePropagator(params, backend.reservoir)
-        # Farthest first: its work limit is checked before any chain vector
-        # is allocated, and the series moments are extended once.
-        s = np.stack([propagator.scattering(z).as_array() for z in zs[::-1]])[::-1]
+        s, _ = LatticePropagator(params, backend.reservoir).scattering_array(zs)
     elif isinstance(backend, Markovian):
         s, _ = scattering_array(params, zs)
     else:

@@ -23,10 +23,14 @@ full single-photon problem is a real symmetric sparse matrix, so exact
 dynamics at any coupling strength comes from a Chebyshev series of
 e^{-iHz} (LatticePropagator): the chain is applied as a stencil, never
 built, and the 2x2 coupler-block moments of the series are computed once
-per system and extended on demand. A distance needing M terms costs
-O((n + 2) M) time and O(n + M) memory, and a request beyond
-SITE_STEP_LIMIT site-steps (or 1e7 sites) is refused before the chain is
-allocated.
+per system, two per stencil pass, and extended on demand.
+LatticePropagator.scattering_array gives S for a whole array of distances
+in one call, the same array form as scattering.scattering_array, so the
+survival curves and the sweep hand the observables one propagator array
+from either backend. A distance needing M terms costs O((n + 2) M) time
+and O(n + M) memory, and a request beyond SITE_STEP_LIMIT site-steps (or
+1e7 sites) is refused before the chain is allocated; an array of
+distances is checked at its farthest.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexMatrix2, CouplerParams, ScatteringMatrix, validate
+from .core import (
+    ComplexMatrix2,
+    CouplerParams,
+    ScatteringMatrix,
+    check_propagators,
+    entrywise_determinants,
+    validate,
+)
 
 __all__ = [
     "LatticeReservoir",
@@ -67,9 +78,13 @@ _MAX_SITES = 10**7
 # distances share one transform of the moments.
 _TERMS_STEP = 64
 _SERIES_PHASES = (2.0, -2.0j, -2.0, 2.0j)  # 2 (-i)^m for m mod 4
+_IDENTITY = np.eye(2)  # mu_0
+# Distances are evaluated in row blocks of at most this many samples, which
+# bounds the temporaries of a long distance array (2 MB for the largest).
+_BLOCK_SAMPLES = 1 << 15
 
 
-def _chebyshev_terms(x: float) -> float:
+def _chebyshev_terms(x):
     """Number of terms of e^{-ixt} = sum_m (2 - delta_m0) (-i)^m J_m(x) T_m(t)
     on [-1, 1] past which every |J_m(x)| is below 1e-20: J_m(x) dies within
     about 10 x^(1/3) past m = x."""
@@ -287,16 +302,29 @@ class LatticePropagator:
         e^{-iHz} = e^{-icz} sum_m (2 - delta_m0) (-i)^m J_m(rz) T_m((H - c) / r)
 
     (Tal-Ezer & Kosloff 1984). The coupler block needs only the 2x2 moments
-    mu_m = <a|T_m((H - c) / r)|b> between the two arms, which the three-term
-    Chebyshev recurrence on the two arm vectors yields one per sparse
-    stencil pass (the kernel-polynomial moments of Weisse et al. 2006). A
-    distance z needs M ~ rz + O((rz)^{1/3}) terms, so S(z) costs
+    mu_m = <a|T_m((H - c) / r)|b> between the two arms (the kernel-polynomial
+    moments of Weisse et al. 2006). With V_k = T_k((H - c) / r) [e1 e2] from
+    the three-term Chebyshev recurrence on the two arm vectors, applied as a
+    sparse stencil, T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives two moments per
+    stencil pass:
+
+        mu_{2k} = 2 V_k^T V_k - mu_0,    mu_{2k+1} = 2 V_{k+1}^T V_k - mu_1.
+
+    A distance z needs M ~ rz + O((rz)^{1/3}) terms, so S(z) costs
     O((n + 2) M) time and O(n + M) memory. The moments are kept and
-    extended on demand, and so is their transform for the last series
-    length, so a further distance costs O(M). column and evolve apply the
+    extended on demand.
+
+    scattering_array(z) evaluates a whole array of distances in one call:
+    S with shape z.shape + (2, 2) and the entrywise determinants, shape
+    z.shape. The distances are grouped by series length; each length's
+    moments are transformed once and its samples evaluated in row blocks of
+    bounded size, so a further distance of a known length costs O(M) time
+    and memory does not grow with distances x terms. scattering(z) is
+    the one-distance view of the same call; column and evolve apply the
     same series to one vector. A distance whose recurrence would exceed
     SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
-    ValueError before any vector of the chain's length is allocated.
+    ValueError before any vector of the chain's length is allocated; an
+    array is checked at its farthest distance.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -320,9 +348,11 @@ class LatticePropagator:
             (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
             params.kappa / r, lattice.rho / r, lattice.sigma / r,
         )
-        self._moments = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)  # mu_0 = 1
-        self._filled = 1
-        self._pair = None  # T_{m-1}, T_m applied to the arm vectors, m = _filled
+        d1, d2, _, kappa, _, _ = self._stencil
+        self._mu1 = np.array([[d1, kappa], [kappa, d2]])  # the arms' block of (H - c) / r
+        self._moments = np.empty((0, 2, 2))  # mu_m
+        self._filled = 0
+        self._pair = None  # V_k, V_{k+1} with k = _filled / 2
         self._table_size, self._table = 0, None
 
     def _step(self, x: np.ndarray) -> np.ndarray:
@@ -337,10 +367,26 @@ class LatticePropagator:
         y[3:] += sigma * x[2:-1]
         return y
 
-    def _series(self, z: float) -> tuple[complex, np.ndarray, int]:
-        """The series of e^{-iHz}: its phase e^{-icz}, an FFT length N whose
-        half N / 2 >= M is the number of terms, and the samples
-        f_k = e^{-irz sin(2 pi k / N)} for k = 0 .. N / 4.
+    def _sizes(self, z: np.ndarray) -> np.ndarray:
+        """The series length N of each distance, an FFT length whose half
+        N / 2 >= M is the number of terms, once every distance is finite
+        and non-negative and the farthest is within the work limit."""
+        if not (np.isfinite(z).all() and (z >= 0.0).all()):
+            raise ValueError("z must be finite and non-negative")
+        terms = _chebyshev_terms(self._radius * z)
+        far = float(z.max(initial=0.0))
+        site_steps = (self.size + _STEP_OVERHEAD_SITES) * _chebyshev_terms(self._radius * far)
+        if site_steps > SITE_STEP_LIMIT or self.size > _MAX_SITES:
+            raise ValueError(
+                f"chain reservoir too large: sigma = {self.lattice.sigma:g}, z = {far:g} and "
+                f"n_sites = {self.lattice.n_sites} need about {site_steps:.3g} site-steps; "
+                f"the limits are {SITE_STEP_LIMIT:.0e} site-steps and {_MAX_SITES:.0e} sites"
+            )
+        return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)
+
+    def _samples(self, z, size: int) -> np.ndarray:
+        """f_k = e^{-irz sin(2 pi k / N)} for k = 0 .. N / 4, along the last
+        axis, for each distance z.
 
         By Jacobi-Anger, e^{irz sin(tau)} = sum_m J_m(rz) e^{im tau}, so the
         inverse FFT of f over the N-point period gives J_m(rz) for m < N / 2;
@@ -348,44 +394,38 @@ class LatticePropagator:
         negligible. sin(pi - tau) = sin(tau) and sin(tau + pi) = -sin(tau)
         determine f from its first quarter period.
         """
-        if not math.isfinite(z) or z < 0.0:
-            raise ValueError("z must be finite and non-negative")
-        x = self._radius * z
-        terms = _chebyshev_terms(x)
-        site_steps = (self.size + _STEP_OVERHEAD_SITES) * terms
-        if site_steps > SITE_STEP_LIMIT or self.size > _MAX_SITES:
-            raise ValueError(
-                f"chain reservoir too large: sigma = {self.lattice.sigma:g}, z = {z:g} and "
-                f"n_sites = {self.lattice.n_sites} need about {site_steps:.3g} site-steps; "
-                f"the limits are {SITE_STEP_LIMIT:.0e} site-steps and {_MAX_SITES:.0e} sites"
-            )
-        size = 2 * _TERMS_STEP * math.ceil(terms / _TERMS_STEP)
-        samples = np.exp(-1j * x * np.sin(np.arange(size // 4 + 1) * (2.0 * math.pi / size)))
-        return np.exp(-1j * self._center * z), samples, size
+        sines = np.sin(np.arange(size // 4 + 1) * (2.0 * math.pi / size))
+        return np.exp(-1j * np.multiply.outer(self._radius * z, sines))
 
     def _moments_upto(self, count: int) -> np.ndarray:
-        """nu_m = (2 - delta_m0) (-i)^m mu_m for m < count, as a (count, 4)
-        array of the row-major 2x2 blocks."""
+        """mu_m for m < count, as a (count, 4) array of the row-major 2x2
+        blocks, two per stencil pass (see the class docstring)."""
         if count > self._filled:
             if self._pair is None:
                 arms = np.zeros((self.size, 2))
                 arms[0, 0] = arms[1, 1] = 1.0
                 self._pair = (arms, self._step(arms))
-            if count > len(self._moments):
-                grown = np.empty((max(count, 2 * len(self._moments)), 4), dtype=complex)
-                grown[: self._filled] = self._moments[: self._filled]
+            start, stop = self._filled, 2 * ((count + 1) // 2)
+            if stop > len(self._moments):
+                grown = np.empty((max(stop, 2 * len(self._moments)), 2, 2))
+                grown[:start] = self._moments[:start]
                 self._moments = grown
-            prev, cur = self._pair
-            for m in range(self._filled, count):
-                self._moments[m] = _SERIES_PHASES[m % 4] * cur[:2].ravel()
-                prev, cur = cur, 2.0 * self._step(cur) - prev
-            self._pair = (prev, cur)
-            self._filled = count
-        return self._moments[:count]
+            v, w = self._pair
+            for m in range(start, stop, 2):
+                np.dot(v.T, v, out=self._moments[m])
+                np.dot(w.T, v, out=self._moments[m + 1])
+                v, w = w, 2.0 * self._step(w) - v
+            self._pair = (v, w)
+            new = self._moments[start:stop]
+            new *= 2.0
+            new[0::2] -= _IDENTITY
+            new[1::2] -= self._mu1
+            self._filled = stop
+        return self._moments[:count].reshape(count, 4)
 
     def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """P and Q with sum_m J_m(rz) nu_m = f @ P + conj(f) @ Q for the
-        quarter-period samples f of _series.
+        """P and Q, shape (4, N / 4 + 1), with sum_m J_m(rz) nu_m = P f + Q conj(f)
+        for the samples f of _samples, nu_m = (2 - delta_m0) (-i)^m mu_m.
 
         The sum is sum_k e^{-irz sin(tau_k)} w_k over the N-point period,
         w the inverse FFT of nu_0 .. nu_{N/2-1}; P gathers the w_k whose
@@ -393,13 +433,43 @@ class LatticePropagator:
         (k = N/2 + j, N - j). The tables of the last N are kept.
         """
         if self._table_size != size:
-            w = np.fft.ifft(self._moments_upto(size // 2), n=size, axis=0)
-            q = size // 4
-            plus, minus = w[: q + 1].copy(), w[2 * q : 3 * q + 1].copy()
-            plus[1:q] += w[2 * q - 1 : q : -1]
-            minus[1:q] += w[size - 1 : 3 * q : -1]
+            half, q = size // 2, size // 4
+            phases = np.take(_SERIES_PHASES, np.arange(half) % 4)
+            phases[0] = 1.0
+            w = np.fft.ifft(phases * self._moments_upto(half).T, n=size)
+            plus, minus = w[:, : q + 1].copy(), w[:, 2 * q : 3 * q + 1].copy()
+            plus[:, 1:q] += w[:, 2 * q - 1 : q : -1]
+            minus[:, 1:q] += w[:, size - 1 : 3 * q : -1]
             self._table_size, self._table = size, (plus, minus)
         return self._table
+
+    def _series(self, z: float) -> tuple[complex, np.ndarray, int]:
+        """The phase e^{-icz}, the samples and the length of the series of
+        one distance."""
+        size = int(self._sizes(np.array([z], dtype=float))[0])
+        return np.exp(-1j * self._center * z), self._samples(z, size), size
+
+    def _blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """S, shape z.shape + (2, 2), and its entrywise determinants at the
+        distances z; the matrices are not checked here."""
+        z = np.asarray(z, dtype=float)
+        sizes = self._sizes(z).ravel()  # before anything of the chain's length
+        flat = z.ravel()
+        blocks = np.empty((flat.size, 4), dtype=complex)
+        for size in sorted(set(sizes.tolist())):
+            group = np.flatnonzero(sizes == size)
+            plus, minus = self._tables(size)
+            rows = max(1, _BLOCK_SAMPLES // (size // 4 + 1))
+            for start in range(0, group.size, rows):
+                part = group[start : start + rows]
+                samples = self._samples(flat[part], size)[:, None, :]
+                # Each row is summed on its own along the last axis, so a
+                # distance's S does not depend on which others share its
+                # block (a matmul's would).
+                blocks[part] = (samples * plus).sum(-1) + (samples.conj() * minus).sum(-1)
+        blocks *= np.exp(-1j * self._center * flat)[:, None]
+        s = blocks.reshape(z.shape + (2, 2))
+        return s, entrywise_determinants(s)
 
     def _propagate(
         self, vector: np.ndarray, series: tuple[complex, np.ndarray, int]
@@ -414,12 +484,20 @@ class LatticePropagator:
             prev, cur = cur, 2.0 * self._step(cur) - prev
         return phase * out
 
+    def scattering_array(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Propagators restricted to the two coupler arms at every distance
+        of the array z: S with shape z.shape + (2, 2) and the entrywise
+        determinants (no reduced form exists), shape z.shape. Every matrix
+        passes the checks of ScatteringMatrix (check_propagators)."""
+        s, det = self._blocks(z)
+        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z)
+        return s, det
+
     def scattering(self, z: float) -> ScatteringMatrix:
-        """Propagator restricted to the two coupler arms."""
-        phase, samples, size = self._series(z)
-        plus, minus = self._tables(size)
-        block = phase * (samples @ plus + samples.conj() @ minus)
-        return ScatteringMatrix(ComplexMatrix2.from_array(block.reshape(2, 2)), z=float(z))
+        """Propagator restricted to the two coupler arms: the one-distance
+        view of scattering_array, checked by ScatteringMatrix."""
+        s, _ = self._blocks(np.array([z], dtype=float))
+        return ScatteringMatrix(ComplexMatrix2(*s.ravel().tolist()), z=float(z))
 
     def column(self, index: int, z: float) -> np.ndarray:
         """Full amplitude vector evolved from the given basis state."""

@@ -22,6 +22,7 @@ from ptcoupler.cli import (
     read_decay_curves,
     run_sweep,
     write_decay_curves,
+    write_table,
 )
 from ptcoupler.core import MAX_GRID_POINTS, CouplerParams, DecayCurve
 from ptcoupler.quantum import (
@@ -30,7 +31,7 @@ from ptcoupler.quantum import (
     survival_fermionic,
     survival_indistinguishable,
 )
-from ptcoupler.reservoir import LatticePropagator, LatticeReservoir
+from ptcoupler.reservoir import LatticePropagator, LatticeReservoir, lattice_gamma
 from ptcoupler.scattering import scattering_matrix
 
 
@@ -568,3 +569,117 @@ def test_io_failures_exit_2(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     assert main(["fig2", "--out", str(blocker), "--points", "3"]) == 2
+
+
+# -- array sweep, size guard, streamed writing --------------------------------
+
+def test_sweep_multi_value_matches_library_bit_for_bit(tmp_path):
+    gammas, phis, zs = (0.5, 2.0, 3.7), (0.0, 1.1, math.pi), (0.0, 0.8, 2.5)
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(
+        gamma="0.5, 2, 3.7", phi="0, 1.1, 3.141592653589793", z="0, 0.8, 2.5"))
+    assert code == 0
+    _, header, rows = read_table(csv)
+    expected = []
+    for gamma in gammas:
+        params = CouplerParams(0.0, 0.0, 1.0, gamma)
+        for phi in phis:
+            for z in zs:
+                s = scattering_matrix(params, z)
+                expected.append([format_float(v) for v in (
+                    gamma, phi, z, 0.5 * mean_photon_number(s), mean_photon_number(s),
+                    survival_indistinguishable(s), survival_entangled(s, phi),
+                    survival_fermionic(s))]
+                    + [classify_ep(params).regime.value, format_float(supermodes(params).gap())])
+    assert header == ["gamma", "phi", "z"] + list(SWEEP_OBSERVABLES)
+    assert rows == expected
+
+
+def test_sweep_lattice_matches_the_array_call(tmp_path):
+    text = sweep_config_text(
+        backend="lattice", gamma="", rho="1, 2.5", sigma="5", nsites="21",
+        phi="0, 3.141592653589793", z="1, 0, 0.5",
+        observables="mean_photon_number, p_boson, p_entangled, p_fermion, eigenvalue_gap",
+    )
+    code, csv = run_sweep_cli(tmp_path, text)
+    assert code == 0
+    _, _, rows = read_table(csv)
+    zs = np.array([1.0, 0.0, 0.5])
+    expected = []
+    for rho in (1.0, 2.5):
+        propagator = LatticePropagator(CouplerParams(0.0, 0.0, 1.0), LatticeReservoir(5.0, rho, 21))
+        s, det = propagator.scattering_array(zs)
+        gap = supermodes(CouplerParams(0.0, 0.0, 1.0, lattice_gamma(5.0, rho))).gap()
+        for phi in (0.0, math.pi):
+            columns = (mean_photon_number(s), survival_indistinguishable(s),
+                       survival_entangled(s, phi), survival_fermionic(s, det))
+            for j, z in enumerate(zs):
+                expected.append([format_float(v) for v in (rho, phi, z)]
+                                + [format_float(c[j]) for c in columns] + [format_float(gap)])
+    assert rows == expected
+
+
+def oversized_sweep_text():
+    # 2001 x 100 x 100 rows: 2e7, twice the limit.
+    return sweep_config_text(
+        gamma=", ".join(str(0.001 * i) for i in range(2001)),
+        phi=", ".join(str(0.03 * i) for i in range(100)),
+        z=", ".join(str(0.1 * i) for i in range(100)),
+    )
+
+
+def test_oversized_sweep_exits_1_without_traceback(tmp_path):
+    (tmp_path / "sweep.cfg").write_text(oversized_sweep_text())
+    src = str(Path(ptcoupler.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ptcoupler", "sweep", "--config", str(tmp_path / "sweep.cfg"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: config: the sweep has 20010000 rows (gamma x phi x z = 2001 x 100 x 100); "
+        f"the limit is {MAX_GRID_POINTS}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_sweep_refused_before_allocating(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(oversized_sweep_text())
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1e6  # the propagators alone would take 1.3 GB, the text several GB
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_table_streams_its_rows(tmp_path):
+    n = 100_000
+    rows = ((format_float(i / 7.0), format_float(i / 3.0), "x") for i in range(n))
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, {"version": "1"}, ["a", "b", "c"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# version=1", "a,b,c", "0,0,x"]
+    assert len(lines) == n + 2
+    assert lines[-1] == f"{format_float((n - 1) / 7.0)},{format_float((n - 1) / 3.0)},x"
+    # Joined whole, the lines and their text would take several times the
+    # 3.4 MB file; streamed, one chunk of lines at a time.
+    assert peak < path.stat().st_size / 4
+
+
+def test_sweep_io_failure_exits_2(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(sweep_config_text())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    assert main(["sweep", "--config", str(config), "--out", str(blocker)]) == 2
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "sweep.csv").mkdir()  # the table cannot be opened for writing
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

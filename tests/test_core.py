@@ -18,6 +18,7 @@ from ptcoupler.core import (
     PropagationGrid,
     ScatteringMatrix,
     check_propagators,
+    entrywise_determinants,
     largest_singular_value,
     validate,
 )
@@ -255,3 +256,13 @@ def test_curves_compare_and_hash_by_value():
     assert a != DecayCurve("q", a.points)
     assert a != DecayCurve("p", ((0.0, 1.0), (1.0, 0.25)))
     assert a != ((0.0, 1.0), (1.0, 0.5))
+
+
+def test_entrywise_determinants_match_the_matrix_record_bit_for_bit():
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    expected = [ComplexMatrix2.from_array(m).determinant() for m in mats]
+    got = entrywise_determinants(mats)
+    assert got.shape == (500,)
+    assert got.tolist() == expected
+    assert entrywise_determinants(mats.reshape(20, 25, 2, 2)).shape == (20, 25)

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from ptcoupler import reservoir
 from ptcoupler.core import CouplerParams
 from ptcoupler.reservoir import (
     SITE_STEP_LIMIT,
@@ -323,3 +324,95 @@ def test_wrapper_matches_propagator():
     a = nonmarkovian_scattering(params, lat, 1.3).as_array()
     b = LatticePropagator(params, lat).scattering(1.3).as_array()
     assert np.array_equal(a, b)
+
+
+def test_scattering_array_matches_per_point_bit_for_bit():
+    # Unsorted, repeated and zero distances, spanning several series lengths.
+    lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=311, beta_lattice=0.25)
+    zs = np.array([2.5, 0.0, 1.0, 2.5, 0.3, 1.0, 2.9, 0.0, 0.31])
+    s, det = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    assert s.shape == (9, 2, 2) and det.shape == (9,)
+    shared = LatticePropagator(ORACLE_PARAMS, lat)
+    for z, sz, dz in zip(zs, s, det):
+        # Moments grown for other distances first, and a fresh propagator.
+        for prop in (shared, LatticePropagator(ORACLE_PARAMS, lat)):
+            record = prop.scattering(z)
+            assert np.array_equal(record.as_array(), sz)
+            assert record.determinant == dz
+    grid = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs.reshape(3, 3))
+    assert np.array_equal(grid[0], s.reshape(3, 3, 2, 2))
+    assert np.array_equal(grid[1], det.reshape(3, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 30, 31])
+def test_scattering_array_matches_expm(n):
+    lat = LatticeReservoir(sigma=1.7, rho=0.9, n_sites=n, beta_lattice=0.25)
+    h = full_hamiltonian(ORACLE_PARAMS, lat)
+    zs = np.array([5.0, 0.0, 2.2, 0.7, 5.0, 3.9])
+    s, det = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    for z, sz, dz in zip(zs, s, det):
+        u = scipy.linalg.expm(-1j * z * h)[:2, :2]
+        assert np.abs(sz - u).max() <= 1e-12
+        assert abs(dz - np.linalg.det(u)) <= 1e-12
+
+
+def test_doubled_moments_match_the_plain_recurrence():
+    # mu_m = <a|T_m((H - c) / r)|b> by the three-term recurrence, one
+    # moment per pass, against the two-per-pass products of the propagator.
+    lat = LatticeReservoir(sigma=1.7, rho=0.9, n_sites=31, beta_lattice=0.25)
+    prop = LatticePropagator(ORACLE_PARAMS, lat)
+    h = full_hamiltonian(ORACLE_PARAMS, lat)
+    scaled = (h - prop._center * np.eye(len(h))) / prop._radius
+    prev, cur = np.eye(len(h))[:, :2], scaled[:, :2]
+    plain = [prev[:2], cur[:2]]
+    for _ in range(198):
+        prev, cur = cur, 2.0 * scaled @ cur - prev
+        plain.append(cur[:2])
+    doubled = prop._moments_upto(200).reshape(200, 2, 2)
+    assert np.abs(doubled - np.array(plain)).max() <= 1e-13
+
+
+def test_scattering_array_refuses_the_farthest_distance_before_allocating():
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    lat = LatticeReservoir(sigma=1e6, rho=5.0, n_sites=min_lattice_size(1e6, 3.0))
+    tracemalloc.start()
+    try:
+        prop = LatticePropagator(params, lat)
+        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 15000010"):
+            prop.scattering_array(np.array([0.0, 1e-9, 3.0, 0.5]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a chain vector alone would be 120 MB
+    small = LatticePropagator(params, LatticeReservoir(sigma=2.0, rho=1.0, n_sites=9))
+    for bad in ([0.5, -0.1], [math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="z must be finite and non-negative"):
+            small.scattering_array(np.array(bad))
+
+
+def test_scattering_array_row_blocks_do_not_change_results(monkeypatch):
+    # 140 samples per block: 4, 2, 1 and 1 rows for the series lengths of
+    # these distances (33, 65, 97 and 129 samples), so every group of
+    # 2 to 5 distances is split, most of them raggedly.
+    lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=311, beta_lattice=0.25)
+    zs = np.array([2.5, 0.0, 1.0, 2.5, 0.3, 1.0, 2.9, 0.0, 0.31, 2.6, 2.7, 0.32, 1.1])
+    whole = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    monkeypatch.setattr(reservoir, "_BLOCK_SAMPLES", 140)
+    split = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    assert np.array_equal(whole[0], split[0]) and np.array_equal(whole[1], split[1])
+
+
+def test_scattering_array_memory_does_not_grow_with_distances_times_terms():
+    # fig5's first chain on 20,000 distances up to z = 3: their samples as
+    # one block per series length would take about 30 MB.
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    prop = LatticePropagator(params, LatticeReservoir(100.0, 5.0, 1510, 0.0))
+    zs = np.linspace(0.0, 3.0, 20_000)
+    tracemalloc.start()
+    try:
+        s, det = prop.scattering_array(zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.nbytes + det.nbytes == 1_600_000
+    assert peak < 10e6
