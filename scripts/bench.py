@@ -12,23 +12,31 @@ layer gets one untimed warm-up call, then REPEATS timed calls; the JSON
 keeps every time and their median. Layers:
 
   sweep.run_sweep               run_sweep on a seeded 101 x 7 x 8 markovian
-                                config with all seven observables
+                                config with all seven observables, and
+                                every row it returns (a column that repeats
+                                no value is left to write_table to format,
+                                so cli.sweep times all of the formatting)
   reservoir.fig5_chain_rho5     S on fig5's 301-point grid (z <= 3) from a
   reservoir.fig5_chain_rho10    fresh LatticePropagator, sigma = 100:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
   reservoir.short_chain_far     the same for n = 41, sigma = 20, rho = 5,
                                 301 points up to z = 100
   cli.write_table_1e5           write_table of 10^5 three-column rows
+  cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
+  cli.sweep                     figures_markovian and sweep_dense (seed 1)
+                                commands, each call into a new directory
 
 A tree without LatticePropagator.scattering_array is timed on its
 per-distance scattering(z), farthest first, as its survival_curve did.
-Only numpy and the standard library are used.
+Only numpy, the standard library and perfbench/workloads.py are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import io
+import itertools
 import json
 import math
 import os
@@ -45,6 +53,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 REPEATS = 15  # timed calls per layer
+PERFBENCH_SEED = 1  # sweep_dense's config for cli.sweep
 
 
 def sweep_text(seed: int = 5) -> str:
@@ -63,7 +72,7 @@ def layers(tmp: Path) -> dict:
     """Layer name -> a function of no arguments running it once."""
     import numpy as np
 
-    from ptcoupler.cli import format_float, parse_sweep_config, run_sweep, write_table
+    from ptcoupler.cli import format_float, main, parse_sweep_config, run_sweep, write_table
     from ptcoupler.core import CouplerParams
     from ptcoupler.reservoir import LatticePropagator, LatticeReservoir
 
@@ -78,15 +87,34 @@ def layers(tmp: Path) -> dict:
             return [propagator.scattering(z) for z in zs[::-1]]
         return run
 
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from workloads import CONFIG, WORKLOADS, sweep_config
+
+    (tmp / "sweep.cfg").write_text(sweep_config(PERFBENCH_SEED).text())
+    outs = itertools.count()
+
+    def command(workload, name):
+        argv, = (argv for argv in WORKLOADS[workload].commands if argv[0] == name)
+        argv = [str(tmp / "sweep.cfg") if a == CONFIG else a for a in argv]
+
+        def run():
+            if main([*argv, "--out", str(tmp / f"out{next(outs)}")]) != 0:
+                raise RuntimeError(f"{name} failed")
+        return run
+
     config = parse_sweep_config(sweep_text())
     rows = [(format_float(i / 7.0), format_float(i / 3.0), format_float(i * 1e-5))
             for i in range(100_000)]
     return {
-        "sweep.run_sweep": lambda: run_sweep(config),
+        "sweep.run_sweep": lambda: collections.deque(run_sweep(config)[2], maxlen=0),
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
         "cli.write_table_1e5": lambda: write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], rows),
+        "cli.fig2": command("figures_markovian", "fig2"),
+        "cli.fig3": command("figures_markovian", "fig3"),
+        "cli.fig4": command("figures_markovian", "fig4"),
+        "cli.sweep": command("sweep_dense", "sweep"),
     }
 
 

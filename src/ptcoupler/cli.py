@@ -1,28 +1,21 @@
 """Command-line front end: figure datasets and config-driven sweeps.
 
-Subcommands
------------
-fig2   classical power decay, balanced-orthogonal and single-arm launches
-fig3   survival of the indistinguishable photon pair, memoryless loss
-fig4   entangled-pair survival vs distance (a) and vs loss rate (b)
-fig5   fermionic-pair survival with the explicit chain reservoir
-sweep  Cartesian parameter sweep driven by a config file
-
-The table _COMMANDS declares each subcommand (help line, flags from
-_FLAGS). build_parser() runs subcommand <name> as the module-level
-cmd_<name>, looked up when the parser is built, so a wrapper installed on
-that attribute is what runs. fig2, fig3 and fig4 panel (a) write one CSV
-per loss rate through _write_per_gamma: metadata = the command's leading
-keys, the settings every figure records (_shared), its trailing keys.
+The table _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help
+line, flags from _FLAGS). main() builds the parser once per process and
+runs subcommand <name> as the module-level cmd_<name>, looked up at
+dispatch, so a wrapper installed on that attribute after import is what
+runs. fig2, fig3 and fig4 panel (a) write one CSV per loss rate through
+_write_per_gamma, every curve of a file from one scattering_array call.
 
 CSV format
 ----------
 Every data file starts with '# key=value' metadata lines, then one header
-row, then data rows. Floats are printed with 17 significant digits, enough
-for the printed text to parse back to the exact same doubles, so identical
-invocations produce byte-identical files. Anything about a particular run
-that is not data (the resolved settings, the list of files written) goes
-to a sidecar text file next to the CSVs, never into them.
+row, then data rows, all written by write_table: each block of _WRITE_LINES
+rows by one % on a row template, %.17g for float cells (17 significant
+digits parse back to the exact same double, so identical invocations give
+byte-identical files) and %s for text, the kinds taken from the first row.
+Anything about a run that is not data (the resolved settings, the files
+written) goes to a sidecar text file next to the CSVs, never into them.
 
 Sweep config format
 -------------------
@@ -49,18 +42,18 @@ file; a sweep of more than core.MAX_GRID_POINTS rows is refused before
 anything is computed. Exit codes: 0 success, 1 bad flags or config, 2 I/O
 failure.
 
-run_sweep works on arrays. One propagator call covers the whole sweep:
-scattering_array over (axis, z) for the markovian backend, one
-LatticePropagator.scattering_array over the z list per rho for the lattice.
-Each column (_SWEEP_COLUMNS) is then computed once over (axis, z),
-(axis, phi, z) or the axis alone, each computed value formatted once, and
-the rows are zipped from the column texts. write_table streams its lines
-to the file in chunks.
+run_sweep works on arrays: one scattering_array call over (axis, z) for
+the markovian backend, one LatticePropagator.scattering_array over the z
+list per rho for the lattice, then each column (_SWEEP_COLUMNS) once over
+(axis, z), (axis, phi, z) or the axis alone. The rows are formatted, each
+computed value once, and written one block of axis values (about
+_WRITE_LINES rows) at a time: the text of a sweep is never held whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -70,20 +63,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import classical_power_curve, classify_ep, supermodes
-from .core import (
-    MAX_GRID_POINTS,
-    ClassicalInput,
-    CouplerParams,
-    DecayCurve,
-    Indistinguishable,
-    PolarizationEntangled,
-    PropagationGrid,
-)
+from .classical import classify_ep, supermodes
+from .core import MAX_GRID_POINTS, CouplerParams, DecayCurve, PolarizationEntangled, PropagationGrid
 from .quantum import (
-    Lattice,
     mean_photon_number,
-    survival_curve,
     survival_entangled,
     survival_fermionic,
     survival_indistinguishable,
@@ -104,9 +87,15 @@ __all__ = [
     "main",
 ]
 
+# A float cell: 17 significant digits, which parse back to the identical
+# double. write_table formats and writes _WRITE_LINES rows at a time.
+_FLOAT_CELL = "%.17g"
+_WRITE_LINES = 1024
+
+
 def format_float(x: float) -> str:
-    """17 significant digits: parses back to the identical double."""
-    return format(float(x), ".17g")
+    """One float as write_table writes it."""
+    return _FLOAT_CELL % float(x)
 
 
 def _format_value(value) -> str:
@@ -118,24 +107,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# CSV writing and reading
-# ---------------------------------------------------------------------------
-
-# Lines joined per write: the text of a large table is never held whole.
-_WRITE_LINES = 4096
-
-
 def write_table(path, metadata: dict, header: list[str], rows) -> None:
-    """'# key=value' metadata lines, the header, then rows (any iterable of
-    sequences of strings), written _WRITE_LINES lines at a time."""
-    lines = itertools.chain(
-        [f"# {key}={value}" for key, value in metadata.items()],
-        map(",".join, itertools.chain([header], rows)),
-    )
+    """'# key=value' metadata lines, the header, then rows: an iterable of
+    equal-length sequences of floats (written as by format_float) or text,
+    each column of the kind of its cell in the first row."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="\n") as out:
-        while chunk := list(itertools.islice(lines, _WRITE_LINES)):
-            out.write("\n".join(chunk) + "\n")
+        out.write("".join(f"# {key}={value}\n" for key, value in metadata.items())
+                  + ",".join(header) + "\n")
+        if first is not None:
+            line = ",".join(_FLOAT_CELL if isinstance(c, float) else "%s" for c in first) + "\n"
+            rows = itertools.chain([first], rows)
+            # One % per block on its cells, flattened as its rows come.
+            while cells := tuple(itertools.chain.from_iterable(
+                    itertools.islice(rows, _WRITE_LINES))):
+                out.write(line * (len(cells) // len(first)) % cells)
 
 
 def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
@@ -148,32 +135,26 @@ def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
             raise ValueError("curves must share one z grid")
     header = ["z"] + [curve.label for curve in curves]
     columns = [zs] + [curve.values() for curve in curves]
-    write_table(path, metadata, header, zip(*(map(format_float, c.tolist()) for c in columns)))
+    write_table(path, metadata, header, zip(*(c.tolist() for c in columns)))
 
 
 def read_decay_curves(path) -> tuple[dict, list[DecayCurve]]:
     """Inverse of write_decay_curves; floats come back bit-identical."""
     metadata: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
+    table: list[list[str]] = []  # the header row, then the data rows
     for line in Path(path).read_text().splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             metadata[key] = value
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append(line.split(","))
-    if header is None:
+        elif line or not table:
+            table.append(line.split(","))
+    if not table:
         raise ValueError(f"{path}: missing header row")
-    if not rows:
+    if len(table) == 1:
         raise ValueError(f"{path}: no data rows")
-    columns = list(zip(*rows))
-    zs = [float(v) for v in columns[0]]
-    curves = [
-        DecayCurve.from_arrays(label, zs, [float(v) for v in column])
-        for label, column in zip(header[1:], columns[1:])
-    ]
+    z, *columns = zip(*table)  # each column: its label, then its values
+    zs = [float(v) for v in z[1:]]
+    curves = [DecayCurve.from_arrays(c[0], zs, [float(v) for v in c[1:]]) for c in columns]
     return metadata, curves
 
 
@@ -188,17 +169,11 @@ def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
     (outdir / f"{command}_run.txt").write_text("\n".join(lines) + "\n", newline="\n")
 
 
-# ---------------------------------------------------------------------------
-# Figure commands
-# ---------------------------------------------------------------------------
-
 def _setup(args, zmax: float, points: int) -> tuple[PropagationGrid, Path]:
     """The z grid from --zmax/--points, else from the command's defaults
     (zmax in units of 1/kappa), then the output directory."""
-    grid = PropagationGrid(
-        args.zmax if args.zmax is not None else zmax / args.kappa,
-        args.points if args.points is not None else points,
-    )
+    grid = PropagationGrid(args.zmax if args.zmax is not None else zmax / args.kappa,
+                           args.points if args.points is not None else points)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     return grid, outdir
@@ -217,25 +192,31 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
 
 def _write_per_gamma(args, grid, outdir, name, defaults, curves_for, head, tail=None):
     """One CSV per loss rate (--gamma, else the defaults in units of kappa),
-    <name>_gamma<gamma/kappa>.csv, holding curves_for(params); its metadata
-    is head, the shared settings, tail. Returns the rates and file names."""
+    <name>_gamma<gamma/kappa>.csv, holding curves_for(s), {label: values},
+    for the rate's propagators s over the grid; its metadata is head, the
+    shared settings, tail. Returns the rates and file names."""
     gammas = _rates(args.gamma, args.kappa, defaults)
+    zs = grid.points()
     written = []
     for gamma in gammas:
         params = CouplerParams(args.beta1, args.beta2, args.kappa, gamma)
         meta = _metadata(head | _shared(args, grid, gamma=gamma) | (tail or {}))
+        # S lives only until its curves are made, not while they are written.
+        curves = [DecayCurve.from_arrays(label, zs, v)
+                  for label, v in curves_for(scattering_array(params, zs)[0]).items()]
         file = f"{name}_gamma{gamma / args.kappa:g}.csv"
-        write_decay_curves(outdir / file, meta, curves_for(params))
+        write_decay_curves(outdir / file, meta, curves)
         written.append(file)
     return gammas, written
 
 
 def cmd_fig2(args) -> int:
     grid, outdir = _setup(args, 10.0, 501)
-    launches = (ClassicalInput.BALANCED_ORTHOGONAL, ClassicalInput.SINGLE_WAVEGUIDE)
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig2", (0.5, 2.0, 10.0),
-        lambda params: [classical_power_curve(params, launch, grid) for launch in launches],
+        # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
+        lambda s: {"power_balanced_orthogonal": 0.5 * mean_photon_number(s),
+                   "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2},
         {"command": "fig2", "backend": "markovian"},
         {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"},
     )
@@ -247,7 +228,7 @@ def cmd_fig3(args) -> int:
     grid, outdir = _setup(args, 10.0, 501)
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig3", (0.5, 2.0, 10.0),
-        lambda params: [survival_curve(params, Indistinguishable(), grid)],
+        lambda s: {"survival_indistinguishable": survival_indistinguishable(s)},
         {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"},
     )
     _write_sidecar(outdir, "fig3", _shared(args, grid, gammas=gammas) | {"files": written})
@@ -258,13 +239,15 @@ def cmd_fig4(args) -> int:
     grid, outdir = _setup(args, 3.0, 301)
     kappa = args.kappa
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
+    # PolarizationEntangled refuses a bad --phi before anything is computed.
+    labels = [f"survival_phi_{PolarizationEntangled(phi).phi:.12g}" for phi in phis]
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
 
     # Panel (a): survival vs distance, one file per loss rate.
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig4a", (0.625, 2.5),
-        lambda params: [survival_curve(params, PolarizationEntangled(phi), grid) for phi in phis],
+        lambda s: {label: survival_entangled(s, phi) for label, phi in zip(labels, phis)},
         head, {"phis": phis},
     )
 
@@ -272,16 +255,14 @@ def cmd_fig4(args) -> int:
     # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
     z0 = 3.0 / kappa
     gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
-    header = ["gamma"] + [f"survival_phi_{phi:.12g}" for phi in phis]
     s, _ = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
     columns = [gamma_axis] + [survival_entangled(s, phi) for phi in phis]
-    rows = ([format_float(col[i]) for col in columns] for i in range(len(gamma_axis)))
     meta = _metadata(head | {
         "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
         "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
         "gamma_points": 201, "phis": phis,
     })
-    write_table(outdir / "fig4b.csv", meta, header, rows)
+    write_table(outdir / "fig4b.csv", meta, ["gamma"] + labels, zip(*(c.tolist() for c in columns)))
     written.append("fig4b.csv")
 
     settings = _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0, "files": written}
@@ -294,17 +275,17 @@ def cmd_fig5(args) -> int:
     kappa = args.kappa
     sigma = args.sigma if args.sigma is not None else 20.0 * kappa
     rhos = _rates(args.rho, kappa, (5.0, 10.0))
-    phi = args.phi if args.phi is not None else math.pi
+    phi = PolarizationEntangled(args.phi if args.phi is not None else math.pi).phi
     nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, grid.z_max)
     params = CouplerParams(args.beta1, args.beta2, kappa, 0.0)
     zs = grid.points()
     written = []
     for rho in rhos:
         reservoir = LatticeReservoir(sigma=sigma, rho=rho, n_sites=nsites, beta_lattice=args.beta2)
-        exact = survival_curve(params, PolarizationEntangled(phi), grid, Lattice(reservoir))
+        s, _ = LatticePropagator(params, reservoir).scattering_array(zs)
         gamma_eff = lattice_gamma(sigma, rho)
         markov = np.exp(-2.0 * gamma_eff * zs)
-        curves = [DecayCurve.from_arrays("survival_lattice", zs, exact.values()),
+        curves = [DecayCurve.from_arrays("survival_lattice", zs, survival_entangled(s, phi)),
                   DecayCurve.from_arrays("survival_markovian_exponential", zs, markov)]
         meta = _metadata({
             "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
@@ -320,10 +301,6 @@ def cmd_fig5(args) -> int:
     _write_sidecar(outdir, "fig5", settings | {"files": written})
     return 0
 
-
-# ---------------------------------------------------------------------------
-# Sweep
-# ---------------------------------------------------------------------------
 
 # One sweep column: observable name -> its values over the whole sweep,
 # f(s, det, phis, params) with s the propagators, shape (axis, 1, z, 2, 2),
@@ -439,7 +416,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     })
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[tuple[str, ...]]]:
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
     if cfg.backend == "markovian":
         if cfg.rho:
             raise ValueError("config: rho: only meaningful with backend=lattice")
@@ -491,19 +468,45 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[tuple[str, ...]]]
             for rho in axis
         )))
     s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
-    keys = [axis_values[:, None, None], np.array(cfg.phi)[:, None], zs]
+    # phi and z have no axis dimension: their text is made once, here.
+    keys = [axis_values[:, None, None], _text(np.array(cfg.phi)[None, :, None]),
+            _text(zs[None, None, :])]
     columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, params) for name in cfg.observables]
-    return meta, header, list(zip(*(_column_text(column, counts) for column in columns)))
+    return meta, header, _SweepRows(columns, counts)
 
 
-def _column_text(values, shape: tuple[int, int, int]) -> list[str]:
-    """One sweep column as text in row order: each value formatted once,
-    then broadcast over (axis, phi, z)."""
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        text = list(map(format_float, values.ravel().tolist()))
-        values = np.array(text, dtype=object).reshape(values.shape)
-    return np.broadcast_to(values.astype(object), shape).ravel().tolist()
+@dataclass(frozen=True)
+class _SweepRows:
+    """A sweep's rows, in order, from its columns (arrays that broadcast
+    against (axis, phi, z)), made one block of axis values (about
+    _WRITE_LINES rows) at a time, each computed value formatted once."""
+
+    columns: list[np.ndarray]
+    counts: tuple[int, int, int]
+
+    def __len__(self) -> int:
+        return math.prod(self.counts)
+
+    def __iter__(self):
+        n_axis, n_phi, n_z = self.counts
+        step = max(1, _WRITE_LINES // (n_phi * n_z))
+        return itertools.chain.from_iterable(
+            self._rows(start, min(start + step, n_axis)) for start in range(0, n_axis, step))
+
+    def _rows(self, start: int, stop: int):
+        """The rows of axis values start:stop; repeated values as text."""
+        shape = (stop - start, *self.counts[1:])
+        blocks = (c[start:stop] if len(c) > 1 else c for c in self.columns)
+        return zip(*(np.broadcast_to(b if b.shape == shape else _text(b), shape).ravel().tolist()
+                     for b in blocks))
+
+
+def _text(values: np.ndarray) -> np.ndarray:
+    """values as an object array: floats formatted as by format_float."""
+    if values.dtype.kind != "f":
+        return values.astype(object)
+    text = list(map(_FLOAT_CELL.__mod__, values.ravel().tolist()))
+    return np.array(text, dtype=object).reshape(values.shape)
 
 
 def cmd_sweep(args) -> int:
@@ -516,10 +519,6 @@ def cmd_sweep(args) -> int:
     _write_sidecar(outdir, "sweep", settings)
     return 0
 
-
-# ---------------------------------------------------------------------------
-# Parser and entry point
-# ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -557,7 +556,7 @@ _FLAGS = {
 
 _FIGURE_FLAGS = ("out", "points", "zmax", "kappa", "beta1", "beta2")
 
-# Subcommand name -> (help, flags in --help order); it runs cmd_<name>.
+# Subcommand name -> (help, flags in --help order); main() runs cmd_<name>.
 _COMMANDS = {
     "fig2": ("classical power decay curves", _FIGURE_FLAGS + ("gamma",)),
     "fig3": ("indistinguishable-pair survival curves", _FIGURE_FLAGS + ("gamma",)),
@@ -569,25 +568,24 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="ptcoupler",
-        description="Lossy two-waveguide coupler: decay curves and pair-survival datasets.",
-    )
+    parser = _ArgumentParser(prog="ptcoupler", description=(
+        "Lossy two-waveguide coupler: decay curves and pair-survival datasets."))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
     for name, (help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag in flags:
             command.add_argument(f"--{flag}", **_FLAGS[flag])
-        # Looked up now, not at import, so a wrapper on the attribute runs.
-        command.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
+_parser = functools.cache(build_parser)  # main()'s parser, built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up now, so a wrapper installed on cmd_<name> after import runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1

@@ -683,3 +683,112 @@ def test_sweep_io_failure_exits_2(tmp_path):
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "sweep.csv").mkdir()  # the table cannot be opened for writing
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+# -- one row template per block, one parser, one S per loss rate -------------
+
+# Doubles where the 17-digit text changes form: signed zero, subnormals, the
+# switch to exponent notation between 1e16 and 1e17, and neighbours of it.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e17,
+                9999999999999998.0, 1.0000000000000002e16, 99999999999999984.0, 1e22, -1e-7]
+_CELLS = {
+    True: st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+    # Text may hold '%': only the template, never a cell, is a format string.
+    False: st.text(alphabet="abz_ %s.-", max_size=6),
+}
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=5).flatmap(
+    lambda kinds: st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=12)),
+    st.integers(1, 4))
+def test_write_table_text_is_format_float_per_cell(rows, block):
+    import tempfile
+    from unittest import mock
+
+    import ptcoupler.cli as cli
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_WRITE_LINES", block):
+        path = Path(tmp) / "t.csv"
+        write_table(path, {"version": "1", "k": "%s"}, ["h%d" % i for i in range(5)], rows)
+        text = path.read_text()
+    expected = ["# version=1", "# k=%s", "h0,h1,h2,h3,h4"] + [
+        ",".join(format_float(c) if isinstance(c, float) else c for c in row) for row in rows]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_at_dispatch(tmp_path, monkeypatch, capsys):
+    import ptcoupler.cli as cli
+
+    argv = ["fig3", "--points", "3", "--gamma", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    parser = cli._parser()
+    calls = []
+
+    def counted(args):
+        calls.append(args.command)
+        return cmd_fig3(args)
+
+    cmd_fig3 = cli.cmd_fig3
+    monkeypatch.setattr(cli, "cmd_fig3", counted)
+    assert main(argv) == 0
+    assert calls == ["fig3"]
+    assert cli._parser() is parser
+    for _ in range(2):
+        assert main(["fig3", "--no-such-flag"]) == 1
+        assert "--no-such-flag" in capsys.readouterr().err
+    assert main(["fig3", "--kappa", "0"]) == 1
+    assert calls == ["fig3"]
+
+
+@pytest.mark.parametrize("command, batched", [
+    ("fig2", [False] * 3), ("fig3", [False] * 3), ("fig4", [False, False, True])])
+def test_figures_evaluate_s_once_per_loss_rate(tmp_path, monkeypatch, command, batched):
+    import ptcoupler.cli as cli
+    from ptcoupler.scattering import scattering_array
+
+    calls = []
+
+    def counted(params, z, gamma=None):
+        calls.append(gamma is not None)  # a loss-rate axis: fig4 panel (b)
+        return scattering_array(params, z, gamma=gamma)
+
+    monkeypatch.setattr(cli, "scattering_array", counted)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert calls == batched
+
+
+def test_sweep_streams_its_rows(tmp_path):
+    # 20 x 100 x 100 = 2e5 rows; held whole, their text would take several
+    # times the CSV.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(sweep_config_text(
+        gamma=", ".join(str(0.5 * i) for i in range(20)),
+        phi=", ".join(str(0.03 * i) for i in range(100)),
+        z=", ".join(str(0.1 * i) for i in range(100)),
+    ))
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    csv = tmp_path / "out" / "sweep.csv"
+    assert len(read_table(csv)[2]) == 200_000
+    assert peak < csv.stat().st_size / 4
+
+
+@pytest.mark.parametrize("backend", ["markovian", "lattice"])
+def test_sweep_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, backend):
+    import ptcoupler.cli as cli
+
+    axis = {"gamma": "0, 0.5, 2, 2.5, 7"} if backend == "markovian" else {
+        "gamma": "", "rho": "1, 2, 3, 4, 5", "sigma": "20"}
+    text = sweep_config_text(backend=backend, phi="0, 1, 3", z="0.4, 0, 1.3, 0.4", **axis)
+    code, csv = run_sweep_cli(tmp_path, text)
+    whole = csv.read_bytes()
+    for lines in (1, 12, 13, 25):  # one axis value per block, then 1, 2 and 3 of them
+        monkeypatch.setattr(cli, "_WRITE_LINES", lines)
+        assert run_sweep_cli(tmp_path, text) == (0, csv)
+        assert csv.read_bytes() == whole
+    assert code == 0 and len(read_table(csv)[2]) == 5 * 3 * 4
