@@ -299,7 +299,15 @@ def cmd_fig5(args) -> int:
         written.append(name)
     settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
     _write_sidecar(outdir, "fig5", settings | {"files": written})
+    _warn_if_short(nsites, sigma, grid.z_max)
     return 0
+
+
+def _warn_if_short(nsites: int, sigma: float, z_max: float) -> None:
+    """One stderr line if reflections off the chain ends can reach the coupler by z_max."""
+    if z_max > 0.0 and nsites < (needed := min_lattice_size(sigma, z_max)):
+        print(f"warning: nsites = {nsites} < min_lattice_size(sigma = {sigma:g}, zmax = {z_max:g}) "
+              f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
 
 
 # One sweep column: observable name -> its values over the whole sweep,
@@ -467,6 +475,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
             .scattering_array(zs)
             for rho in axis
         )))
+        _warn_if_short(nsites, cfg.sigma, max(cfg.z))
     s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
     # phi and z have no axis dimension: their text is made once, here.
     keys = [axis_values[:, None, None], _text(np.array(cfg.phi)[None, :, None]),

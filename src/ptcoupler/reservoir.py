@@ -21,16 +21,12 @@ The chain is kept finite here, which is exact until the propagated front
 min_lattice_size picks a length with a safety margin against that. The
 full single-photon problem is a real symmetric sparse matrix, so exact
 dynamics at any coupling strength comes from a Chebyshev series of
-e^{-iHz} (LatticePropagator): the chain is applied as a stencil, never
-built, and the 2x2 coupler-block moments of the series are computed once
-per system, two per stencil pass, and extended on demand.
+e^{-iHz} (LatticePropagator), whose 2x2 coupler-block moments follow from
+the chain's closed-form Green's function with no pass over the chain.
 LatticePropagator.scattering_array gives S for a whole array of distances
 in one call, the same array form as scattering.scattering_array, so the
 survival curves and the sweep hand the observables one propagator array
-from either backend. A distance needing M terms costs O((n + 2) M) time
-and O(n + M) memory, and a request beyond SITE_STEP_LIMIT site-steps (or
-1e7 sites) is refused before the chain is allocated; an array of
-distances is checked at its farthest.
+from either backend. Costs and size limits: see LatticePropagator.
 """
 
 from __future__ import annotations
@@ -68,8 +64,8 @@ __all__ = [
 # interpreter cost worth _STEP_OVERHEAD_SITES sites (about 20 us against
 # about 10 ns a site on a 2-vCPU x86 machine, where 1e9 site-steps take
 # 10-20 s); the overhead term also bounds M, and with it the memory of the
-# moments, on short chains. Memory: the recurrence keeps about six vectors
-# of 2 (n_sites + 2) doubles, about 1 GB at _MAX_SITES.
+# moments, on short chains. Memory: a column peaks at about seven vectors of n_sites + 2
+# doubles, 0.6 GB at _MAX_SITES. S makes no stencil pass: for it the limits are conservative.
 SITE_STEP_LIMIT = 10**9
 _STEP_OVERHEAD_SITES = 2000
 _MAX_SITES = 10**7
@@ -78,9 +74,8 @@ _MAX_SITES = 10**7
 # distances share one transform of the moments.
 _TERMS_STEP = 64
 _SERIES_PHASES = (2.0, -2.0j, -2.0, 2.0j)  # 2 (-i)^m for m mod 4
-_IDENTITY = np.eye(2)  # mu_0
-# Distances are evaluated in row blocks of at most this many samples, which
-# bounds the temporaries of a long distance array (2 MB for the largest).
+# Distances, and the moments' generating function, are evaluated in blocks of at most
+# this many samples, which bounds the temporaries of long distance arrays and series.
 _BLOCK_SAMPLES = 1 << 15
 
 
@@ -303,16 +298,15 @@ class LatticePropagator:
 
     (Tal-Ezer & Kosloff 1984). The coupler block needs only the 2x2 moments
     mu_m = <a|T_m((H - c) / r)|b> between the two arms (the kernel-polynomial
-    moments of Weisse et al. 2006). With V_k = T_k((H - c) / r) [e1 e2] from
-    the three-term Chebyshev recurrence on the two arm vectors, applied as a
-    sparse stencil, T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives two moments per
-    stencil pass:
+    moments of Weisse et al. 2006). With E = (zeta + 1 / zeta) / 2,
 
-        mu_{2k} = 2 V_k^T V_k - mu_0,    mu_{2k+1} = 2 V_{k+1}^T V_k - mu_1.
+        sum_m mu_m zeta^m = (1 - zeta^2) / (4 zeta) G(E) + I / 2,
 
-    A distance z needs M ~ rz + O((rz)^{1/3}) terms, so S(z) costs
-    O((n + 2) M) time and O(n + M) memory. The moments are kept and
-    extended on demand.
+    G(E) the arms' block of (E - (H - c) / r)^{-1}, a closed form once the
+    uniform chain is eliminated (Economou, Green's Functions in Quantum
+    Physics, ch. 5). A distance z needs M ~ rz + O((rz)^{1/3}) terms, so
+    S(z) costs O(M log M) time and O(M) memory whatever the chain length,
+    with no pass over the chain. The moments are kept and extended on demand.
 
     scattering_array(z) evaluates a whole array of distances in one call:
     S with shape z.shape + (2, 2) and the entrywise determinants, shape
@@ -321,10 +315,11 @@ class LatticePropagator:
     bounded size, so a further distance of a known length costs O(M) time
     and memory does not grow with distances x terms. scattering(z) is
     the one-distance view of the same call; column and evolve apply the
-    same series to one vector. A distance whose recurrence would exceed
+    same series to one vector by the recurrence on the sparse stencil, in
+    O((n + 2) M) time. A distance whose recurrence would exceed
     SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
-    ValueError before any vector of the chain's length is allocated; an
-    array is checked at its farthest distance.
+    ValueError before any vector of the chain's length is allocated (for S,
+    conservatively); an array is checked at its farthest distance.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -348,15 +343,11 @@ class LatticePropagator:
             (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
             params.kappa / r, lattice.rho / r, lattice.sigma / r,
         )
-        d1, d2, _, kappa, _, _ = self._stencil
-        self._mu1 = np.array([[d1, kappa], [kappa, d2]])  # the arms' block of (H - c) / r
-        self._moments = np.empty((0, 2, 2))  # mu_m
-        self._filled = 0
-        self._pair = None  # V_k, V_{k+1} with k = _filled / 2
+        self._moments = np.empty((0, 4))  # mu_m, row-major
         self._table_size, self._table = 0, None
 
     def _step(self, x: np.ndarray) -> np.ndarray:
-        """((H - c) / r) x for a vector or a stack of column vectors."""
+        """((H - c) / r) x for a vector of the full basis."""
         d1, d2, d_chain, kappa, rho, sigma = self._stencil
         mid = self._mid
         y = d_chain * x
@@ -397,31 +388,41 @@ class LatticePropagator:
         sines = np.sin(np.arange(size // 4 + 1) * (2.0 * math.pi / size))
         return np.exp(-1j * np.multiply.outer(self._radius * z, sines))
 
+    def _generating(self, w: np.ndarray) -> np.ndarray:
+        """Entries 00, 01, 11 of sum_m mu_m zeta^m = sinh(w) / 2 G(cosh w) + I / 2 at
+        zeta = e^{-w}. A segment of k chain sites ends in g_k = lam (1 - lam^2k) /
+        (sigma (1 - lam^{2k+2})), where sigma (lam + 1 / lam) = E - d_chain, |lam| <= 1."""
+        d1, d2, d_chain, kappa, rho, sigma = self._stencil
+        e = np.cosh(w)
+        x = (e - d_chain) / (2.0 * sigma)
+        s = np.sqrt((x - 1.0) * (x + 1.0))
+        lam = 1.0 / (x + np.where((x * s.conj()).real < 0.0, -s, s))  # |x + s| >= 1
+        modulus, angle = np.abs(lam), np.angle(lam)
+        ends = 0.0  # sigma (g_left + g_right), the sites either side of the middle one
+        for k in filter(None, (self._mid - 2, self.size - 1 - self._mid)):
+            power = modulus ** (2 * k) * np.exp(2j * k * angle)  # lam^2k
+            ends = ends + lam * (1.0 - power) / (1.0 - power * lam * lam)
+        a, b = e - d1, e - d2 - rho * rho / (e - d_chain - sigma * ends)  # rho^2 g_mid
+        scale = 0.5 * np.sinh(w) / (a * b - kappa * kappa)
+        return np.stack((scale * b + 0.5, scale * kappa, scale * a + 0.5))
+
     def _moments_upto(self, count: int) -> np.ndarray:
         """mu_m for m < count, as a (count, 4) array of the row-major 2x2
-        blocks, two per stencil pass (see the class docstring)."""
-        if count > self._filled:
-            if self._pair is None:
-                arms = np.zeros((self.size, 2))
-                arms[0, 0] = arms[1, 1] = 1.0
-                self._pair = (arms, self._step(arms))
-            start, stop = self._filled, 2 * ((count + 1) // 2)
-            if stop > len(self._moments):
-                grown = np.empty((max(stop, 2 * len(self._moments)), 2, 2))
-                grown[:start] = self._moments[:start]
-                self._moments = grown
-            v, w = self._pair
-            for m in range(start, stop, 2):
-                np.dot(v.T, v, out=self._moments[m])
-                np.dot(w.T, v, out=self._moments[m + 1])
-                v, w = w, 2.0 * self._step(w) - v
-            self._pair = (v, w)
-            new = self._moments[start:stop]
-            new *= 2.0
-            new[0::2] -= _IDENTITY
-            new[1::2] -= self._mu1
-            self._filled = stop
-        return self._moments[:count].reshape(count, 4)
+        blocks. Moments [hi / 2, hi) (the first block [0, _TERMS_STEP)) are one
+        inverse FFT of N / 2 + 1 samples, N = 8 hi, of the generating function on
+        |zeta| = e^{-delta}, delta = 40 / N: e^{-delta m} mu_m up to aliasing e^{-40} and
+        round-off eps e^{delta m} / delta, delta m < 5. So no result depends on call history."""
+        while len(self._moments) < count:
+            lo, hi = len(self._moments), max(2 * len(self._moments), _TERMS_STEP)
+            size, delta, half = 8 * hi, 5.0 / hi, 4 * hi + 1
+            samples = np.empty((3, half), dtype=complex)
+            for start in range(0, half, _BLOCK_SAMPLES):
+                theta = np.arange(start, min(start + _BLOCK_SAMPLES, half)) * (2.0 * math.pi / size)
+                samples[:, start : start + theta.size] = self._generating(delta + 1j * theta)
+            growth = np.exp(delta * np.arange(lo, hi))
+            m00, m01, m11 = (np.fft.irfft(row, size)[lo:hi] * growth for row in samples)
+            self._moments = np.concatenate((self._moments, np.stack((m00, m01, m01, m11), axis=1)))
+        return self._moments[:count]
 
     def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """P and Q, shape (4, N / 4 + 1), with sum_m J_m(rz) nu_m = P f + Q conj(f)

@@ -275,6 +275,34 @@ def test_fig5_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_short_chain_warns_once_on_stderr(tmp_path, capsys):
+    # min_lattice_size(5, 1) = 35 sites; the warning never reaches the files.
+    argv = ["fig5", "--sigma", "5", "--rho", "2", "--points", "5", "--zmax", "1"]
+    assert main(argv + ["--nsites", "34", "--out", str(tmp_path / "short")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == ("warning: nsites = 34 < min_lattice_size(sigma = 5, zmax = 1) = 35: "
+                      "end reflections can reach the coupler")
+    for nsites in ("35", None):
+        assert main(argv + (["--nsites", nsites] if nsites else [])
+                    + ["--out", str(tmp_path / f"long{nsites}")]) == 0
+    assert capsys.readouterr().err == ""
+    metadata, _ = read_decay_curves(tmp_path / "short" / "fig5_rho2.csv")
+    assert metadata["nsites"] == "34"
+    assert "warning" not in (tmp_path / "short" / "fig5_run.txt").read_text()
+
+    lattice = dict(backend="lattice", gamma="", rho="1, 2", sigma="5", phi="0", z="0, 1")
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(**lattice, nsites="21"))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0 and len(err) == 1
+    assert err[0].startswith("warning: nsites = 21 < min_lattice_size(sigma = 5, zmax = 1) = 35")
+    assert "warning" not in csv.read_text()
+    for config in (sweep_config_text(**lattice), sweep_config_text(**lattice, nsites="35"),
+                   sweep_config_text(**lattice | {"z": "0"}, nsites="2")):
+        assert run_sweep_cli(tmp_path, config)[0] == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- output layout ----------------------------------------------------------
 
 SMALL_SWEEP = "backend = markovian\ngamma = 1\nphi = 0\nz = 1\n"

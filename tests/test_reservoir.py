@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import mpmath
 
 from ptcoupler import reservoir
 from ptcoupler.core import CouplerParams
@@ -416,3 +417,95 @@ def test_scattering_array_memory_does_not_grow_with_distances_times_terms():
         tracemalloc.stop()
     assert s.nbytes + det.nbytes == 1_600_000
     assert peak < 10e6
+
+
+def dense_moments(prop, h, count):
+    """mu_m = <a|T_m((H - c) / r)|b>, m < count, by the dense three-term
+    recurrence on the full matrix."""
+    scaled = (h - prop._center * np.eye(len(h))) / prop._radius
+    prev, cur = np.eye(len(h))[:, :2], scaled[:, :2]
+    moments = [prev[:2], cur[:2]]
+    for _ in range(count - 2):
+        prev, cur = cur, 2.0 * scaled @ cur - prev
+        moments.append(cur[:2])
+    return np.array(moments)
+
+
+# (sigma, rho, beta_lattice) of chains unlike the oracle's: no coupling,
+# bound states outside the band (rho >> sigma), a band much narrower than
+# the coupler's splitting (sigma << kappa) and a band far off centre.
+CHAIN_SHAPES = {
+    "detuned": (1.7, 0.9, 0.25),
+    "decoupled": (1.7, 0.0, 0.25),
+    "bound-states": (0.2, 30.0, 0.25),
+    "narrow-band": (0.01, 0.9, -0.3),
+    "off-centre": (1.7, 0.9, 6.0),
+}
+
+
+@pytest.mark.parametrize("shape", CHAIN_SHAPES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 30, 31])
+def test_moments_match_the_dense_recurrence_across_chain_shapes(n, shape):
+    # ORACLE_PARAMS detunes the arms (beta1 != beta2).
+    lat = LatticeReservoir(*CHAIN_SHAPES[shape][:2], n, CHAIN_SHAPES[shape][2])
+    prop = LatticePropagator(ORACLE_PARAMS, lat)
+    moments = prop._moments_upto(200).reshape(200, 2, 2)
+    assert np.abs(moments - dense_moments(prop, full_hamiltonian(ORACLE_PARAMS, lat), 200)).max() <= 1e-13
+
+
+def test_scattering_array_matches_the_stencil_far_along_a_short_chain():
+    # z = 100 needs about 5,000 moments, long after the front has come back
+    # from the ends of the 41 sites; column() applies the stencil itself.
+    prop = LatticePropagator(ORACLE_PARAMS, LatticeReservoir(20.0, 5.0, 41, 0.25))
+    zs = np.array([100.0, 0.0, 3.7, 41.0])
+    s, _ = prop.scattering_array(zs)
+    for z, sz in zip(zs, s):
+        columns = np.stack([prop.column(index, z)[:2] for index in (0, 1)], axis=1)
+        assert np.abs(sz - columns).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scattering_matches_a_40_digit_expm(n):
+    lat = LatticeReservoir(sigma=1.7, rho=0.9, n_sites=n, beta_lattice=0.25)
+    h = full_hamiltonian(ORACLE_PARAMS, lat)
+    s, _ = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(np.array([0.5, 5.0, 50.0]))
+    with mpmath.workdps(40):
+        u = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpc(0.0, -0.5))
+        for sz in s:  # z = 0.5, 5, 50: each the tenth power of the one before
+            exact = np.array([[complex(u[i, j]) for j in range(2)] for i in range(2)])
+            assert np.abs(sz - exact).max() <= 1e-12
+            u = u**10
+
+
+@pytest.mark.parametrize("n", [1, 2, 10**6])
+@pytest.mark.parametrize("sigma", [1e-9, 1e6])
+@pytest.mark.parametrize("rho_per_sigma", [0.0, 1e3])
+def test_extreme_chains_raise_no_floating_point_fault(n, sigma, rho_per_sigma):
+    params = CouplerParams(0.3, -0.4, 1.0, 0.0)
+    prop = LatticePropagator(params, LatticeReservoir(sigma, rho_per_sigma * sigma, n))
+    answered = 0
+    for z in (0.0, 1e-7, 1e-6, 30.0):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                s, det = prop.scattering_array(np.array([z]))  # checked
+            except ValueError as exc:
+                assert str(exc).startswith("chain reservoir too large: ")
+                continue
+        assert np.isfinite(s).all() and np.isfinite(det).all()
+        answered += 1
+    assert answered >= 2  # z = 0 and 1e-7 are within every limit
+
+
+def test_long_series_memory_is_bounded():
+    # One distance of about 1e5 terms on the shortest chain: the moments'
+    # samples are evaluated in blocks, not all at once.
+    prop = LatticePropagator(CouplerParams(0.0, 0.0, 1.0, 0.0), LatticeReservoir(20.0, 5.0, 1))
+    z = 16_000.0
+    assert 9e4 < reservoir._chebyshev_terms(prop._radius * z) < 1.1e5
+    tracemalloc.start()
+    try:
+        prop.scattering(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
