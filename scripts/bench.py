@@ -21,6 +21,9 @@ keeps every time and their median. Layers:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
   reservoir.short_chain_far     the same for n = 41, sigma = 20, rho = 5,
                                 301 points up to z = 100
+  reservoir.fig5_moments        _moments_upto the series length of fig5's
+                                grid, from a fresh rho = 5 propagator: the
+                                Green's-function pass alone
   cli.write_table_1e5           write_table of 10^5 three-column rows
   cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
   cli.sweep                     figures_markovian and sweep_dense (seed 1)
@@ -87,6 +90,12 @@ def layers(tmp: Path) -> dict:
             return [propagator.scattering(z) for z in zs[::-1]]
         return run
 
+    def moments(sigma, rho, n_sites, z_max):
+        params, lattice = CouplerParams(0.0, 0.0, 1.0), LatticeReservoir(sigma, rho, n_sites, 0.0)
+        sizes = LatticePropagator(params, lattice)._sizes(np.linspace(0.0, z_max, 301))
+        count = int(sizes.max()) // 2
+        return lambda: LatticePropagator(params, lattice)._moments_upto(count)
+
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import CONFIG, WORKLOADS, sweep_config
 
@@ -110,6 +119,7 @@ def layers(tmp: Path) -> dict:
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
+        "reservoir.fig5_moments": moments(100.0, 5.0, 1510, 3.0),
         "cli.write_table_1e5": lambda: write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], rows),
         "cli.fig2": command("figures_markovian", "fig2"),
         "cli.fig3": command("figures_markovian", "fig3"),

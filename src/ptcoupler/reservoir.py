@@ -18,15 +18,15 @@ excitation then hybridizes into bound states instead of decaying.
 
 The chain is kept finite here, which is exact until the propagated front
 (group velocity at most 2 sigma) reaches the far end and wraps back;
-min_lattice_size picks a length with a safety margin against that. The
-full single-photon problem is a real symmetric sparse matrix, so exact
-dynamics at any coupling strength comes from a Chebyshev series of
-e^{-iHz} (LatticePropagator), whose 2x2 coupler-block moments follow from
-the chain's closed-form Green's function with no pass over the chain.
-LatticePropagator.scattering_array gives S for a whole array of distances
-in one call, the same array form as scattering.scattering_array, so the
-survival curves and the sweep hand the observables one propagator array
-from either backend. Costs and size limits: see LatticePropagator.
+min_lattice_size picks a length with a safety margin against that. H, the
+full single-photon problem, is real symmetric and sparse, so e^{-iHz} at
+any coupling strength is a Chebyshev series (LatticePropagator) with real
+2x2 coupler-block moments, which the chain's closed-form Green's function
+gives with no pass over the chain: Re S sums the even orders against cos
+samples, Im S the odd ones against sin samples. scattering_array gives S
+for a whole array of distances in one call, the array form of the
+Markovian scattering.scattering_array, so both backends hand the
+observables one propagator array. Costs and limits: see LatticePropagator.
 """
 
 from __future__ import annotations
@@ -304,20 +304,22 @@ class LatticePropagator:
 
     G(E) the arms' block of (E - (H - c) / r)^{-1}, a closed form once the
     uniform chain is eliminated (Economou, Green's Functions in Quantum
-    Physics, ch. 5). A distance z needs M ~ rz + O((rz)^{1/3}) terms, so
-    S(z) costs O(M log M) time and O(M) memory whatever the chain length,
-    with no pass over the chain. The moments are kept and extended on demand.
+    Physics, ch. 5). H is real symmetric, so the moments are real and, before the
+    phase e^{-icz}, Re S sums the even orders (2 - delta_m0) (-1)^{m/2} J_m(rz) mu_m
+    and Im S the odd ones -2 (-1)^{(m-1)/2} J_m(rz) mu_m. A distance z needs
+    M ~ rz + O((rz)^{1/3}) terms, so S(z) costs O(M log M) time and O(M) memory
+    whatever the chain length; the moments are kept and extended on demand.
 
-    scattering_array(z) evaluates a whole array of distances in one call:
-    S with shape z.shape + (2, 2) and the entrywise determinants, shape
-    z.shape. The distances are grouped by series length; each length's
-    moments are transformed once and its samples evaluated in row blocks of
-    bounded size, so a further distance of a known length costs O(M) time
-    and memory does not grow with distances x terms. scattering(z) is
-    the one-distance view of the same call; column and evolve apply the
-    same series to one vector by the recurrence on the sparse stencil, in
-    O((n + 2) M) time. A distance whose recurrence would exceed
-    SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
+    scattering_array(z) evaluates a whole array of distances in one call: S with
+    shape z.shape + (2, 2) and the entrywise determinants, shape z.shape. The
+    distances are grouped by series length; each length's moments are folded once
+    into real tables of the even and odd orders (_tables), and each distance's cos
+    and sin samples against them give Re S and Im S, in row blocks of bounded size:
+    a further distance of a known length costs O(M) time, and memory does not grow
+    with distances x terms. scattering(z) is the one-distance view of the same
+    call; column and evolve apply the same series to one vector by the recurrence
+    on the sparse stencil, in O((n + 2) M) time. A distance whose recurrence would
+    exceed SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
     ValueError before any vector of the chain's length is allocated (for S,
     conservatively); an array is checked at its farthest distance.
     """
@@ -375,35 +377,38 @@ class LatticePropagator:
             )
         return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)
 
-    def _samples(self, z, size: int) -> np.ndarray:
-        """f_k = e^{-irz sin(2 pi k / N)} for k = 0 .. N / 4, along the last
-        axis, for each distance z.
-
-        By Jacobi-Anger, e^{irz sin(tau)} = sum_m J_m(rz) e^{im tau}, so the
-        inverse FFT of f over the N-point period gives J_m(rz) for m < N / 2;
-        the orders aliased onto them exceed N / 2 >= M, where J is
-        negligible. sin(pi - tau) = sin(tau) and sin(tau + pi) = -sin(tau)
-        determine f from its first quarter period.
-        """
+    def _samples(self, z, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of rz sin(tau_k), tau_k = 2 pi k / N, k = 0 .. N / 4, for each distance z
+        (last axis). By Jacobi-Anger, (1 / N) sum_k cos(rz sin tau_k) cos(m tau_k) over the N-point
+        period is J_m(rz) for even m < N / 2, and so is (1 / N) sum_k sin(rz sin tau_k) sin(m tau_k)
+        for odd m, up to orders beyond N / 2 >= M, where J is negligible. sin(pi - tau) = sin(tau)
+        and sin(tau + pi) = -sin(tau) give the rest of the period."""
         sines = np.sin(np.arange(size // 4 + 1) * (2.0 * math.pi / size))
-        return np.exp(-1j * np.multiply.outer(self._radius * z, sines))
+        phases = np.multiply.outer(self._radius * z, sines)
+        return np.cos(phases), np.sin(phases)
 
-    def _generating(self, w: np.ndarray) -> np.ndarray:
-        """Entries 00, 01, 11 of sum_m mu_m zeta^m = sinh(w) / 2 G(cosh w) + I / 2 at
-        zeta = e^{-w}. A segment of k chain sites ends in g_k = lam (1 - lam^2k) /
-        (sigma (1 - lam^{2k+2})), where sigma (lam + 1 / lam) = E - d_chain, |lam| <= 1."""
+    def _generating(self, delta: float, theta: np.ndarray) -> np.ndarray:
+        """Entries 00, 01, 11 of sum_m mu_m zeta^m = sinh(w) / 2 G(cosh w) + I / 2 at zeta =
+        e^{-w}, w = delta + i theta. A segment of k chain sites ends in g_k = lam (1 - lam^2k) /
+        (sigma (1 - lam^{2k+2})), sigma (lam + 1 / lam) = E - d_chain: lam = u / (1 + sqrt((1 - u)
+        (1 + u))), u = 2 sigma / (E - d_chain), the principal root giving |lam| <= 1 unbranched."""
         d1, d2, d_chain, kappa, rho, sigma = self._stencil
-        e = np.cosh(w)
-        x = (e - d_chain) / (2.0 * sigma)
-        s = np.sqrt((x - 1.0) * (x + 1.0))
-        lam = 1.0 / (x + np.where((x * s.conj()).real < 0.0, -s, s))  # |x + s| >= 1
-        modulus, angle = np.abs(lam), np.angle(lam)
+        cos, sin = np.cos(theta), np.sin(theta)
+        e = math.cosh(delta) * cos + 1j * (math.sinh(delta) * sin)  # cosh w
+        u = (2.0 * sigma) / (e - d_chain)
+        lam = u / (1.0 + np.sqrt((1.0 - u) * (1.0 + u)))
+        lam2 = lam * lam
+        left, right = self._mid - 2, self.size - 1 - self._mid  # right is left or left + 1
+        power = np.ones_like(lam)
+        for bit in f"{left:b}":  # lam^2left by squaring
+            power = power * power * lam2 if bit == "1" else power * power
         ends = 0.0  # sigma (g_left + g_right), the sites either side of the middle one
-        for k in filter(None, (self._mid - 2, self.size - 1 - self._mid)):
-            power = modulus ** (2 * k) * np.exp(2j * k * angle)  # lam^2k
-            ends = ends + lam * (1.0 - power) / (1.0 - power * lam * lam)
+        for k in filter(None, (left, right)):
+            power = power * lam2 if k > left else power
+            ends = ends + lam * (1.0 - power) / (1.0 - power * lam2)
         a, b = e - d1, e - d2 - rho * rho / (e - d_chain - sigma * ends)  # rho^2 g_mid
-        scale = 0.5 * np.sinh(w) / (a * b - kappa * kappa)
+        sinh = math.sinh(delta) * cos + 1j * (math.cosh(delta) * sin)  # sinh w
+        scale = sinh / (2.0 * (a * b - kappa * kappa))
         return np.stack((scale * b + 0.5, scale * kappa, scale * a + 0.5))
 
     def _moments_upto(self, count: int) -> np.ndarray:
@@ -418,37 +423,34 @@ class LatticePropagator:
             samples = np.empty((3, half), dtype=complex)
             for start in range(0, half, _BLOCK_SAMPLES):
                 theta = np.arange(start, min(start + _BLOCK_SAMPLES, half)) * (2.0 * math.pi / size)
-                samples[:, start : start + theta.size] = self._generating(delta + 1j * theta)
+                samples[:, start : start + theta.size] = self._generating(delta, theta)
             growth = np.exp(delta * np.arange(lo, hi))
-            m00, m01, m11 = (np.fft.irfft(row, size)[lo:hi] * growth for row in samples)
+            m00, m01, m11 = np.fft.irfft(samples, size)[:, lo:hi] * growth
             self._moments = np.concatenate((self._moments, np.stack((m00, m01, m01, m11), axis=1)))
         return self._moments[:count]
 
     def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """P and Q, shape (4, N / 4 + 1), with sum_m J_m(rz) nu_m = P f + Q conj(f)
-        for the samples f of _samples, nu_m = (2 - delta_m0) (-i)^m mu_m.
-
-        The sum is sum_k e^{-irz sin(tau_k)} w_k over the N-point period,
-        w the inverse FFT of nu_0 .. nu_{N/2-1}; P gathers the w_k whose
-        sample is f_j (k = j, N/2 - j) and Q those whose sample is conj f_j
-        (k = N/2 + j, N - j). The tables of the last N are kept.
-        """
+        """C and D, shape (3, N / 4 + 1) for the entries 00, 01 and 11, with sum_m (2 - delta_m0)
+        (-i)^m J_m(rz) mu_m = sum_k (cos_k C_k + i sin_k D_k) for the samples of _samples. With
+        a_m = (2 - delta_m0) (-1)^floor(m/2) mu_m, m < N / 2, C_k is (1 / N) sum_{m even} a_m
+        cos(m tau) and D_k -(1 / N) sum_{m odd} a_m sin(m tau), summed over the tau whose samples
+        are those at tau_k (four; two at k = 0, N / 4): one real FFT of a, folded at tau and
+        pi - tau. The tables of the last N are kept."""
         if self._table_size != size:
             half, q = size // 2, size // 4
-            phases = np.take(_SERIES_PHASES, np.arange(half) % 4)
-            phases[0] = 1.0
-            w = np.fft.ifft(phases * self._moments_upto(half).T, n=size)
-            plus, minus = w[:, : q + 1].copy(), w[:, 2 * q : 3 * q + 1].copy()
-            plus[:, 1:q] += w[:, 2 * q - 1 : q : -1]
-            minus[:, 1:q] += w[:, size - 1 : 3 * q : -1]
-            self._table_size, self._table = size, (plus, minus)
+            signs = np.where(np.arange(half) & 2, -4.0, 4.0) / size
+            signs[0] *= 0.5
+            f = np.fft.rfft(signs * self._moments_upto(half)[:, (0, 1, 3)].T, size)
+            fold = f[:, : q + 1] + f[:, 2 * q : q - 1 : -1]
+            fold[:, (0, q)] *= 0.5
+            self._table_size, self._table = size, (fold.real.copy(), fold.imag.copy())
         return self._table
 
     def _series(self, z: float) -> tuple[complex, np.ndarray, int]:
-        """The phase e^{-icz}, the samples and the length of the series of
-        one distance."""
+        """The phase e^{-icz}, samples f = e^{-irz sin tau_k} and series length of one distance."""
         size = int(self._sizes(np.array([z], dtype=float))[0])
-        return np.exp(-1j * self._center * z), self._samples(z, size), size
+        cos, sin = self._samples(z, size)
+        return np.exp(-1j * self._center * z), cos - 1j * sin, size
 
     def _blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
         """S, shape z.shape + (2, 2), and its entrywise determinants at the
@@ -456,25 +458,23 @@ class LatticePropagator:
         z = np.asarray(z, dtype=float)
         sizes = self._sizes(z).ravel()  # before anything of the chain's length
         flat = z.ravel()
-        blocks = np.empty((flat.size, 4), dtype=complex)
+        blocks = np.empty((flat.size, 4), dtype=complex)  # row-major 2x2; S is symmetric
         for size in sorted(set(sizes.tolist())):
             group = np.flatnonzero(sizes == size)
-            plus, minus = self._tables(size)
+            even, odd = self._tables(size)
             rows = max(1, _BLOCK_SAMPLES // (size // 4 + 1))
             for start in range(0, group.size, rows):
                 part = group[start : start + rows]
-                samples = self._samples(flat[part], size)[:, None, :]
-                # Each row is summed on its own along the last axis, so a
-                # distance's S does not depend on which others share its
-                # block (a matmul's would).
-                blocks[part] = (samples * plus).sum(-1) + (samples.conj() * minus).sum(-1)
+                cos, sin = self._samples(flat[part], size)
+                # One reduction per distance and entry: S does not depend on the block.
+                blocks.real[part[:, None], (0, 1, 3)] = np.einsum("rk,ek->re", cos, even)
+                blocks.imag[part[:, None], (0, 1, 3)] = np.einsum("rk,ek->re", sin, odd)
+        blocks[:, 2] = blocks[:, 1]
         blocks *= np.exp(-1j * self._center * flat)[:, None]
         s = blocks.reshape(z.shape + (2, 2))
         return s, entrywise_determinants(s)
 
-    def _propagate(
-        self, vector: np.ndarray, series: tuple[complex, np.ndarray, int]
-    ) -> np.ndarray:
+    def _propagate(self, vector: np.ndarray, series: tuple[complex, np.ndarray, int]) -> np.ndarray:
         phase, samples, size = series
         half = np.concatenate((samples, samples[-2::-1]))  # k = 0 .. N/2; Hermitian beyond
         bessel = np.fft.irfft(half, size)[: size // 2]

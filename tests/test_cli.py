@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,17 @@ def test_fig5_byte_identical_reruns(tmp_path):
     assert main(["fig5", "--out", str(b)]) == 0
     for name in ("fig5_rho5.csv", "fig5_rho10.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_fig5_on_a_very_narrow_band_exits_0_without_warnings(tmp_path, capsys):
+    # sigma = 1e-300 gives an 11-site chain whose S is finite; the band is so
+    # narrow that squaring (E - d) / (2 sigma) would overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig5", "--sigma", "1e-300", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    metadata, _ = read_decay_curves(tmp_path / "fig5_rho5.csv")
+    assert metadata["nsites"] == "11"
 
 
 def test_short_chain_warns_once_on_stderr(tmp_path, capsys):

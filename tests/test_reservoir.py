@@ -477,10 +477,50 @@ def test_scattering_matches_a_40_digit_expm(n):
             u = u**10
 
 
+def test_scattering_matches_a_40_digit_eigensolution_far_along_the_series():
+    # About 2e4 terms at z = 5000, where the round-off of the moments' doubling
+    # blocks (eps e^{delta m} / delta each) has had the most blocks to build up.
+    # The bound is the 6.4e-13 that the complex-arithmetic series reached, rounded up.
+    lat = LatticeReservoir(sigma=1.7, rho=0.9, n_sites=8, beta_lattice=0.25)
+    h = full_hamiltonian(ORACLE_PARAMS, lat)
+    zs = np.array([500.0, 5000.0])
+    s, _ = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    with mpmath.workdps(40):
+        energies, vectors = mpmath.eighe(mpmath.matrix(h.tolist()))
+        for z, sz in zip(zs, s):
+            phases = [mpmath.expj(-energy * z) for energy in energies]
+            exact = np.array([[complex(mpmath.fsum(vectors[i, k] * vectors[j, k] * phase
+                                                   for k, phase in enumerate(phases)))
+                               for j in range(2)] for i in range(2)])
+            assert np.abs(sz - exact).max() <= 7e-13
+
+
+def test_scattering_array_is_bit_for_bit_on_fig5_shapes(monkeypatch):
+    # fig5's first chain and grid: one distance of each of the grid's 12
+    # series lengths, read off the whole grid's array, against scattering(z).
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    lat = LatticeReservoir(sigma=100.0, rho=5.0, n_sites=1510)
+    grid = np.linspace(0.0, 3.0, 301)
+    s, det = LatticePropagator(params, lat).scattering_array(grid)
+    _, picks = np.unique(LatticePropagator(params, lat)._sizes(grid), return_index=True)
+    assert picks.size == 12
+    shared = LatticePropagator(params, lat)
+    for i in picks[::-1]:  # the shared propagator's moments grow first for the farthest
+        for prop in (shared, LatticePropagator(params, lat)):
+            record = prop.scattering(grid[i])
+            assert np.array_equal(record.as_array(), s[i])
+            assert record.determinant == det[i]
+    monkeypatch.setattr(reservoir, "_BLOCK_SAMPLES", 140)
+    split = LatticePropagator(params, lat).scattering_array(grid)
+    assert np.array_equal(split[0], s) and np.array_equal(split[1], det)
+
+
 @pytest.mark.parametrize("n", [1, 2, 10**6])
-@pytest.mark.parametrize("sigma", [1e-9, 1e6])
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e-9, 1e6])
 @pytest.mark.parametrize("rho_per_sigma", [0.0, 1e3])
 def test_extreme_chains_raise_no_floating_point_fault(n, sigma, rho_per_sigma):
+    # sigma <= 1e-155 squares (E - d) / (2 sigma) past the largest double
+    # unless lam is taken from its reciprocal.
     params = CouplerParams(0.3, -0.4, 1.0, 0.0)
     prop = LatticePropagator(params, LatticeReservoir(sigma, rho_per_sigma * sigma, n))
     answered = 0
