@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the sweep, chain-reservoir and CSV-writing layers; write a BENCH_*.json.
+"""Time the one-point, sweep, chain-reservoir and CSV-writing layers; write a BENCH_*.json.
 
     python scripts/bench.py --out BENCH_<n>.json
     python scripts/bench.py --out BENCH_<n>.json --baseline <commit>
@@ -11,6 +11,11 @@ before and after numbers on the same machine. Within it each
 layer gets one untimed warm-up call, then REPEATS timed calls; the JSON
 keeps every time and their median. Layers:
 
+  scattering.matrix_1pt         one scattering_matrix call (beta1 = 0.3,
+                                beta2 = -0.2, kappa = 1.1, gamma = 0.7,
+                                z = 2): the closed form and its record
+  quantum.observables_1pt       the four pair observables (boson, phi = 1.2,
+                                fermion, mean photon number) on that record
   sweep.run_sweep               run_sweep on a seeded 101 x 7 x 8 markovian
                                 config with all seven observables, and
                                 every row it returns (a column that repeats
@@ -77,7 +82,21 @@ def layers(tmp: Path) -> dict:
 
     from ptcoupler.cli import format_float, main, parse_sweep_config, run_sweep, write_table
     from ptcoupler.core import CouplerParams
+    from ptcoupler.quantum import (
+        mean_photon_number,
+        survival_entangled,
+        survival_fermionic,
+        survival_indistinguishable,
+    )
     from ptcoupler.reservoir import LatticePropagator, LatticeReservoir
+    from ptcoupler.scattering import scattering_matrix
+
+    markov = CouplerParams(0.3, -0.2, 1.1, 0.7)
+    record = scattering_matrix(markov, 2.0)
+
+    def observables():
+        return (survival_indistinguishable(record), survival_entangled(record, 1.2),
+                survival_fermionic(record), mean_photon_number(record))
 
     def chain(sigma, rho, n_sites, z_max):
         params, zs = CouplerParams(0.0, 0.0, 1.0), np.linspace(0.0, z_max, 301)
@@ -115,6 +134,8 @@ def layers(tmp: Path) -> dict:
     rows = [(format_float(i / 7.0), format_float(i / 3.0), format_float(i * 1e-5))
             for i in range(100_000)]
     return {
+        "scattering.matrix_1pt": lambda: scattering_matrix(markov, 2.0),
+        "quantum.observables_1pt": observables,
         "sweep.run_sweep": lambda: collections.deque(run_sweep(config)[2], maxlen=0),
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),

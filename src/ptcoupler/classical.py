@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     ClassicalInput,
-    ComplexMatrix2,
     CouplerParams,
     DecayCurve,
     PropagationGrid,
@@ -77,16 +76,13 @@ class EpRegime:
     discriminant: float
 
 
-def coupler_matrix(params: CouplerParams) -> ComplexMatrix2:
-    """Coupled-mode matrix M: diag propagation constants, kappa off-diagonal,
-    the loss as the imaginary part of the lossy arm's diagonal element."""
+def coupler_matrix(params: CouplerParams) -> np.ndarray:
+    """Coupled-mode matrix M, a complex (2, 2) array: diag propagation
+    constants, kappa off-diagonal, the loss as the imaginary part of the
+    lossy arm's diagonal element."""
     validate(params)
-    return ComplexMatrix2(
-        complex(params.beta1),
-        complex(params.kappa),
-        complex(params.kappa),
-        complex(params.beta2, -params.gamma),
-    )
+    return np.array([[params.beta1, params.kappa],
+                     [params.kappa, complex(params.beta2, -params.gamma)]], dtype=complex)
 
 
 def supermodes(params: CouplerParams) -> SupermodePair:

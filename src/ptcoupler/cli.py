@@ -66,6 +66,7 @@ from . import __version__
 from .classical import classify_ep, supermodes
 from .core import MAX_GRID_POINTS, CouplerParams, DecayCurve, PolarizationEntangled, PropagationGrid
 from .quantum import (
+    _survival_function,
     mean_photon_number,
     survival_entangled,
     survival_fermionic,
@@ -240,7 +241,7 @@ def cmd_fig4(args) -> int:
     kappa = args.kappa
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
     # PolarizationEntangled refuses a bad --phi before anything is computed.
-    labels = [f"survival_phi_{PolarizationEntangled(phi).phi:.12g}" for phi in phis]
+    labels = [_survival_function(PolarizationEntangled(phi))[1] for phi in phis]
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
 
@@ -440,6 +441,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
         axis_name, axis = "rho", cfg.rho
     if "ep_regime" in cfg.observables and cfg.beta1 != cfg.beta2:
         raise ValueError("config: ep_regime: requires beta1 == beta2")
+    for phi in cfg.phi:  # whether or not p_entangled reads them
+        PolarizationEntangled(phi)
 
     counts = (len(axis), len(cfg.phi), len(cfg.z))
     rows = math.prod(counts)

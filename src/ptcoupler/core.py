@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "CouplerParams",
     "validate",
-    "ComplexMatrix2",
     "ScatteringMatrix",
     "PropagationGrid",
     "DecayCurve",
@@ -36,12 +35,6 @@ PASSIVITY_TOL = 1e-9
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _require_finite_complex(name: str, value: complex) -> None:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -93,38 +86,6 @@ def validate(params: CouplerParams) -> CouplerParams:
     return params
 
 
-@dataclass(frozen=True)
-class ComplexMatrix2:
-    """Dense 2x2 complex matrix with named entries, row-major."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def __post_init__(self):
-        for name in ("m11", "m12", "m21", "m22"):
-            _require_finite_complex(name, getattr(self, name))
-
-    @classmethod
-    def from_array(cls, a) -> "ComplexMatrix2":
-        a = np.asarray(a)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {a.shape}")
-        return cls(complex(a[0, 0]), complex(a[0, 1]), complex(a[1, 0]), complex(a[1, 1]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
-
-    def trace(self) -> complex:
-        return self.m11 + self.m22
-
-    def determinant(self) -> complex:
-        """Entrywise determinant. Subject to cancellation when the products
-        nearly cancel; prefer an analytically reduced value where one exists."""
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-
 def largest_singular_value(s11, s12, s21, s22):
     """Largest singular value of [[s11, s12], [s21, s22]]: of one matrix
     given by four numbers, or of every matrix of four arrays of entries.
@@ -143,9 +104,9 @@ def largest_singular_value(s11, s12, s21, s22):
 
 def entrywise_determinants(s: np.ndarray) -> np.ndarray:
     """s11 s22 - s12 s21 of every matrix of an array (..., 2, 2): for each
-    one the same double as ComplexMatrix2.determinant. The products are
-    formed from real ones, as Python's complex arithmetic forms them;
-    numpy's complex multiply may fuse them and round differently."""
+    one the same double as Python's complex arithmetic gives. The products
+    are formed from real ones, as Python forms them; numpy's complex
+    multiply may fuse them and round differently."""
     a, b, c, d = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     det = np.empty(a.shape, dtype=complex)
     det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
@@ -193,53 +154,76 @@ def check_propagators(entries, z, det=None) -> None:
             raise ValueError("det disagrees with the matrix entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
     """Propagator of the two coupler amplitudes over a distance z.
 
-    s holds the dimensionless amplitude transfer matrix, z the propagation
+    s takes any 2x2 array-like and is kept as a read-only complex (2, 2)
+    array, which np.asarray(record) returns; z is the propagation
     distance. det, when set, carries the analytically reduced determinant
     of the propagator: for the closed-form exponential it is known exactly
     as exp(-i tr(M) z), which evades the catastrophic cancellation of the
     entrywise product difference once the determinant is many orders of
     magnitude below the entries. Restrictions of a larger unitary have no
-    such reduction and leave det unset.
+    such reduction and leave det unset. Records compare and hash by entries,
+    z and det.
     """
 
-    s: ComplexMatrix2
+    s: np.ndarray
     z: float
     det: complex | None = None
 
     def __post_init__(self):
-        s = self.s
-        check_propagators((s.m11, s.m12, s.m21, s.m22), self.z, self.det)
+        s = np.array(self.s, dtype=complex)
+        if s.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 array, got shape {s.shape}")
+        # Python complexes: one matrix is checked faster without numpy's loops.
+        check_propagators(s.ravel().tolist(), self.z, self.det)
+        s.flags.writeable = False
+        object.__setattr__(self, "s", s)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScatteringMatrix):
+            return NotImplemented
+        return self.z == other.z and self.det == other.det and np.array_equal(self.s, other.s)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.z, self.det, (self.s + 0.0).tobytes()))
+
+    def __array__(self, dtype=None, copy=None):
+        # copy is not forwarded: numpy 1.x calls this without it and refuses
+        # np.array(..., copy=None).
+        a = self.s if dtype is None else self.s.astype(dtype, copy=False)
+        return a.copy() if copy else a
 
     @property
     def determinant(self) -> complex:
         """Best available determinant: the reduced value if present."""
         if self.det is not None:
             return self.det
-        return self.s.determinant()
+        return entrywise_determinants(self.s).item()
 
     # Entry shorthands, handy in formulas.
     @property
     def s11(self) -> complex:
-        return self.s.m11
+        return self.s.item(0, 0)
 
     @property
     def s12(self) -> complex:
-        return self.s.m12
+        return self.s.item(0, 1)
 
     @property
     def s21(self) -> complex:
-        return self.s.m21
+        return self.s.item(1, 0)
 
     @property
     def s22(self) -> complex:
-        return self.s.m22
+        return self.s.item(1, 1)
 
     def as_array(self) -> np.ndarray:
-        return self.s.as_array()
+        """A writable copy of the entries."""
+        return self.s.copy()
 
 
 # Largest accepted grid, and largest sweep (rows), checked before anything

@@ -56,7 +56,6 @@ __all__ = [
     "Backend",
     "survival_curve",
     "two_photon_oracle",
-    "two_photon_oracle_kron",
 ]
 
 # Probabilities may stray past [0, 1] by accumulated roundoff only; any
@@ -72,18 +71,6 @@ def _clamp_probability(p, what: str):
     if bad.any():
         raise RuntimeError(f"{what} = {float(p[bad][0])!r} lies outside [0, 1] beyond roundoff")
     return np.clip(p, 0.0, 1.0)
-
-
-def _batch(s) -> np.ndarray:
-    """The matrices of s: an array (..., 2, 2) as given, or one
-    ScatteringMatrix as a batch of one."""
-    return s.as_array()[None] if isinstance(s, ScatteringMatrix) else np.asarray(s)
-
-
-def _unbatch(s, value):
-    """An observable's value for s: a float for one ScatteringMatrix, else
-    the array over the batch."""
-    return value[0] if isinstance(s, ScatteringMatrix) else value
 
 
 @dataclass(frozen=True)
@@ -105,8 +92,9 @@ class TwoPhotonOccupations:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _occupations(s: np.ndarray) -> tuple[np.ndarray, ...]:
+def _occupations(s) -> tuple[np.ndarray, ...]:
     """p20, p02, p11, p_lost of the indistinguishable pair, over a batch."""
+    s = np.asarray(s)
     s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     p20 = _clamp_probability(2.0 * np.abs(s11 * s12) ** 2, "p20")
     p02 = _clamp_probability(2.0 * np.abs(s21 * s22) ** 2, "p02")
@@ -117,16 +105,17 @@ def _occupations(s: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def occupations_indistinguishable(s: ScatteringMatrix) -> TwoPhotonOccupations:
     """Occupations for the indistinguishable pair, one photon per arm."""
-    return TwoPhotonOccupations(*(float(p[0]) for p in _occupations(_batch(s))))
+    return TwoPhotonOccupations(*map(float, _occupations(s)))
 
 
-# The observables below take one ScatteringMatrix and return a float, or an
-# array of matrices (..., 2, 2) and return an array of shape (...).
+# The observables below read s through np.asarray: one ScatteringMatrix (or
+# one 2x2 array) gives a float, an array of matrices (..., 2, 2) an array of
+# shape (...).
 
 def survival_indistinguishable(s) -> float | np.ndarray:
     """Probability that both photons of the bosonic pair stay guided."""
-    p20, p02, p11, _ = _occupations(_batch(s))
-    return _unbatch(s, _clamp_probability(p20 + p02 + p11, "survival"))
+    p20, p02, p11, _ = _occupations(s)
+    return _clamp_probability(p20 + p02 + p11, "survival")
 
 
 def survival_entangled(s, phi: float) -> float | np.ndarray:
@@ -134,10 +123,9 @@ def survival_entangled(s, phi: float) -> float | np.ndarray:
     phase phi. phi = 0 reproduces the indistinguishable result, phi = pi
     the fermionic one; in between the interference term is weighted by
     cos(phi)."""
-    if not math.isfinite(phi) or not 0.0 <= phi <= math.pi:
-        raise ValueError("phi must lie in [0, pi]")
-    m = _batch(s)
-    s11, s12, s21, s22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    phi = PolarizationEntangled(phi).phi
+    s = np.asarray(s)
+    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     a = s11 * s22
     b = s12 * s21
     bunching = np.abs(s11 * s12) ** 2 + np.abs(s21 * s22) ** 2
@@ -147,7 +135,7 @@ def survival_entangled(s, phi: float) -> float | np.ndarray:
         + np.abs(b) ** 2
         + math.cos(phi) * 2.0 * (a * b.conjugate()).real
     )
-    return _unbatch(s, _clamp_probability(p, "survival"))
+    return _clamp_probability(p, "survival")
 
 
 def survival_fermionic(s, det=None) -> float | np.ndarray:
@@ -159,10 +147,10 @@ def survival_fermionic(s, det=None) -> float | np.ndarray:
     e^{-2 gamma z} to a few ulp at any distance, immune to the cancellation
     that would wash out the entrywise product difference."""
     if isinstance(s, ScatteringMatrix):
-        det = np.array([s.determinant])
+        det = s.determinant
     elif det is None:
         raise ValueError("det is required with an array of matrices")
-    return _unbatch(s, _clamp_probability(np.abs(det) ** 2, "survival"))
+    return _clamp_probability(np.abs(det) ** 2, "survival")
 
 
 def mean_photon_number(s) -> float | np.ndarray:
@@ -170,10 +158,10 @@ def mean_photon_number(s) -> float | np.ndarray:
     single-photon probability, so the expectation is the sum of the two
     column norms of S. Equals twice the balanced-orthogonal classical
     power."""
-    power = np.abs(_batch(s)) ** 2
+    power = np.abs(np.asarray(s)) ** 2
     p_from_arm1 = power[..., 0, 0] + power[..., 1, 0]
     p_from_arm2 = power[..., 0, 1] + power[..., 1, 1]
-    return _unbatch(s, p_from_arm1 + p_from_arm2)
+    return p_from_arm1 + p_from_arm2
 
 
 @dataclass(frozen=True)
@@ -192,6 +180,7 @@ Backend = Markovian | Lattice
 
 
 def _survival_function(input_state: TwoPhotonInput):
+    """An input's survival observable and curve label, formatted here only."""
     if isinstance(input_state, Indistinguishable):
         return survival_indistinguishable, "survival_indistinguishable"
     if isinstance(input_state, PolarizationEntangled):
@@ -211,10 +200,6 @@ def survival_curve(
     fn, label = _survival_function(input_state)
     zs = grid.points()
     if isinstance(backend, Lattice):
-        if params.gamma != 0.0:
-            raise ValueError(
-                "intrinsic loss and explicit reservoir are mutually exclusive"
-            )
         s, _ = LatticePropagator(params, backend.reservoir).scattering_array(zs)
     elif isinstance(backend, Markovian):
         s, _ = scattering_array(params, zs)
@@ -262,36 +247,4 @@ def two_photon_oracle(h, input_state: TwoPhotonInput, z: float) -> float:
     a = _pair_amplitudes(u, input_state)
     weight = 2.0 if isinstance(input_state, Indistinguishable) else 1.0
     p = weight * float(np.sum(np.abs(a[:2, :2]) ** 2))
-    return _clamp_probability(p, "oracle survival")
-
-
-def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
-    """Same quantity from the literal two-particle Hamiltonian
-    h (x) 1 + 1 (x) h on the tensor-product space. Dimension squares, so
-    keep it to small systems; it exists to check the congruence shortcut."""
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
-        raise ValueError("h must be a square matrix of size >= 2")
-    n = h.shape[0]
-    if n > 12:
-        raise ValueError("tensor-product oracle is limited to small systems")
-    if not math.isfinite(z) or z < 0.0:
-        raise ValueError("z must be finite and non-negative")
-    eye = np.eye(n)
-    h2 = np.kron(h, eye) + np.kron(eye, h)
-    psi0 = np.zeros((n, n), dtype=complex)
-    if isinstance(input_state, Indistinguishable):
-        rt = 1.0 / math.sqrt(2.0)
-        psi0[0, 1] = psi0[1, 0] = rt
-    elif isinstance(input_state, PolarizationEntangled):
-        rt = 1.0 / math.sqrt(2.0)
-        psi0[0, 1] = rt
-        psi0[1, 0] = rt * np.exp(1j * input_state.phi)
-    else:
-        raise ValueError(f"unknown two-photon input {input_state!r}")
-    import scipy.linalg  # imported here so that importing ptcoupler loads no scipy
-
-    psi = scipy.linalg.expm(-1j * z * h2) @ psi0.reshape(-1)
-    psi = psi.reshape(n, n)
-    p = float(np.sum(np.abs(psi[:2, :2]) ** 2))
     return _clamp_probability(p, "oracle survival")

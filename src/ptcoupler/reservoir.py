@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ComplexMatrix2,
     CouplerParams,
     ScatteringMatrix,
     check_propagators,
@@ -48,7 +47,6 @@ from .core import (
 __all__ = [
     "LatticeReservoir",
     "GoldenRuleRate",
-    "FullSystemState",
     "lattice_gamma",
     "golden_rule_gamma",
     "min_lattice_size",
@@ -257,36 +255,6 @@ def full_hamiltonian(params: CouplerParams, lattice: LatticeReservoir) -> np.nda
     for j in range(n - 1):
         h[2 + j, 3 + j] = h[3 + j, 2 + j] = lattice.sigma
     return h
-
-
-@dataclass(frozen=True)
-class FullSystemState:
-    """Amplitudes over the full basis (arm 1, arm 2, chain sites 1..n)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 3:
-            raise ValueError("amplitudes must be a 1-d vector of length n_sites + 2")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis_state(cls, n_sites: int, index: int) -> "FullSystemState":
-        amps = np.zeros(n_sites + 2, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def coupler_probability(self) -> float:
-        """Probability of finding the excitation in either coupler arm."""
-        return float(np.sum(np.abs(self.amplitudes[:2]) ** 2))
 
 
 class LatticePropagator:
@@ -498,7 +466,7 @@ class LatticePropagator:
         """Propagator restricted to the two coupler arms: the one-distance
         view of scattering_array, checked by ScatteringMatrix."""
         s, _ = self._blocks(np.array([z], dtype=float))
-        return ScatteringMatrix(ComplexMatrix2(*s.ravel().tolist()), z=float(z))
+        return ScatteringMatrix(s[0], z=float(z))
 
     def column(self, index: int, z: float) -> np.ndarray:
         """Full amplitude vector evolved from the given basis state."""
@@ -507,18 +475,20 @@ class LatticePropagator:
         start[index] = 1.0
         return self._propagate(start, series)
 
-    def evolve(self, state: FullSystemState, z: float) -> FullSystemState:
-        if state.amplitudes.size != self.size:
-            raise ValueError(
-                f"state has {state.amplitudes.size} amplitudes, system has {self.size}"
-            )
-        out = self._propagate(state.amplitudes, self._series(z))
-        norm_in = float(np.linalg.norm(state.amplitudes))
+    def evolve(self, amplitudes, z: float) -> np.ndarray:
+        """n_sites + 2 finite amplitudes (arm 1, arm 2, the chain), a 1-d array, evolved over z."""
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != (self.size,):
+            raise ValueError(f"amplitudes must be a 1-d array of length n_sites + 2 = {self.size}")
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("amplitudes must be finite")
+        out = self._propagate(amplitudes, self._series(z))
+        norm_in = float(np.linalg.norm(amplitudes))
         norm_out = float(np.linalg.norm(out))
         # H is Hermitian, so any norm drift is numerical failure, not physics.
         if abs(norm_out - norm_in) > 1e-10 * max(1.0, norm_in):
             raise RuntimeError("evolution failed to conserve the norm")
-        return FullSystemState(out)
+        return out
 
 
 def nonmarkovian_scattering(

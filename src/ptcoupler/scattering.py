@@ -34,8 +34,8 @@ returns S with shape B + (2, 2), complex, and the determinants with shape
 B. The determinant is carried separately in its reduced form
 exp(-i tr(M) z): the entrywise product difference underflows into
 cancellation noise as soon as gamma z is large, while the reduced value
-stays correct to a few ulp. scattering_matrix and scattering_curve wrap
-the same arrays as ScatteringMatrix records.
+stays correct to a few ulp. scattering_matrix wraps the one-point array
+as a ScatteringMatrix record.
 """
 
 from __future__ import annotations
@@ -43,16 +43,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    ComplexMatrix2,
     CouplerParams,
-    PropagationGrid,
     ScatteringMatrix,
     check_propagators,
     require_non_negative,
     validate,
 )
 
-__all__ = ["scattering_matrix", "scattering_curve"]
+__all__ = ["scattering_matrix"]
 
 # Below this value of |w z| the quotient expm1(2 i w z)/(2 i w) is replaced
 # by its series; five terms leave a relative truncation error of about
@@ -125,25 +123,12 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
     return s, det
 
 
-def _records(params: CouplerParams, z) -> list[ScatteringMatrix]:
-    """ScatteringMatrix records at the distances z, each checked once, by
-    its own construction."""
+def scattering_matrix(params: CouplerParams, z: float) -> ScatteringMatrix:
+    """Amplitude transfer matrix of the bare lossy coupler over distance z:
+    the one-point batch of the closed form of scattering_array, checked
+    once, by the record's construction."""
     validate(params)
     # Always an array: numpy's scalar and array loops may round differently.
     z = np.atleast_1d(require_non_negative("z", z))
     s, det = _propagators(params, z)
-    return [
-        ScatteringMatrix(ComplexMatrix2(*m), z=zi, det=di)
-        for m, di, zi in zip(s.reshape(-1, 4).tolist(), det.tolist(), z.tolist())
-    ]
-
-
-def scattering_matrix(params: CouplerParams, z: float) -> ScatteringMatrix:
-    """Amplitude transfer matrix of the bare lossy coupler over distance z:
-    the one-point batch of the closed form of scattering_array."""
-    return _records(params, z)[0]
-
-
-def scattering_curve(params: CouplerParams, grid: PropagationGrid) -> list[ScatteringMatrix]:
-    """Transfer matrices on every point of the grid, in grid order."""
-    return _records(params, grid.points())
+    return ScatteringMatrix(s[0], z=z.item(0), det=det.item(0))

@@ -1,0 +1,40 @@
+"""Reference oracles that only the tests use."""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from ptcoupler.core import Indistinguishable, PolarizationEntangled, TwoPhotonInput
+from ptcoupler.quantum import _clamp_probability
+
+
+def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
+    """Pair survival, as ptcoupler.quantum.two_photon_oracle gives it, from
+    the literal two-particle Hamiltonian h (x) 1 + 1 (x) h on the
+    tensor-product space. Dimension squares, so keep it to small systems;
+    it exists to check the congruence shortcut."""
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
+        raise ValueError("h must be a square matrix of size >= 2")
+    n = h.shape[0]
+    if n > 12:
+        raise ValueError("tensor-product oracle is limited to small systems")
+    if not math.isfinite(z) or z < 0.0:
+        raise ValueError("z must be finite and non-negative")
+    eye = np.eye(n)
+    h2 = np.kron(h, eye) + np.kron(eye, h)
+    psi0 = np.zeros((n, n), dtype=complex)
+    if isinstance(input_state, Indistinguishable):
+        rt = 1.0 / math.sqrt(2.0)
+        psi0[0, 1] = psi0[1, 0] = rt
+    elif isinstance(input_state, PolarizationEntangled):
+        rt = 1.0 / math.sqrt(2.0)
+        psi0[0, 1] = rt
+        psi0[1, 0] = rt * np.exp(1j * input_state.phi)
+    else:
+        raise ValueError(f"unknown two-photon input {input_state!r}")
+    psi = scipy.linalg.expm(-1j * z * h2) @ psi0.reshape(-1)
+    psi = psi.reshape(n, n)
+    p = float(np.sum(np.abs(psi[:2, :2]) ** 2))
+    return _clamp_probability(p, "oracle survival")

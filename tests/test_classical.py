@@ -27,14 +27,15 @@ betas = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
 def test_coupler_matrix_transcription():
-    m = coupler_matrix(CouplerParams(0.0, 0.0, 1.0, 2.0)).as_array()
+    m = coupler_matrix(CouplerParams(0.0, 0.0, 1.0, 2.0))
+    assert m.shape == (2, 2) and m.dtype == complex
     assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, -2.0j]]))
 
-    m = coupler_matrix(CouplerParams(0.0, 0.0, 1.0, 0.0)).as_array()
+    m = coupler_matrix(CouplerParams(0.0, 0.0, 1.0, 0.0))
     assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(m - m.conj().T).max() == 0.0
 
-    m = coupler_matrix(CouplerParams(1.0, 2.0, 0.5, 0.3)).as_array()
+    m = coupler_matrix(CouplerParams(1.0, 2.0, 0.5, 0.3))
     assert np.array_equal(m, np.array([[1.0, 0.5], [0.5, 2.0 - 0.3j]]))
 
 

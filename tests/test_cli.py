@@ -544,6 +544,15 @@ def test_sweep_config_errors_exit_1(tmp_path):
         assert code == 1, f"accepted bad config: {text!r}"
 
 
+@pytest.mark.parametrize("axis", [{}, {"backend": "lattice", "gamma": "", "rho": "1", "sigma": "5"}])
+def test_sweep_refuses_phi_outside_0_pi_even_when_no_column_reads_it(tmp_path, capsys, axis):
+    text = sweep_config_text(phi="0.5, 7, -1", observables="p_boson", **axis)
+    code, csv = run_sweep_cli(tmp_path, text)
+    assert code == 1
+    assert capsys.readouterr().err == "error: phi must lie in [0, pi]\n"
+    assert not csv.exists()
+
+
 def test_sweep_config_is_a_frozen_dataclass():
     cfg = parse_sweep_config("backend = markovian\n")
     assert cfg == SweepConfig("markovian")

@@ -10,7 +10,6 @@ from ptcoupler.core import (
     MAX_GRID_POINTS,
     PASSIVITY_TOL,
     ClassicalInput,
-    ComplexMatrix2,
     CouplerParams,
     DecayCurve,
     Indistinguishable,
@@ -65,53 +64,84 @@ def test_params_frozen():
 
 
 def test_matrix2_roundtrip_and_reductions():
-    m = ComplexMatrix2(1 + 2j, 3j, -1.0, 2 - 1j)
+    # A 2x2 array-like in, the same complex entries out, as an array.
+    rows = [[0.5 + 0.1j, 0.3j], [-0.1, 0.2 - 0.1j]]
+    m = ScatteringMatrix(rows, z=1.0)
     a = m.as_array()
-    assert ComplexMatrix2.from_array(a) == m
-    assert m.trace() == (1 + 2j) + (2 - 1j)
-    assert m.determinant() == (1 + 2j) * (2 - 1j) - 3j * (-1.0)
+    assert a.dtype == complex and np.array_equal(a, np.array(rows))
+    assert ScatteringMatrix(a, z=1.0) == m
+    assert np.trace(a) == (0.5 + 0.1j) + (0.2 - 0.1j)
+    assert m.determinant == (0.5 + 0.1j) * (0.2 - 0.1j) - 0.3j * (-0.1)
 
 
 def test_matrix2_rejects_bad_shape_and_nonfinite():
     with pytest.raises(ValueError, match="2x2"):
-        ComplexMatrix2.from_array(np.zeros((2, 3)))
+        ScatteringMatrix(np.zeros((2, 3)), z=1.0)
+    with pytest.raises(ValueError, match="2x2"):
+        ScatteringMatrix(np.zeros((1, 2, 2)), z=1.0)
     with pytest.raises(ValueError, match="m12"):
-        ComplexMatrix2(0.0, complex(math.nan, 0.0), 0.0, 0.0)
+        ScatteringMatrix([[0.0, complex(math.nan, 0.0)], [0.0, 0.0]], z=1.0)
 
 
 def test_scattering_matrix_passivity_guard():
     # Singular value 2 is gain, not roundoff.
     with pytest.raises(ValueError, match="not passive"):
-        ScatteringMatrix(ComplexMatrix2(2.0, 0.0, 0.0, 0.0), z=1.0)
+        ScatteringMatrix([[2.0, 0.0], [0.0, 0.0]], z=1.0)
     # At the tolerance edge it must pass.
     edge = 1.0 + 0.5 * PASSIVITY_TOL
-    ScatteringMatrix(ComplexMatrix2(edge, 0.0, 0.0, 0.0), z=1.0)
+    ScatteringMatrix([[edge, 0.0], [0.0, 0.0]], z=1.0)
 
 
 def test_scattering_matrix_rejects_negative_z():
     with pytest.raises(ValueError, match="z must be non-negative"):
-        ScatteringMatrix(ComplexMatrix2(1.0, 0.0, 0.0, 1.0), z=-0.1)
+        ScatteringMatrix(np.eye(2), z=-0.1)
 
 
 def test_scattering_matrix_det_consistency_guard():
     with pytest.raises(ValueError, match="det disagrees"):
-        ScatteringMatrix(ComplexMatrix2(0.5, 0.0, 0.0, 0.5), z=1.0, det=0.5)
+        ScatteringMatrix(0.5 * np.eye(2), z=1.0, det=0.5)
 
 
 def test_scattering_matrix_determinant_fallback_and_override():
-    m = ComplexMatrix2(0.5, 0.1j, 0.1j, 0.5)
+    m = np.array([[0.5, 0.1j], [0.1j, 0.5]])
     plain = ScatteringMatrix(m, z=1.0)
-    assert plain.determinant == m.determinant()
-    reduced = m.determinant() + 1e-10  # within guard, distinguishable value
+    entrywise = 0.5 * 0.5 - 0.1j * 0.1j
+    assert plain.determinant == entrywise
+    reduced = entrywise + 1e-10  # within guard, distinguishable value
     carried = ScatteringMatrix(m, z=1.0, det=reduced)
     assert carried.determinant == reduced
 
 
 def test_scattering_matrix_entry_shorthands():
-    m = ComplexMatrix2(0.1, 0.2j, 0.3, 0.4j)
+    m = np.array([[0.1, 0.2j], [0.3, 0.4j]])
     s = ScatteringMatrix(m, z=0.0)
     assert (s.s11, s.s12, s.s21, s.s22) == (0.1, 0.2j, 0.3, 0.4j)
-    assert np.array_equal(s.as_array(), m.as_array())
+    assert np.array_equal(s.as_array(), m)
+
+
+def test_scattering_matrix_is_a_read_only_array_view_with_value_semantics():
+    m = np.array([[0.5, -0.1j], [0.2j, 0.5]])
+    a = ScatteringMatrix(m, z=1.0)
+    b = ScatteringMatrix(m.tolist(), z=1.0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != ScatteringMatrix(m, z=2.0)
+    assert a != ScatteringMatrix(m, z=1.0, det=a.determinant)
+    assert a != ScatteringMatrix(m.T, z=1.0)
+    assert a != m.tolist()
+    m[0, 0] = 0.0  # the record keeps its own copy
+    assert a.s11 == 0.5
+    view = np.asarray(a)
+    assert view.shape == (2, 2) and view.dtype == complex and not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 0.0
+    copy = a.as_array()
+    copy[0, 0] = 0.0
+    assert copy.flags.writeable and a.s11 == 0.5
+    # numpy 1.x calls __array__ with no copy argument.
+    assert np.array_equal(a.__array__(), view) and a.__array__(complex).dtype == complex
+    assert a.__array__(copy=True).flags.writeable
+    assert all(type(x) is complex for x in (a.s11, a.s12, a.s21, a.s22, a.determinant))
 
 
 def test_grid_pins_zero_and_endpoint():
@@ -261,7 +291,7 @@ def test_curves_compare_and_hash_by_value():
 def test_entrywise_determinants_match_the_matrix_record_bit_for_bit():
     rng = np.random.default_rng(5)
     mats = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
-    expected = [ComplexMatrix2.from_array(m).determinant() for m in mats]
+    expected = [complex(a) * complex(d) - complex(b) * complex(c) for (a, b), (c, d) in mats]
     got = entrywise_determinants(mats)
     assert got.shape == (500,)
     assert got.tolist() == expected

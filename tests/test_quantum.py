@@ -24,10 +24,11 @@ from ptcoupler.quantum import (
     survival_fermionic,
     survival_indistinguishable,
     two_photon_oracle,
-    two_photon_oracle_kron,
 )
 from ptcoupler.reservoir import LatticePropagator, LatticeReservoir, full_hamiltonian
 from ptcoupler.scattering import scattering_array, scattering_matrix
+
+from oracles import two_photon_oracle_kron
 
 E_MINUS_4 = 0.018315638888734179
 
@@ -245,7 +246,7 @@ def test_oracle_matches_memoryless_formulas():
             gamma=rng.uniform(0.0, 4.0),
         )
         z = rng.uniform(0.0, 3.0)
-        h = coupler_matrix(params).as_array()
+        h = coupler_matrix(params)
         s = scattering_matrix(params, z)
         assert abs(two_photon_oracle(h, Indistinguishable(), z)
                    - survival_indistinguishable(s)) < 1e-12
@@ -268,7 +269,7 @@ def test_oracle_matches_lattice_formulas():
 
 
 def test_oracle_unit_at_zero_distance():
-    h = coupler_matrix(CouplerParams(0.3, -0.4, 1.0, 2.0)).as_array()
+    h = coupler_matrix(CouplerParams(0.3, -0.4, 1.0, 2.0))
     assert abs(two_photon_oracle(h, Indistinguishable(), 0.0) - 1.0) < 1e-14
     assert abs(two_photon_oracle(h, PolarizationEntangled(phi=1.0), 0.0) - 1.0) < 1e-14
 
@@ -288,7 +289,7 @@ def test_kron_oracle_agrees_with_congruence():
     params = lossless()
     lat = LatticeReservoir(sigma=2.0, rho=1.0, n_sites=8)
     h = full_hamiltonian(params, lat)
-    m = coupler_matrix(CouplerParams(0.1, -0.2, 0.9, 1.7)).as_array()
+    m = coupler_matrix(CouplerParams(0.1, -0.2, 0.9, 1.7))
     for z in (0.4, 1.6):
         for state in (Indistinguishable(), PolarizationEntangled(phi=2.2)):
             assert abs(two_photon_oracle_kron(h, state, z)
@@ -331,6 +332,27 @@ def test_array_observables_match_the_per_matrix_loop():
             for name, value in expected.items():
                 assert isinstance(value, float)
                 assert abs(arrays[name][i + j] - value) < 1e-14, name
+
+
+def test_one_record_matches_its_batch_of_one():
+    rng = np.random.default_rng(15)
+    lattice = LatticePropagator(lossless(), LatticeReservoir(sigma=3.0, rho=1.2, n_sites=9))
+    records = [lattice.scattering(0.8)] + [
+        scattering_matrix(CouplerParams(*rng.uniform(-2.0, 2.0, 2), rng.uniform(0.1, 3.0),
+                                        rng.uniform(0.0, 6.0)), rng.uniform(0.0, 8.0))
+        for _ in range(50)
+    ]
+    for one in records:
+        batch = one.as_array()[None]
+        pairs = [
+            (survival_indistinguishable(one), survival_indistinguishable(batch)),
+            (survival_entangled(one, 1.2), survival_entangled(batch, 1.2)),
+            (survival_fermionic(one), survival_fermionic(batch, np.array([one.determinant]))),
+            (mean_photon_number(one), mean_photon_number(batch)),
+        ]
+        for value, batched in pairs:
+            assert isinstance(value, float) and batched.shape == (1,)
+            assert abs(value - batched[0]) <= 1e-15
 
 
 def test_fermionic_survival_of_an_array_needs_its_determinants():

@@ -12,7 +12,6 @@ from ptcoupler import reservoir
 from ptcoupler.core import CouplerParams
 from ptcoupler.reservoir import (
     SITE_STEP_LIMIT,
-    FullSystemState,
     LatticePropagator,
     LatticeReservoir,
     full_hamiltonian,
@@ -162,14 +161,21 @@ def test_full_hamiltonian_rejects_intrinsic_loss():
 
 
 def test_full_system_state_basics():
-    state = FullSystemState.basis_state(3, 1)
-    assert state.norm() == 1.0
-    assert state.coupler_probability() == 1.0
-    assert not state.amplitudes.flags.writeable
+    # The former FullSystemState test, now run on evolve. evolve takes and returns plain amplitude arrays over arm 1, arm 2 and
+    # the chain, and checks what it is given.
+    prop = LatticePropagator(CouplerParams(0.0, 0.0, 1.0, 0.0),
+                             LatticeReservoir(sigma=1.0, rho=1.0, n_sites=1))
+    state = np.array([0.0, 1.0, 0.0])
+    evolved = prop.evolve(state, 0.0)
+    assert isinstance(evolved, np.ndarray) and evolved.dtype == complex
+    assert np.abs(evolved - state).max() < 1e-14
+    assert state.tolist() == [0.0, 1.0, 0.0]  # the input is not touched
     with pytest.raises(ValueError, match="length"):
-        FullSystemState(np.array([1.0, 0.0]))
+        prop.evolve(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="length"):
+        prop.evolve(np.zeros((3, 1)), 1.0)
     with pytest.raises(ValueError, match="finite"):
-        FullSystemState(np.array([math.nan, 0.0, 0.0]))
+        prop.evolve(np.array([math.nan, 0.0, 0.0]), 1.0)
 
 
 def test_propagator_identity_at_zero_and_negative_z():
@@ -210,12 +216,13 @@ def test_evolve_matches_column_and_checks_size():
     params = CouplerParams(0.0, 0.0, 1.0, 0.0)
     lat = LatticeReservoir(sigma=2.0, rho=1.5, n_sites=7)
     prop = LatticePropagator(params, lat)
-    state = FullSystemState.basis_state(7, 1)
+    state = np.zeros(9)
+    state[1] = 1.0
     evolved = prop.evolve(state, 1.7)
-    assert np.abs(evolved.amplitudes - prop.column(1, 1.7)).max() < 1e-14
-    assert abs(evolved.norm() - 1.0) < 1e-10
+    assert np.abs(evolved - prop.column(1, 1.7)).max() < 1e-14
+    assert abs(np.linalg.norm(evolved) - 1.0) < 1e-10
     with pytest.raises(ValueError, match="amplitudes"):
-        prop.evolve(FullSystemState.basis_state(5, 0), 1.0)
+        prop.evolve(np.eye(7)[0], 1.0)
 
 
 # Detuned arms and an off-center band, so that neither the Gershgorin

@@ -11,7 +11,6 @@ from ptcoupler.core import CouplerParams, PropagationGrid
 from ptcoupler.scattering import (
     SINC_SERIES_THRESHOLD,
     scattering_array,
-    scattering_curve,
     scattering_matrix,
 )
 
@@ -95,7 +94,7 @@ def test_matches_dense_expm(tup, x):
     p = random_params(tup)
     z = x / p.kappa
     mine = scattering_matrix(p, z).as_array()
-    dense = scipy.linalg.expm(-1j * z * coupler_matrix(p).as_array())
+    dense = scipy.linalg.expm(-1j * z * coupler_matrix(p))
     assert np.abs(mine - dense).max() < 1e-10
 
 
@@ -124,7 +123,7 @@ def test_series_switchover_is_seamless():
     d = 0.5j * gamma
     omega = abs(np.sqrt(complex(1.0 + d * d)))
     z_cross = SINC_SERIES_THRESHOLD / omega
-    m = coupler_matrix(p).as_array()
+    m = coupler_matrix(p)
     for z in np.linspace(0.5 * z_cross, 2.0 * z_cross, 41):
         mine = scattering_matrix(p, z).as_array()
         dense = scipy.linalg.expm(-1j * z * m)
@@ -134,20 +133,19 @@ def test_series_switchover_is_seamless():
 def test_curve_endpoints_and_unitarity():
     p = CouplerParams(0.0, 0.0, 1.0, 0.0)
     grid = PropagationGrid(3.0, 2)
-    mats = scattering_curve(p, grid)
-    assert len(mats) == 2
-    assert np.array_equal(mats[0].as_array(), np.eye(2))
-    assert np.abs(mats[1].as_array() - scattering_matrix(p, 3.0).as_array()).max() == 0.0
-    for s in scattering_curve(p, PropagationGrid(10.0, 101)):
-        a = s.as_array()
+    mats, _ = scattering_array(p, grid.points())
+    assert mats.shape == (2, 2, 2)
+    assert np.array_equal(mats[0], np.eye(2))
+    assert np.abs(mats[1] - scattering_matrix(p, 3.0).as_array()).max() == 0.0
+    for a in scattering_array(p, PropagationGrid(10.0, 101).points())[0]:
         assert np.abs(a @ a.conj().T - np.eye(2)).max() < 1e-12
 
 
 @given(st.tuples(betas, betas, kappas, st.floats(min_value=0.1, max_value=10.0)))
 def test_curve_is_passive_under_loss(tup):
     p = random_params(tup)
-    for s in scattering_curve(p, PropagationGrid(10.0 / p.kappa, 21)):
-        assert np.linalg.svd(s.as_array(), compute_uv=False)[0] <= 1.0 + 1e-9
+    for a in scattering_array(p, PropagationGrid(10.0 / p.kappa, 21).points())[0]:
+        assert np.linalg.svd(a, compute_uv=False)[0] <= 1.0 + 1e-9
 
 
 def test_rejects_corrupted_params_and_negative_z():
@@ -172,7 +170,7 @@ def test_strong_loss_matches_expm(beta1, beta2, kappa, gamma):
     p = CouplerParams(beta1, beta2, kappa, gamma)
     zs = np.concatenate([np.linspace(0.0, 20.0, 21), np.geomspace(1e2, 1e4, 9) / gamma])
     s, det = scattering_array(p, zs)
-    m = coupler_matrix(p).as_array()
+    m = coupler_matrix(p)
     for z, mine, d in zip(zs, s, det):
         dense = scipy.linalg.expm(-1j * z * m)
         assert np.abs(mine - dense).max() < 1e-12
