@@ -57,6 +57,7 @@ import functools
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -108,12 +109,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_table(path, metadata: dict, header: list[str], rows) -> None:
+def write_table(path, metadata: dict, header: list[str], rows) -> int:
     """'# key=value' metadata lines, the header, then rows: an iterable of
     equal-length sequences of floats (written as by format_float) or text,
-    each column of the kind of its cell in the first row."""
+    each column of the kind of its cell in the first row. Returns the
+    number of rows written."""
     rows = iter(rows)
     first = next(rows, None)
+    count = 0
     with open(path, "w", newline="\n") as out:
         out.write("".join(f"# {key}={value}\n" for key, value in metadata.items())
                   + ",".join(header) + "\n")
@@ -123,7 +126,10 @@ def write_table(path, metadata: dict, header: list[str], rows) -> None:
             # One % per block on its cells, flattened as its rows come.
             while cells := tuple(itertools.chain.from_iterable(
                     itertools.islice(rows, _WRITE_LINES))):
-                out.write(line * (len(cells) // len(first)) % cells)
+                block = len(cells) // len(first)
+                out.write(line * block % cells)
+                count += block
+    return count
 
 
 def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
@@ -425,7 +431,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     })
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[tuple]]:
     if cfg.backend == "markovian":
         if cfg.rho:
             raise ValueError("config: rho: only meaningful with backend=lattice")
@@ -459,7 +465,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
         values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
     meta = _metadata(values)
     if not rows:
-        return meta, header, []
+        return meta, header, iter(())
 
     bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
     axis_values, zs = np.array(axis), np.array(cfg.z)
@@ -484,33 +490,21 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], "_SweepRows | list"]:
     keys = [axis_values[:, None, None], _text(np.array(cfg.phi)[None, :, None]),
             _text(zs[None, None, :])]
     columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, params) for name in cfg.observables]
-    return meta, header, _SweepRows(columns, counts)
+    return meta, header, _sweep_rows(columns, counts)
 
 
-@dataclass(frozen=True)
-class _SweepRows:
+def _sweep_rows(columns: list[np.ndarray], counts: tuple[int, int, int]) -> Iterator[tuple]:
     """A sweep's rows, in order, from its columns (arrays that broadcast
     against (axis, phi, z)), made one block of axis values (about
-    _WRITE_LINES rows) at a time, each computed value formatted once."""
-
-    columns: list[np.ndarray]
-    counts: tuple[int, int, int]
-
-    def __len__(self) -> int:
-        return math.prod(self.counts)
-
-    def __iter__(self):
-        n_axis, n_phi, n_z = self.counts
-        step = max(1, _WRITE_LINES // (n_phi * n_z))
-        return itertools.chain.from_iterable(
-            self._rows(start, min(start + step, n_axis)) for start in range(0, n_axis, step))
-
-    def _rows(self, start: int, stop: int):
-        """The rows of axis values start:stop; repeated values as text."""
-        shape = (stop - start, *self.counts[1:])
-        blocks = (c[start:stop] if len(c) > 1 else c for c in self.columns)
-        return zip(*(np.broadcast_to(b if b.shape == shape else _text(b), shape).ravel().tolist()
-                     for b in blocks))
+    _WRITE_LINES rows) at a time, each computed value formatted once and
+    repeated values as text."""
+    n_axis, n_phi, n_z = counts
+    step = max(1, _WRITE_LINES // (n_phi * n_z))
+    for start in range(0, n_axis, step):
+        shape = (min(step, n_axis - start), n_phi, n_z)
+        blocks = (c[start : start + step] if len(c) > 1 else c for c in columns)
+        yield from zip(*(np.broadcast_to(b if b.shape == shape else _text(b), shape).ravel().tolist()
+                         for b in blocks))
 
 
 def _text(values: np.ndarray) -> np.ndarray:
@@ -526,8 +520,8 @@ def cmd_sweep(args) -> int:
     meta, header, rows = run_sweep(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_table(outdir / "sweep.csv", meta, header, rows)
-    settings = {"config": args.config, "rows": len(rows), "files": ["sweep.csv"]}
+    written = write_table(outdir / "sweep.csv", meta, header, rows)
+    settings = {"config": args.config, "rows": written, "files": ["sweep.csv"]}
     _write_sidecar(outdir, "sweep", settings)
     return 0
 

@@ -16,8 +16,8 @@ whether below, at, or above the coalescence point. The bosonic case keeps
 the permanent-like combination and feels the coalescence strongly.
 
 survival_curve evaluates any of these along a grid against either the
-closed-form coupler propagator (memoryless loss) or the exact
-chain-reservoir propagator. two_photon_oracle is an independent check:
+closed-form coupler propagator (memoryless loss, no reservoir) or the exact
+propagator of a LatticeReservoir. two_photon_oracle is an independent check:
 it evolves the two-photon amplitude matrix A(z) = U A(0) U^T with a dense
 matrix exponential and takes norms, never touching the formulas above.
 """
@@ -51,9 +51,6 @@ __all__ = [
     "survival_entangled",
     "survival_fermionic",
     "mean_photon_number",
-    "Markovian",
-    "Lattice",
-    "Backend",
     "survival_curve",
     "two_photon_oracle",
 ]
@@ -164,21 +161,6 @@ def mean_photon_number(s) -> float | np.ndarray:
     return p_from_arm1 + p_from_arm2
 
 
-@dataclass(frozen=True)
-class Markovian:
-    """Memoryless loss: closed-form coupler propagator with rate gamma."""
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Exact loss channel: the chain reservoir traced explicitly."""
-
-    reservoir: LatticeReservoir
-
-
-Backend = Markovian | Lattice
-
-
 def _survival_function(input_state: TwoPhotonInput):
     """An input's survival observable and curve label, formatted here only."""
     if isinstance(input_state, Indistinguishable):
@@ -193,18 +175,19 @@ def survival_curve(
     params: CouplerParams,
     input_state: TwoPhotonInput,
     grid: PropagationGrid,
-    backend: Backend = Markovian(),
+    reservoir: LatticeReservoir | None = None,
 ) -> DecayCurve:
-    """Pair survival along the grid for the chosen loss description."""
+    """Pair survival along the grid: memoryless loss at params.gamma when
+    reservoir is None, else the chain reservoir traced explicitly."""
     validate(params)
     fn, label = _survival_function(input_state)
     zs = grid.points()
-    if isinstance(backend, Lattice):
-        s, _ = LatticePropagator(params, backend.reservoir).scattering_array(zs)
-    elif isinstance(backend, Markovian):
+    if reservoir is None:
         s, _ = scattering_array(params, zs)
+    elif isinstance(reservoir, LatticeReservoir):
+        s, _ = LatticePropagator(params, reservoir).scattering_array(zs)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        raise ValueError(f"unknown reservoir {reservoir!r}")
     return DecayCurve.from_arrays(label, zs, fn(s))
 
 

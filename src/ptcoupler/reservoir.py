@@ -145,37 +145,38 @@ def lattice_gamma(sigma: float, rho: float) -> float:
     return rho * rho / (2.0 * sigma)
 
 
+# Cells of golden_rule_gamma's sign-change scan of [-pi, pi).
+_SCAN_POINTS = 4096
+
+
 def golden_rule_gamma(
     dispersion,
     coupling,
     beta2: float,
     dispersion_derivative=None,
-    scan_points: int = 4096,
 ) -> GoldenRuleRate:
     """Weak-coupling decay rate for a general band.
 
     Evaluates gamma = pi * sum_{k0} |g(k0)|^2 / |beta'(k0)| over the
     simple roots k0 of dispersion(k0) = beta2 on [-pi, pi). Roots are
-    located by a sign-change scan refined with Brent's method. Pass the
-    analytic dispersion_derivative when available; the finite-difference
-    fallback costs a few digits of accuracy.
+    located by a sign-change scan over _SCAN_POINTS cells refined with
+    Brent's method. Pass the analytic dispersion_derivative when available;
+    the finite-difference fallback costs a few digits of accuracy.
     """
     if not math.isfinite(beta2):
         raise ValueError("beta2 must be finite")
-    if scan_points < 8:
-        raise ValueError("scan_points must be at least 8")
     from scipy.optimize import brentq  # imported here so that importing ptcoupler loads no scipy
 
     def f(k: float) -> float:
         return dispersion(k) - beta2
 
-    ks = np.linspace(-math.pi, math.pi, scan_points + 1)
+    ks = np.linspace(-math.pi, math.pi, _SCAN_POINTS + 1)
     fs = np.array([f(k) for k in ks])
     if not np.all(np.isfinite(fs)):
         raise ValueError("dispersion must be finite on [-pi, pi)")
 
     roots: list[float] = []
-    for i in range(scan_points):
+    for i in range(_SCAN_POINTS):
         a, b = ks[i], ks[i + 1]
         fa, fb = fs[i], fs[i + 1]
         if fa == 0.0:
@@ -185,7 +186,7 @@ def golden_rule_gamma(
     # fs[-1] is k = +pi, the same Brillouin-zone point as -pi; skip it.
 
     # Merge refined roots that landed in adjacent scan cells.
-    spacing = 2.0 * math.pi / scan_points
+    spacing = 2.0 * math.pi / _SCAN_POINTS
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > 0.5 * spacing:
@@ -211,18 +212,20 @@ def golden_rule_gamma(
     return GoldenRuleRate(total, resonant=True)
 
 
-def min_lattice_size(sigma: float, z_max: float, safety: float = 2.5) -> int:
+def min_lattice_size(sigma: float, z_max: float) -> int:
     """Chain length for which reflections off the chain ends cannot act
-    back on the coupler within z_max: ceil(safety * 2 sigma * z_max) + 10.
+    back on the coupler within z_max: ceil(2.5 * 2 sigma * z_max) + 10.
     The front moves at group velocity at most 2 sigma and must run from
     the mid-chain attachment point to a wall and back, a round trip of
-    about n sites; safety multiplies the causal reach and the additive
-    constant covers evanescent leakage at small arguments."""
-    if not (math.isfinite(sigma) and math.isfinite(z_max) and math.isfinite(safety)):
-        raise ValueError("sigma, z_max and safety must be finite")
-    if sigma <= 0.0 or z_max <= 0.0 or safety <= 0.0:
-        raise ValueError("sigma, z_max and safety must be positive")
-    return int(math.ceil(safety * 2.0 * sigma * z_max)) + 10
+    about n sites; the factor 2.5 is a safety margin on the causal reach
+    and the additive constant covers evanescent leakage at small arguments."""
+    for name, value in (("sigma", sigma), ("z_max", z_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    reach = 2.5 * 2.0 * sigma * z_max
+    if not math.isfinite(reach):
+        raise ValueError(f"no finite chain length covers sigma = {sigma!r} and z_max = {z_max!r}")
+    return int(math.ceil(reach)) + 10
 
 
 def _require_lossless(params: CouplerParams) -> None:
@@ -469,7 +472,11 @@ class LatticePropagator:
         return ScatteringMatrix(s[0], z=float(z))
 
     def column(self, index: int, z: float) -> np.ndarray:
-        """Full amplitude vector evolved from the given basis state."""
+        """Full amplitude vector evolved from the basis state index (arm 1,
+        arm 2, then the chain sites)."""
+        if not (isinstance(index, (int, np.integer)) and 0 <= index < self.size):
+            raise ValueError(f"index must be an integer in [0, n_sites + 2) = [0, {self.size}), "
+                             f"got {index!r}")
         series = self._series(z)  # the work limit is checked before allocating
         start = np.zeros(self.size)
         start[index] = 1.0

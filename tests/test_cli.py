@@ -382,6 +382,7 @@ def test_sweep_cartesian_shape(tmp_path):
     metadata, header, rows = read_table(csv)
     assert header == ["gamma", "phi", "z"] + list(SWEEP_OBSERVABLES)
     assert len(rows) == 2 * 2 * 2
+    assert "rows=8\n" in (csv.parent / "sweep_run.txt").read_text()
     assert metadata["backend"] == "markovian"
     # declared order: gamma outermost, z innermost
     assert [r[0] for r in rows[:4]] == [format_float(0.5)] * 4
@@ -451,6 +452,7 @@ def test_sweep_empty_axis_writes_header_only(tmp_path):
     _, header, rows = read_table(csv)
     assert header[:3] == ["gamma", "phi", "z"]
     assert rows == []
+    assert "rows=0\n" in (csv.parent / "sweep_run.txt").read_text()
 
 
 def test_sweep_lattice_backend(tmp_path):
@@ -500,6 +502,24 @@ def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: chain reservoir too large: sigma = 1e+06")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fig5", "--zmax", "1e308", "--points", "3"], None),
+    (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1",
+                                              sigma="2", phi="0", z="0.5, 1e308")),
+], ids=["fig5", "sweep"])
+def test_chain_length_past_any_float_exits_1(tmp_path, capsys, argv, config):
+    # The default chain length 2.5 * 2 sigma * zmax + 10 overflows to inf:
+    # refused with a message naming sigma and z_max, not an OverflowError.
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config)
+        argv = argv + [str(tmp_path / "sweep.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "sigma = " in err and "z_max = 1e+308" in err
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def test_oversized_grid_exits_1_without_traceback(tmp_path):
@@ -596,7 +616,7 @@ def test_parse_sweep_config_defaults():
     assert cfg.kappa == 1.0
     assert cfg.gamma == (0.5, 2.0)
     header_meta = run_sweep(cfg)
-    assert len(header_meta[2]) == 8
+    assert len(list(header_meta[2])) == 8
 
 
 # -- entry point ------------------------------------------------------------
@@ -610,6 +630,9 @@ def test_bad_flags_exit_1(tmp_path, capsys):
     # kappa sets the default zmax; an infinite one must be blamed on --kappa.
     assert main(["fig2", "--out", str(tmp_path), "--kappa", "inf"]) == 1
     assert "--kappa" in capsys.readouterr().err
+    # A bad --sigma is named in the message, not lumped with the other arguments.
+    assert main(["fig5", "--out", str(tmp_path), "--sigma", "0"]) == 1
+    assert capsys.readouterr().err == "error: sigma must be positive and finite, got 0.0\n"
 
 
 def test_io_failures_exit_2(tmp_path):
@@ -710,13 +733,13 @@ def test_write_table_streams_its_rows(tmp_path):
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:
-        write_table(path, {"version": "1"}, ["a", "b", "c"], rows)
+        written = write_table(path, {"version": "1"}, ["a", "b", "c"], rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     lines = path.read_text().splitlines()
     assert lines[:3] == ["# version=1", "a,b,c", "0,0,x"]
-    assert len(lines) == n + 2
+    assert len(lines) == n + 2 and written == n
     assert lines[-1] == f"{format_float((n - 1) / 7.0)},{format_float((n - 1) / 3.0)},x"
     # Joined whole, the lines and their text would take several times the
     # 3.4 MB file; streamed, one chunk of lines at a time.

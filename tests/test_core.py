@@ -163,6 +163,9 @@ def test_curve_requires_zero_start_and_increasing_z():
         DecayCurve("p", ((0.5, 1.0), (1.0, 0.5)))
     with pytest.raises(ValueError, match="strictly increasing"):
         DecayCurve("p", ((0.0, 1.0), (1.0, 0.5), (1.0, 0.4)))
+    for points in ((0.0, 1.0), ((0.0, 1.0, 2.0),), [[[0.0, 1.0]]]):
+        with pytest.raises(ValueError, match=r"\(z, value\) pairs"):
+            DecayCurve("p", points)
 
 
 def test_curve_rejects_negative_values_and_bad_labels():

@@ -13,8 +13,6 @@ from ptcoupler.core import (
     PropagationGrid,
 )
 from ptcoupler.quantum import (
-    Lattice,
-    Markovian,
     TwoPhotonOccupations,
     _clamp_probability,
     mean_photon_number,
@@ -212,7 +210,7 @@ def test_survival_curve_lattice_backend_matches_propagator():
     params = lossless()
     lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=41)
     grid = PropagationGrid(z_max=1.5, num_points=7)
-    curve = survival_curve(params, Indistinguishable(), grid, backend=Lattice(lat))
+    curve = survival_curve(params, Indistinguishable(), grid, reservoir=lat)
     prop = LatticePropagator(params, lat)
     for z, value in zip(curve.z_values(), curve.values()):
         assert abs(value - survival_indistinguishable(prop.scattering(z))) < 1e-14
@@ -223,13 +221,13 @@ def test_survival_curve_rejects_loss_with_lattice():
     lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=11)
     grid = PropagationGrid(z_max=1.0, num_points=3)
     with pytest.raises(ValueError, match="mutually exclusive"):
-        survival_curve(params, Indistinguishable(), grid, backend=Lattice(lat))
+        survival_curve(params, Indistinguishable(), grid, reservoir=lat)
 
 
 def test_survival_curve_rejects_unknown_backend_and_input():
     grid = PropagationGrid(z_max=1.0, num_points=3)
-    with pytest.raises(ValueError, match="unknown backend"):
-        survival_curve(lossless(), Indistinguishable(), grid, backend="markov")
+    with pytest.raises(ValueError, match="unknown reservoir 'markov'"):
+        survival_curve(lossless(), Indistinguishable(), grid, reservoir="markov")
     with pytest.raises(ValueError, match="unknown two-photon input"):
         survival_curve(lossless(), "bosons", grid)
 

@@ -36,6 +36,9 @@ def test_lattice_gamma_rejects_bad_sigma():
         lattice_gamma(-2.0, 1.0)
     with pytest.raises(ValueError, match="rho"):
         lattice_gamma(1.0, -1.0)
+    for sigma, rho in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            lattice_gamma(sigma, rho)
 
 
 def test_reservoir_field_validation():
@@ -56,6 +59,14 @@ def test_golden_rule_recovers_chain_rate():
     expected = lattice_gamma(20.0, 5.0)
     assert res.resonant
     assert abs(res.gamma - expected) <= 1e-12 * expected
+    # Without dispersion_derivative the slope is a central finite difference.
+    for sigma, rho, beta2 in ((20.0, 5.0, 0.0), (5.0, 2.0, 0.0), (1.0, 0.3, 0.7), (3.0, 1.0, -4.0)):
+        lat = LatticeReservoir(sigma=sigma, rho=rho, n_sites=1)
+        analytic = golden_rule_gamma(lat.dispersion, lat.coupling, beta2,
+                                     dispersion_derivative=lat.dispersion_derivative)
+        fallback = golden_rule_gamma(lat.dispersion, lat.coupling, beta2)
+        assert analytic.resonant and fallback.resonant
+        assert abs(fallback.gamma - analytic.gamma) <= 1e-9 * analytic.gamma
 
 
 @given(sigma=st.floats(min_value=0.5, max_value=100.0),
@@ -105,22 +116,30 @@ def test_golden_rule_rejects_band_edge_resonance():
     with pytest.raises(ValueError, match="non-simple"):
         golden_rule_gamma(lat.dispersion, lat.coupling, beta2=2.0 * 5.0,
                           dispersion_derivative=lat.dispersion_derivative)
+    for beta2 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta2 must be finite"):
+            golden_rule_gamma(lat.dispersion, lat.coupling, beta2=beta2)
+    with pytest.raises(ValueError, match="dispersion must be finite"):
+        golden_rule_gamma(lambda k: math.nan if k > 1.0 else 0.0, lat.coupling, beta2=0.0)
 
 
 def test_min_lattice_size_values():
     assert min_lattice_size(20.0, 3.0) == 310
-    assert min_lattice_size(1.0, 1.0, safety=1.0) == 12
-    # linear in safety up to the additive constant
-    assert min_lattice_size(3.0, 2.0, safety=5.0) - 10 == 2 * (
-        min_lattice_size(3.0, 2.0, safety=2.5) - 10
-    )
+    assert min_lattice_size(1.0, 1.0) == 15
 
 
 def test_min_lattice_size_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be positive"):
         min_lattice_size(0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="z_max must be positive"):
         min_lattice_size(1.0, -1.0)
+    for sigma, z_max, name in ((math.nan, 1.0, "sigma"), (math.inf, 1.0, "sigma"),
+                               (1.0, math.nan, "z_max"), (1.0, math.inf, "z_max")):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            min_lattice_size(sigma, z_max)
+    # Finite arguments whose chain length is not: refused, not an OverflowError.
+    with pytest.raises(ValueError, match=r"sigma = 20\.0 and z_max = 1e\+308"):
+        min_lattice_size(20.0, 1e308)
 
 
 def test_full_hamiltonian_smallest_chain():
@@ -223,6 +242,10 @@ def test_evolve_matches_column_and_checks_size():
     assert abs(np.linalg.norm(evolved) - 1.0) < 1e-10
     with pytest.raises(ValueError, match="amplitudes"):
         prop.evolve(np.eye(7)[0], 1.0)
+    small = LatticePropagator(params, LatticeReservoir(sigma=2.0, rho=1.5, n_sites=5))
+    for index in (-1, 7, 2.5):
+        with pytest.raises(ValueError, match=r"index must be an integer in \[0, n_sites \+ 2\) = \[0, 7\)"):
+            small.column(index, 0.0)
 
 
 # Detuned arms and an off-center band, so that neither the Gershgorin
@@ -274,6 +297,8 @@ def test_oversized_chain_refused_before_allocating():
                 prop.scattering(z)
         with pytest.raises(ValueError, match="site-steps"):
             prop.column(0, 3.0)
+        with pytest.raises(ValueError, match="index"):  # before the work limit
+            prop.column(-1, 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
