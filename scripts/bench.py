@@ -17,10 +17,9 @@ keeps every time and their median. Layers:
   quantum.observables_1pt       the four pair observables (boson, phi = 1.2,
                                 fermion, mean photon number) on that record
   sweep.run_sweep               run_sweep on a seeded 101 x 7 x 8 markovian
-                                config with all seven observables, and
-                                every row it returns (a column that repeats
-                                no value is left to write_table to format,
-                                so cli.sweep times all of the formatting)
+                                config with all seven observables: its
+                                columns, none of them formatted (cli.sweep
+                                times all of the formatting)
   reservoir.fig5_chain_rho5     S on fig5's 301-point grid (z <= 3) from a
   reservoir.fig5_chain_rho10    fresh LatticePropagator, sigma = 100:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
@@ -29,13 +28,17 @@ keeps every time and their median. Layers:
   reservoir.fig5_moments        _moments_upto the series length of fig5's
                                 grid, from a fresh rho = 5 propagator: the
                                 Green's-function pass alone
-  cli.write_table_1e5           write_table of 10^5 three-column rows
+  cli.write_table_1e5           write_table of three float columns of 10^5
+                                rows
   cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
   cli.sweep                     figures_markovian and sweep_dense (seed 1)
                                 commands, each call into a new directory
 
 A tree without LatticePropagator.scattering_array is timed on its
-per-distance scattering(z), farthest first, as its survival_curve did.
+per-distance scattering(z), farthest first, as its survival_curve did. A
+tree whose write_table takes rows (no shape parameter) is timed on the rows
+of the same columns, made in the timed call as its figures made them, and
+on every row its run_sweep yields.
 Only numpy, the standard library and perfbench/workloads.py are used.
 """
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import inspect
 import io
 import itertools
 import json
@@ -80,7 +84,7 @@ def layers(tmp: Path) -> dict:
     """Layer name -> a function of no arguments running it once."""
     import numpy as np
 
-    from ptcoupler.cli import format_float, main, parse_sweep_config, run_sweep, write_table
+    from ptcoupler.cli import main, parse_sweep_config, run_sweep, write_table
     from ptcoupler.core import CouplerParams
     from ptcoupler.quantum import (
         mean_photon_number,
@@ -131,17 +135,26 @@ def layers(tmp: Path) -> dict:
         return run
 
     config = parse_sweep_config(sweep_text())
-    rows = [(format_float(i / 7.0), format_float(i / 3.0), format_float(i * 1e-5))
-            for i in range(100_000)]
+    table = [np.arange(100_000) / 7.0, np.arange(100_000) / 3.0, np.arange(100_000) * 1e-5]
+    columnar = "shape" in inspect.signature(write_table).parameters
+
+    def sweep():
+        if columnar:
+            return run_sweep(config)
+        return collections.deque(run_sweep(config)[2], maxlen=0)
+
+    def write():
+        columns = table if columnar else zip(*(c.tolist() for c in table))
+        return write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], columns)
     return {
         "scattering.matrix_1pt": lambda: scattering_matrix(markov, 2.0),
         "quantum.observables_1pt": observables,
-        "sweep.run_sweep": lambda: collections.deque(run_sweep(config)[2], maxlen=0),
+        "sweep.run_sweep": sweep,
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
         "reservoir.fig5_moments": moments(100.0, 5.0, 1510, 3.0),
-        "cli.write_table_1e5": lambda: write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], rows),
+        "cli.write_table_1e5": write,
         "cli.fig2": command("figures_markovian", "fig2"),
         "cli.fig3": command("figures_markovian", "fig3"),
         "cli.fig4": command("figures_markovian", "fig4"),

@@ -24,6 +24,7 @@ from .core import (
     CouplerParams,
     DecayCurve,
     PropagationGrid,
+    require_non_negative,
     validate,
 )
 from .scattering import half_trace_and_omega, scattering_array, scattering_matrix
@@ -50,6 +51,15 @@ class Regime(Enum):
     ABOVE = "above"
 
 
+def _check_passive(**eigenvalues) -> None:
+    """Passive system: decaying modes only, up to roundoff slack (numbers or arrays, by name)."""
+    for name, lam in eigenvalues.items():
+        lam = np.asarray(lam, dtype=complex)
+        growing = lam.imag > 1e-9 * (1.0 + np.hypot(lam.real, lam.imag))
+        if growing.any():
+            raise ValueError(f"{name} has positive imaginary part {float(lam.imag.max())!r}")
+
+
 @dataclass(frozen=True)
 class SupermodePair:
     """Eigenvalues of the coupled-mode matrix, slowest-decaying first."""
@@ -58,11 +68,7 @@ class SupermodePair:
     lambda2: complex
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2"):
-            lam = complex(getattr(self, name))
-            # Passive system: decaying modes only, up to roundoff slack.
-            if lam.imag > 1e-9 * (1.0 + abs(lam)):
-                raise ValueError(f"{name} has positive imaginary part {lam.imag!r}")
+        _check_passive(lambda1=self.lambda1, lambda2=self.lambda2)
 
     def gap(self) -> float:
         return abs(self.lambda1 - self.lambda2)
@@ -85,6 +91,19 @@ def coupler_matrix(params: CouplerParams) -> np.ndarray:
                      [params.kappa, complex(params.beta2, -params.gamma)]], dtype=complex)
 
 
+def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda1, lambda2 of supermodes at each loss rate of the array gamma (replacing
+    params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
+    them (hypot, as Python's abs): the code behind supermodes and the sweep."""
+    half_trace, _, omega = half_trace_and_omega(params, require_non_negative("gamma", gamma))
+    plus, minus = half_trace + omega, half_trace - omega
+    first = (plus.imag > minus.imag) | ((plus.imag == minus.imag) & (plus.real <= minus.real))
+    lambda1, lambda2 = np.where(first, plus, minus), np.where(first, minus, plus)
+    _check_passive(lambda1=lambda1, lambda2=lambda2)
+    diff = lambda1 - lambda2
+    return lambda1, lambda2, np.hypot(diff.real, diff.imag)
+
+
 def supermodes(params: CouplerParams) -> SupermodePair:
     """Eigenvalues of M from the closed-form quadratic.
 
@@ -94,12 +113,22 @@ def supermodes(params: CouplerParams) -> SupermodePair:
     coalescence point, where iterative solvers are ill-conditioned.
     """
     validate(params)
-    half_trace, _, omega = half_trace_and_omega(params)
-    lams = sorted(
-        (complex(half_trace + omega), complex(half_trace - omega)),
-        key=lambda lam: (-lam.imag, lam.real),
-    )
-    return SupermodePair(lams[0], lams[1])
+    # A one-element array: numpy's scalar and array arithmetic may round differently.
+    lambda1, lambda2, _ = _supermodes(params, np.array([params.gamma]))
+    return SupermodePair(complex(lambda1[0]), complex(lambda2[0]))
+
+
+def _regimes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Regime values and discriminants of classify_ep at each loss rate of the array
+    gamma (replacing params.gamma): the code behind classify_ep and the sweep."""
+    if params.beta1 != params.beta2:
+        raise ValueError("classify_ep requires beta1 == beta2; for a detuned coupler use supermodes")
+    gamma = require_non_negative("gamma", gamma)
+    disc = params.kappa * params.kappa - 0.25 * gamma * gamma
+    tol = EP_DISCRIMINANT_TOL * params.kappa * params.kappa
+    regimes = np.select([disc > tol, disc < -tol], [Regime.BELOW.value, Regime.ABOVE.value],
+                        Regime.AT.value)
+    return regimes, disc
 
 
 def classify_ep(params: CouplerParams) -> EpRegime:
@@ -112,19 +141,8 @@ def classify_ep(params: CouplerParams) -> EpRegime:
     directly instead.
     """
     validate(params)
-    if params.beta1 != params.beta2:
-        raise ValueError(
-            "classify_ep requires beta1 == beta2; for a detuned coupler use supermodes"
-        )
-    disc = params.kappa * params.kappa - 0.25 * params.gamma * params.gamma
-    tol = EP_DISCRIMINANT_TOL * params.kappa * params.kappa
-    if disc > tol:
-        regime = Regime.BELOW
-    elif disc < -tol:
-        regime = Regime.ABOVE
-    else:
-        regime = Regime.AT
-    return EpRegime(regime, disc)
+    regimes, discs = _regimes(params, np.array([params.gamma]))
+    return EpRegime(Regime(regimes.item()), discs.item())
 
 
 def propagate_classical(params: CouplerParams, c0, z: float) -> np.ndarray:

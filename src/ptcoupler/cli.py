@@ -7,47 +7,8 @@ dispatch, so a wrapper installed on that attribute after import is what
 runs. fig2, fig3 and fig4 panel (a) write one CSV per loss rate through
 _write_per_gamma, every curve of a file from one scattering_array call.
 
-CSV format
-----------
-Every data file starts with '# key=value' metadata lines, then one header
-row, then data rows, all written by write_table: each block of _WRITE_LINES
-rows by one % on a row template, %.17g for float cells (17 significant
-digits parse back to the exact same double, so identical invocations give
-byte-identical files) and %s for text, the kinds taken from the first row.
-Anything about a run that is not data (the resolved settings, the files
-written) goes to a sidecar text file next to the CSVs, never into them.
-
-Sweep config format
--------------------
-Flat 'key = value' lines; '#' starts a comment; lists are comma-separated.
-
-  backend       required, markovian | lattice
-  gamma         list, loss-rate axis        (markovian backend)
-  rho           list, chain-coupling axis   (lattice backend)
-  phi           list, exchange phases in [0, pi]
-  z             list, propagation distances
-  observables   list out of: classical_power, mean_photon_number, p_boson,
-                p_entangled, p_fermion, ep_regime, eigenvalue_gap
-                (default: all of them)
-  kappa         scalar, default 1.0
-  beta1, beta2  scalars, default 0.0
-  sigma         scalar, required for backend=lattice
-  nsites        integer, default min_lattice_size(sigma, max z)
-  beta_lattice  scalar, default beta2
-
-One output row per (gamma-or-rho, phi, z) tuple, in declared order. For
-the lattice backend the ep_regime and eigenvalue_gap columns use the
-effective rate rho^2 / (2 sigma). Empty axis lists produce a header-only
-file; a sweep of more than core.MAX_GRID_POINTS rows is refused before
-anything is computed. Exit codes: 0 success, 1 bad flags or config, 2 I/O
-failure.
-
-run_sweep works on arrays: one scattering_array call over (axis, z) for
-the markovian backend, one LatticePropagator.scattering_array over the z
-list per rho for the lattice, then each column (_SWEEP_COLUMNS) once over
-(axis, z), (axis, phi, z) or the axis alone. The rows are formatted, each
-computed value once, and written one block of axis values (about
-_WRITE_LINES rows) at a time: the text of a sweep is never held whole.
+CSV layout, sweep config keys, exit codes: see README.md ("Command line").
+write_table writes every CSV from one array per column (run_sweep's: _SWEEP_COLUMNS).
 """
 
 from __future__ import annotations
@@ -57,14 +18,13 @@ import functools
 import itertools
 import math
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classical import classify_ep, supermodes
+from .classical import _regimes, _supermodes
 from .core import MAX_GRID_POINTS, CouplerParams, DecayCurve, PolarizationEntangled, PropagationGrid
 from .quantum import (
     _survival_function,
@@ -109,27 +69,72 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_table(path, metadata: dict, header: list[str], rows) -> int:
-    """'# key=value' metadata lines, the header, then rows: an iterable of
-    equal-length sequences of floats (written as by format_float) or text,
-    each column of the kind of its cell in the first row. Returns the
-    number of rows written."""
-    rows = iter(rows)
-    first = next(rows, None)
-    count = 0
+def write_table(path, metadata: dict, header: list[str], columns, shape=None) -> int:
+    """'# key=value' metadata lines, the header, then one row per element of
+    shape (default: the first column's length) in C order; columns holds one
+    array per header name, each broadcasting against shape. Floats are
+    written as by format_float, anything else by str. Returns the row count.
+
+    Each block of about _WRITE_LINES rows is one % on a row template: a float
+    column of the block's full shape is a %.17g slot, the others are formatted
+    once per block at their own shape, each joined onto the text cell before
+    it while the joined shape stays smaller than the block."""
+    columns = [np.asarray(c) for c in columns]
+    if not columns or len(columns) != len(header):
+        raise ValueError(f"need one column per header name, got {len(columns)} for {len(header)}")
+    shape = (len(columns[0]),) if shape is None else tuple(shape)
+    for name, c in zip(header, columns):
+        if c.ndim > len(shape) or any(n not in (1, m) for n, m in zip(c.shape[::-1], shape[::-1])):
+            raise ValueError(f"column {name!r} of shape {c.shape} does not broadcast to {shape}")
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]  # all axes
+    # Blocks: slices of the first axis past which one index holds at most _WRITE_LINES rows.
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _WRITE_LINES)
+    step = max(1, _WRITE_LINES // max(math.prod(shape[axis + 1 :]), 1))
     with open(path, "w", newline="\n") as out:
         out.write("".join(f"# {key}={value}\n" for key, value in metadata.items())
                   + ",".join(header) + "\n")
-        if first is not None:
-            line = ",".join(_FLOAT_CELL if isinstance(c, float) else "%s" for c in first) + "\n"
-            rows = itertools.chain([first], rows)
-            # One % per block on its cells, flattened as its rows come.
-            while cells := tuple(itertools.chain.from_iterable(
-                    itertools.islice(rows, _WRITE_LINES))):
-                block = len(cells) // len(first)
-                out.write(line * block % cells)
-                count += block
-    return count
+        for *lead, start in itertools.product(*map(range, shape[:axis]),
+                                              range(0, shape[axis], step)):
+            block = [c[tuple(i if n > 1 else 0 for i, n in zip(lead, c.shape))] for c in columns]
+            block = [b[start : start + step] if len(b) > 1 else b for b in block]
+            out.write(_block_text(block, (min(step, shape[axis] - start),) + shape[axis + 1 :]))
+    return math.prod(shape)
+
+
+def _block_text(columns: list[np.ndarray], shape: tuple[int, ...]) -> str:
+    """The rows of one block of the given shape, from its columns."""
+    slots = _slots(columns, shape)
+    cells = [None] * (math.prod(shape) * len(slots))  # row by row
+    for i, values in enumerate(slots):
+        values = values if values.shape == shape else np.broadcast_to(values, shape)
+        cells[i :: len(slots)] = values.ravel().tolist()
+    line = ",".join("%s" if values.dtype == object else _FLOAT_CELL for values in slots) + "\n"
+    return line * math.prod(shape) % tuple(cells)
+
+
+def _slots(columns: list[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Each cell's values for a block's rows: a float column of the block's
+    full shape as it is, the others as text (_text), each joined onto the
+    text cell before it while the joined shape stays smaller than the block."""
+    slots = []
+    for c in columns:
+        if c.dtype.kind == "f" and c.shape == shape:
+            slots.append(c)
+        elif (slots and slots[-1].dtype == object
+              and math.prod(map(max, slots[-1].shape, c.shape)) < math.prod(shape)):
+            slots[-1] = slots[-1] + "," + _text(c)
+        else:
+            slots.append(_text(c))
+    return slots
+
+
+def _text(values: np.ndarray) -> np.ndarray:
+    """values as an object array of cells: floats as by format_float, anything else by str."""
+    cells = values.ravel().tolist()
+    if values.dtype.kind != "f":
+        return np.fromiter(map(str, cells), object, len(cells)).reshape(values.shape)
+    text = (f"{_FLOAT_CELL}\n" * len(cells) % tuple(cells)).split("\n")[:-1]  # one % for them all
+    return np.fromiter(text, object, len(cells)).reshape(values.shape)
 
 
 def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
@@ -141,8 +146,7 @@ def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
         if not np.array_equal(curve.z_values(), zs):
             raise ValueError("curves must share one z grid")
     header = ["z"] + [curve.label for curve in curves]
-    columns = [zs] + [curve.values() for curve in curves]
-    write_table(path, metadata, header, zip(*(c.tolist() for c in columns)))
+    write_table(path, metadata, header, [zs] + [curve.values() for curve in curves])
 
 
 def read_decay_curves(path) -> tuple[dict, list[DecayCurve]]:
@@ -269,7 +273,7 @@ def cmd_fig4(args) -> int:
         "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
         "gamma_points": 201, "phis": phis,
     })
-    write_table(outdir / "fig4b.csv", meta, ["gamma"] + labels, zip(*(c.tolist() for c in columns)))
+    write_table(outdir / "fig4b.csv", meta, ["gamma"] + labels, columns)
     written.append("fig4b.csv")
 
     settings = _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0, "files": written}
@@ -317,27 +321,20 @@ def _warn_if_short(nsites: int, sigma: float, z_max: float) -> None:
               f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
 
 
-# One sweep column: observable name -> its values over the whole sweep,
-# f(s, det, phis, params) with s the propagators, shape (axis, 1, z, 2, 2),
-# det their determinants (reduced for the memoryless coupler, entrywise for
-# the lattice) and params the coupler of each axis value. The values
-# broadcast against (axis, phi, z).
+# One sweep column: observable name -> f(s, det, phis, bare, rates), its values
+# broadcasting against (axis, phi, z); s the propagators, shape (axis, 1, z, 2, 2),
+# det their determinants (reduced for the memoryless coupler, entrywise for the
+# lattice), bare the lossless coupler, rates the axis's (effective) loss rates.
 _SWEEP_COLUMNS = {
-    "classical_power": lambda s, det, phis, params: 0.5 * mean_photon_number(s),
-    "mean_photon_number": lambda s, det, phis, params: mean_photon_number(s),
-    "p_boson": lambda s, det, phis, params: survival_indistinguishable(s),
-    "p_entangled": lambda s, det, phis, params: np.concatenate(
+    "classical_power": lambda s, det, phis, bare, rates: 0.5 * mean_photon_number(s),
+    "mean_photon_number": lambda s, det, phis, bare, rates: mean_photon_number(s),
+    "p_boson": lambda s, det, phis, bare, rates: survival_indistinguishable(s),
+    "p_entangled": lambda s, det, phis, bare, rates: np.concatenate(
         [survival_entangled(s, phi) for phi in phis], axis=1),
-    "p_fermion": lambda s, det, phis, params: survival_fermionic(s, det),
-    "ep_regime": lambda s, det, phis, params: _per_axis(classify_ep(p).regime.value for p in params),
-    "eigenvalue_gap": lambda s, det, phis, params: _per_axis(supermodes(p).gap() for p in params),
+    "p_fermion": lambda s, det, phis, bare, rates: survival_fermionic(s, det),
+    "ep_regime": lambda s, det, phis, bare, rates: _regimes(bare, rates)[0][:, None, None],
+    "eigenvalue_gap": lambda s, det, phis, bare, rates: _supermodes(bare, rates)[2][:, None, None],
 }
-
-
-def _per_axis(values) -> np.ndarray:
-    """One value per axis value, shaped (axis, 1, 1)."""
-    return np.array(list(values))[:, None, None]
-
 
 SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
 
@@ -431,10 +428,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
     })
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[tuple]]:
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tuple[int, int, int]]:
+    """The sweep's metadata, header, columns and row shape (axis, phi, z) for write_table."""
     if cfg.backend == "markovian":
-        if cfg.rho:
-            raise ValueError("config: rho: only meaningful with backend=lattice")
+        for key in ("rho", "sigma", "nsites", "beta_lattice"):
+            if getattr(cfg, key) not in (None, ()):
+                raise ValueError(f"config: {key}: only meaningful with backend=lattice")
         axis_name, axis = "gamma", cfg.gamma
     else:
         if any(g != 0.0 for g in cfg.gamma):
@@ -450,12 +449,12 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[tuple]]:
     for phi in cfg.phi:  # whether or not p_entangled reads them
         PolarizationEntangled(phi)
 
-    counts = (len(axis), len(cfg.phi), len(cfg.z))
-    rows = math.prod(counts)
+    shape = (len(axis), len(cfg.phi), len(cfg.z))
+    rows = math.prod(shape)
     if rows > MAX_GRID_POINTS:
         raise ValueError(
             f"config: the sweep has {rows} rows ({axis_name} x phi x z = "
-            f"{' x '.join(map(str, counts))}); the limit is {MAX_GRID_POINTS}"
+            f"{' x '.join(map(str, shape))}); the limit is {MAX_GRID_POINTS}"
         )
 
     header = [axis_name, "phi", "z"] + list(cfg.observables)
@@ -465,15 +464,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[tuple]]:
         values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
     meta = _metadata(values)
     if not rows:
-        return meta, header, iter(())
+        return meta, header, [np.empty(shape)] * len(header), shape
 
     bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
     axis_values, zs = np.array(axis), np.array(cfg.z)
     if cfg.backend == "markovian":
-        params = [replace(bare, gamma=gamma) for gamma in axis]
+        rates = axis_values
         s, det = scattering_array(bare, zs[None, :], gamma=axis_values[:, None])
     else:
-        params = [replace(bare, gamma=lattice_gamma(cfg.sigma, rho)) for rho in axis]
+        rates = np.array([lattice_gamma(cfg.sigma, rho) for rho in axis])
         nsites = cfg.nsites
         if nsites is None:
             nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
@@ -486,41 +485,17 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[tuple]]:
         )))
         _warn_if_short(nsites, cfg.sigma, max(cfg.z))
     s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
-    # phi and z have no axis dimension: their text is made once, here.
-    keys = [axis_values[:, None, None], _text(np.array(cfg.phi)[None, :, None]),
-            _text(zs[None, None, :])]
-    columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, params) for name in cfg.observables]
-    return meta, header, _sweep_rows(columns, counts)
-
-
-def _sweep_rows(columns: list[np.ndarray], counts: tuple[int, int, int]) -> Iterator[tuple]:
-    """A sweep's rows, in order, from its columns (arrays that broadcast
-    against (axis, phi, z)), made one block of axis values (about
-    _WRITE_LINES rows) at a time, each computed value formatted once and
-    repeated values as text."""
-    n_axis, n_phi, n_z = counts
-    step = max(1, _WRITE_LINES // (n_phi * n_z))
-    for start in range(0, n_axis, step):
-        shape = (min(step, n_axis - start), n_phi, n_z)
-        blocks = (c[start : start + step] if len(c) > 1 else c for c in columns)
-        yield from zip(*(np.broadcast_to(b if b.shape == shape else _text(b), shape).ravel().tolist()
-                         for b in blocks))
-
-
-def _text(values: np.ndarray) -> np.ndarray:
-    """values as an object array: floats formatted as by format_float."""
-    if values.dtype.kind != "f":
-        return values.astype(object)
-    text = list(map(_FLOAT_CELL.__mod__, values.ravel().tolist()))
-    return np.array(text, dtype=object).reshape(values.shape)
+    keys = [axis_values[:, None, None], np.array(cfg.phi)[:, None], zs]
+    columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, bare, rates) for name in cfg.observables]
+    return meta, header, columns, shape
 
 
 def cmd_sweep(args) -> int:
     cfg = parse_sweep_config(Path(args.config).read_text())
-    meta, header, rows = run_sweep(cfg)
+    meta, header, columns, shape = run_sweep(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = write_table(outdir / "sweep.csv", meta, header, rows)
+    written = write_table(outdir / "sweep.csv", meta, header, columns, shape)
     settings = {"config": args.config, "rows": written, "files": ["sweep.csv"]}
     _write_sidecar(outdir, "sweep", settings)
     return 0

@@ -337,14 +337,18 @@ class LatticePropagator:
         and non-negative and the farthest is within the work limit."""
         if not (np.isfinite(z).all() and (z >= 0.0).all()):
             raise ValueError("z must be finite and non-negative")
+        sigma, n = self.lattice.sigma, self.lattice.n_sites
+        if self.size > _MAX_SITES:  # first: the site-steps of such a chain may pass any float
+            count = f"{n:.3g}" if n < 1e300 else f"{str(n)[0]}e+{len(str(n)) - 1}"
+            raise ValueError(f"chain reservoir too large: sigma = {sigma:g} and n_sites = {count}; "
+                             f"the limit is {_MAX_SITES:.0e} sites")
         terms = _chebyshev_terms(self._radius * z)
         far = float(z.max(initial=0.0))
         site_steps = (self.size + _STEP_OVERHEAD_SITES) * _chebyshev_terms(self._radius * far)
-        if site_steps > SITE_STEP_LIMIT or self.size > _MAX_SITES:
+        if site_steps > SITE_STEP_LIMIT:
             raise ValueError(
-                f"chain reservoir too large: sigma = {self.lattice.sigma:g}, z = {far:g} and "
-                f"n_sites = {self.lattice.n_sites} need about {site_steps:.3g} site-steps; "
-                f"the limits are {SITE_STEP_LIMIT:.0e} site-steps and {_MAX_SITES:.0e} sites"
+                f"chain reservoir too large: sigma = {sigma:g}, z = {far:g} and n_sites = {n} "
+                f"need about {site_steps:.3g} site-steps; the limit is {SITE_STEP_LIMIT:.0e}"
             )
         return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)
 

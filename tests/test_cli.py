@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ptcoupler.classical import classify_ep, supermodes
+from ptcoupler.classical import EP_DISCRIMINANT_TOL, Regime, classify_ep, supermodes
 import ptcoupler
 from ptcoupler.cli import (
     SWEEP_OBSERVABLES,
@@ -415,22 +415,55 @@ def test_sweep_single_tuple_matches_library_bit_for_bit(tmp_path):
 
 
 def test_sweep_regime_columns_once_per_axis_value(tmp_path, monkeypatch):
+    # Each per-axis column is one array evaluation per sweep, over the axis's
+    # loss rates (the effective rho^2 / (2 sigma) for the lattice), and bit for
+    # bit what classify_ep and supermodes give for each axis value: at
+    # gamma = 2 kappa and a few doubles either side of both edges of the "at" band.
     import ptcoupler.cli as cli
 
-    calls = {"classify_ep": 0, "supermodes": 0}
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(params):
-            calls[name] += 1
-            return fn(params)
+    def counted(fn):
+        def wrapper(params, gamma):
+            calls.append((fn.__name__, np.array(gamma)))
+            return fn(params, gamma)
         return wrapper
 
-    monkeypatch.setattr(cli, "classify_ep", counted("classify_ep", classify_ep))
-    monkeypatch.setattr(cli, "supermodes", counted("supermodes", supermodes))
-    code, csv = run_sweep_cli(tmp_path, sweep_config_text(gamma="0.5, 2, 3", z="0, 1, 1.5"))
-    assert code == 0
-    assert len(read_table(csv)[2]) == 3 * 2 * 3
-    assert calls == {"classify_ep": 3, "supermodes": 3}
+    monkeypatch.setattr(cli, "_regimes", counted(cli._regimes))
+    monkeypatch.setattr(cli, "_supermodes", counted(cli._supermodes))
+    windows = []
+    for edge in (2.0 * math.sqrt(1.0 - EP_DISCRIMINANT_TOL), 2.0 * math.sqrt(1.0 + EP_DISCRIMINANT_TOL)):
+        window = [edge]
+        for _ in range(3):
+            window = [np.nextafter(window[0], 0.0)] + window + [np.nextafter(window[-1], 4.0)]
+        windows.append([float(g) for g in window])
+    for window, outside in zip(windows, (Regime.BELOW, Regime.ABOVE)):  # the band's edge is inside
+        regimes = {classify_ep(CouplerParams(0.0, 0.0, 1.0, g)).regime for g in window}
+        assert regimes == {outside, Regime.AT}
+    gammas = [0.0, 0.5, 2.0, 3.0] + windows[0] + windows[1]
+    sigma = 5.0
+    rhos = [math.sqrt(2.0 * sigma * g) for g in gammas]
+    for backend, axis, rates in [
+        ("markovian", {"gamma": gammas}, gammas),
+        ("lattice", {"gamma": "", "rho": rhos, "sigma": repr(sigma)},
+         [lattice_gamma(sigma, rho) for rho in rhos]),
+    ]:
+        calls.clear()
+        text = sweep_config_text(
+            backend=backend, phi="0, 3", z="0, 0.5", observables="p_boson, ep_regime, eigenvalue_gap",
+            **{key: ", ".join(map(repr, v)) if isinstance(v, list) else v for key, v in axis.items()})
+        code, csv = run_sweep_cli(tmp_path, text)
+        assert code == 0
+        assert [name for name, _ in calls] == ["_regimes", "_supermodes"]
+        assert all(np.array_equal(gamma, rates) for _, gamma in calls)
+        rows = read_table(csv)[2]
+        assert len(rows) == len(rates) * 2 * 2
+        for i, rate in enumerate(rates):
+            params = CouplerParams(0.0, 0.0, 1.0, rate)
+            for row in rows[4 * i : 4 * i + 4]:
+                assert row[4] == classify_ep(params).regime.value
+                assert row[5] == format_float(supermodes(params).gap())
+        assert {row[4] for row in rows} == {"below", "at", "above"}
 
 
 def test_sweep_gap_closes_at_critical_loss(tmp_path):
@@ -520,6 +553,34 @@ def test_chain_length_past_any_float_exits_1(tmp_path, capsys, argv, config):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "sigma = " in err and "z_max = 1e+308" in err
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fig5", "--zmax", "1e300", "--points", "3"], None),
+    (["fig5", "--nsites", "9" * 400, "--points", "3"], None),
+    (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1",
+                                              sigma="2", phi="0", z="0.5, 1e300")),
+], ids=["fig5", "fig5-nsites", "sweep"])
+def test_chain_past_the_site_limit_exits_1_with_a_short_message(tmp_path, capsys, argv, config):
+    # The default chain length for zmax = 1e300 is a 303-digit integer, whose
+    # site-steps overflow to inf: refused by the site limit, sizes printed short.
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config)
+        argv = argv + [str(tmp_path / "sweep.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: chain reservoir too large: sigma = ")
+    assert len(err) < 200 and "inf" not in err
+    assert err.endswith("; the limit is 1e+07 sites\n")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [("sigma", "5"), ("nsites", "3"), ("beta_lattice", "2")])
+def test_memoryless_sweep_refuses_chain_keys(tmp_path, capsys, key, value):
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(**{key: value}))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config: {key}: only meaningful with backend=lattice\n"
+    assert not csv.exists()
 
 
 def test_oversized_grid_exits_1_without_traceback(tmp_path):
@@ -615,8 +676,7 @@ def test_parse_sweep_config_defaults():
     assert cfg.observables == SWEEP_OBSERVABLES
     assert cfg.kappa == 1.0
     assert cfg.gamma == (0.5, 2.0)
-    header_meta = run_sweep(cfg)
-    assert len(list(header_meta[2])) == 8
+    assert math.prod(run_sweep(cfg)[3]) == 8
 
 
 # -- entry point ------------------------------------------------------------
@@ -729,11 +789,11 @@ def test_oversized_sweep_refused_before_allocating(tmp_path):
 
 def test_write_table_streams_its_rows(tmp_path):
     n = 100_000
-    rows = ((format_float(i / 7.0), format_float(i / 3.0), "x") for i in range(n))
+    columns = [np.arange(n) / 7.0, np.arange(n) / 3.0, np.array(["x"])]
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:
-        written = write_table(path, {"version": "1"}, ["a", "b", "c"], rows)
+        written = write_table(path, {"version": "1"}, ["a", "b", "c"], columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -744,6 +804,21 @@ def test_write_table_streams_its_rows(tmp_path):
     # Joined whole, the lines and their text would take several times the
     # 3.4 MB file; streamed, one chunk of lines at a time.
     assert peak < path.stat().st_size / 4
+
+
+@pytest.mark.parametrize("header, columns, shape", [
+    (["a", "b"], [np.zeros(3)], None),
+    (["a"], [np.zeros(3), np.zeros(3)], None),
+    ([], [], (3,)),
+    (["a", "b"], [np.zeros(3), np.zeros(4)], None),
+    (["a", "b"], [np.zeros(3), np.zeros((2, 3))], None),
+    (["a", "b"], [np.zeros((1, 3)), np.zeros((2, 1))], (3, 2)),
+], ids=["fewer-columns", "more-columns", "none", "length", "more-axes", "axis-order"])
+def test_write_table_refuses_columns_that_do_not_fit_before_opening(tmp_path, header, columns, shape):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="column"):
+        write_table(path, {"version": "1"}, header, columns, shape)
+    assert not path.exists()
 
 
 def test_sweep_io_failure_exits_2(tmp_path):
@@ -770,22 +845,57 @@ _CELLS = {
 }
 
 
-@given(st.lists(st.booleans(), min_size=1, max_size=5).flatmap(
-    lambda kinds: st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=12)),
-    st.integers(1, 4))
-def test_write_table_text_is_format_float_per_cell(rows, block):
+@st.composite
+def tables(draw):
+    """A row shape of 1-3 axes of 0-4 elements and 1-5 columns, float or
+    text, each either full or 1 along every axis."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    columns = []
+    for is_float in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        own = tuple(draw(st.sampled_from((1, n))) for n in shape)
+        cells = draw(st.lists(_CELLS[is_float], min_size=math.prod(own), max_size=math.prod(own)))
+        columns.append(np.array(cells, dtype=float if is_float else object).reshape(own))
+    return shape, columns
+
+
+@given(tables(), st.integers(1, 4))
+def test_write_table_text_is_format_float_per_cell(table, block):
     import tempfile
     from unittest import mock
 
     import ptcoupler.cli as cli
 
+    shape, columns = table
+    header = ["h%d" % i for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_WRITE_LINES", block):
         path = Path(tmp) / "t.csv"
-        write_table(path, {"version": "1", "k": "%s"}, ["h%d" % i for i in range(5)], rows)
+        assert write_table(path, {"version": "1", "k": "%s"}, header, columns, shape) == math.prod(shape)
         text = path.read_text()
-    expected = ["# version=1", "# k=%s", "h0,h1,h2,h3,h4"] + [
-        ",".join(format_float(c) if isinstance(c, float) else c for c in row) for row in rows]
+    full = [np.broadcast_to(c, shape) for c in columns]
+    expected = ["# version=1", "# k=%s", ",".join(header)] + [
+        ",".join(format_float(c[index]) if c.dtype.kind == "f" else c[index] for c in full)
+        for index in np.ndindex(shape)]
     assert text == "\n".join(expected) + "\n"
+
+
+def test_write_table_joins_text_cells_below_the_block_size(tmp_path, monkeypatch):
+    # A sweep's repeated columns are joined into few text cells, but never
+    # into a block-sized array of new strings: only the row template is that big.
+    import ptcoupler.cli as cli
+
+    seen = []
+
+    def spied(columns, shape):
+        slots = slots_of(columns, shape)
+        seen.append((math.prod(shape), [(values.dtype == object, values.size) for values in slots]))
+        return slots
+
+    slots_of = cli._slots
+    monkeypatch.setattr(cli, "_slots", spied)
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text())
+    assert code == 0 and len(read_table(csv)[2]) == 8
+    # gamma,phi | z,classical_power,mean_photon_number,p_boson | p_entangled | p_fermion,...
+    assert seen == [(8, [(True, 4), (True, 4), (False, 8), (True, 4)])]
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_at_dispatch(tmp_path, monkeypatch, capsys):

@@ -290,12 +290,13 @@ def test_oversized_chain_refused_before_allocating():
     tracemalloc.start()
     try:
         prop = LatticePropagator(params, lat)
-        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 15000010"):
+        too_long = r"sigma = 1e\+06 and n_sites = 1\.5e\+07; the limit is 1e\+07 sites$"
+        with pytest.raises(ValueError, match=too_long):
             prop.scattering(3.0)
         for z in (0.0, 1e-9):  # little work, but the chain alone is too long
-            with pytest.raises(ValueError, match="site-steps"):
+            with pytest.raises(ValueError, match=too_long):
                 prop.scattering(z)
-        with pytest.raises(ValueError, match="site-steps"):
+        with pytest.raises(ValueError, match=too_long):
             prop.column(0, 3.0)
         with pytest.raises(ValueError, match="index"):  # before the work limit
             prop.column(-1, 3.0)
@@ -306,7 +307,8 @@ def test_oversized_chain_refused_before_allocating():
     # A short chain over a long distance is bounded too: the step count
     # itself, not just the chain length, sets the work and the memory.
     short = LatticePropagator(params, LatticeReservoir(sigma=20.0, rho=5.0, n_sites=1))
-    with pytest.raises(ValueError, match="site-steps"):
+    with pytest.raises(ValueError, match=r"sigma = 20, z = 1e\+08 and n_sites = 1 need about "
+                                         r"\S+ site-steps; the limit is 1e\+09$"):
         short.scattering(SITE_STEP_LIMIT / 10.0)
 
 
@@ -407,16 +409,17 @@ def test_doubled_moments_match_the_plain_recurrence():
 
 def test_scattering_array_refuses_the_farthest_distance_before_allocating():
     params = CouplerParams(0.0, 0.0, 1.0, 0.0)
-    lat = LatticeReservoir(sigma=1e6, rho=5.0, n_sites=min_lattice_size(1e6, 3.0))
+    # A chain within the site limit whose series at z = 3 is not: 6e6 terms.
+    lat = LatticeReservoir(sigma=1e6, rho=5.0, n_sites=1000)
     tracemalloc.start()
     try:
         prop = LatticePropagator(params, lat)
-        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 15000010"):
+        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 1000 need about"):
             prop.scattering_array(np.array([0.0, 1e-9, 3.0, 0.5]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6  # a chain vector alone would be 120 MB
+    assert peak < 1e6  # the moments of that series alone would take 0.2 GB
     small = LatticePropagator(params, LatticeReservoir(sigma=2.0, rho=1.0, n_sites=9))
     for bad in ([0.5, -0.1], [math.nan], [0.0, math.inf]):
         with pytest.raises(ValueError, match="z must be finite and non-negative"):
