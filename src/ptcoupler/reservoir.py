@@ -10,23 +10,25 @@ Tracing the chain out at weak coupling then gives the memoryless rate
 
     gamma = pi * sum_{k0} |g(k0)|^2 / |beta'(k0)|  =  rho^2 / (2 sigma)
 
-summed over the band states resonant with arm 2. (Attaching to the END
-of a half-infinite chain would not reproduce this: the surface spectral
-density doubles the rate. The finite chain here therefore hangs off its
-middle site.) No rate survives when arm 2 sits outside the band; the
-excitation then hybridizes into bound states instead of decaying.
+summed over the band states resonant with arm 2 (lattice_gamma).
+(Attaching to the END of a half-infinite chain would not reproduce this:
+the surface spectral density doubles the rate. The finite chain here
+therefore hangs off its middle site.) No rate survives when arm 2 sits
+outside the band; the excitation then hybridizes into bound states
+instead of decaying.
 
 The chain is kept finite here, which is exact until the propagated front
 (group velocity at most 2 sigma) reaches the far end and wraps back;
-min_lattice_size picks a length with a safety margin against that. H, the
-full single-photon problem, is real symmetric and sparse, so e^{-iHz} at
-any coupling strength is a Chebyshev series (LatticePropagator) with real
-2x2 coupler-block moments, which the chain's closed-form Green's function
-gives with no pass over the chain: Re S sums the even orders against cos
-samples, Im S the odd ones against sin samples. scattering_array gives S
-for a whole array of distances in one call, the array form of the
-Markovian scattering.scattering_array, so both backends hand the
-observables one propagator array. Costs and limits: see LatticePropagator.
+min_lattice_size picks a length with a safety margin against that. Of the
+full single-photon problem H only the arms' propagator S is computed: H is
+real symmetric, so S(z) at any coupling strength is a Chebyshev series
+(LatticePropagator) with real 2x2 coupler-block moments, which the chain's
+closed-form Green's function gives with no pass over the chain: Re S sums
+the even orders against cos samples, Im S the odd ones against sin samples.
+scattering_array gives S for a whole array of distances in one call, the
+array form of the Markovian scattering.scattering_array, so both backends
+hand the observables one propagator array. Costs and limits: see
+LatticePropagator.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from .core import (
 
 __all__ = [
     "LatticeReservoir",
-    "GoldenRuleRate",
     "lattice_gamma",
-    "golden_rule_gamma",
     "min_lattice_size",
     "full_hamiltonian",
     "LatticePropagator",
@@ -56,22 +56,20 @@ __all__ = [
 ]
 
 
-# Limits of one propagation, checked before any vector of the chain's
-# length is allocated. Work: each of the M Chebyshev terms of the requested
-# distance is a stencil pass over the n_sites + 2 sites plus a fixed
-# interpreter cost worth _STEP_OVERHEAD_SITES sites (about 20 us against
-# about 10 ns a site on a 2-vCPU x86 machine, where 1e9 site-steps take
-# 10-20 s); the overhead term also bounds M, and with it the memory of the
-# moments, on short chains. Memory: a column peaks at about seven vectors of n_sites + 2
-# doubles, 0.6 GB at _MAX_SITES. S makes no stencil pass: for it the limits are conservative.
-SITE_STEP_LIMIT = 10**9
-_STEP_OVERHEAD_SITES = 2000
+# Limits of one request, checked before anything is allocated. A distance z
+# needs M = _chebyshev_terms(r z) terms, and S costs O(M log M) time and O(M)
+# memory whatever the chain length: _MAX_TERMS caps M at the farthest distance
+# (about 2.5 s and 0.37 GB at the cap on a 2-vCPU x86 machine). The chain's
+# length enters S only through lam^{2n}, by squaring; but within M terms the
+# front (group velocity 2 sigma <= r) runs at most M sites from the middle one,
+# so a chain above _MAX_SITES sites gives the S of a shorter one up to the
+# evanescent tail past the front, and is refused.
+_MAX_TERMS = 500_000
 _MAX_SITES = 10**7
 
 # Series lengths are rounded up to a multiple of this, so that nearby
 # distances share one transform of the moments.
 _TERMS_STEP = 64
-_SERIES_PHASES = (2.0, -2.0j, -2.0, 2.0j)  # 2 (-i)^m for m mod 4
 # Distances, and the moments' generating function, are evaluated in blocks of at most
 # this many samples, which bounds the temporaries of long distance arrays and series.
 _BLOCK_SAMPLES = 1 << 15
@@ -113,26 +111,6 @@ class LatticeReservoir:
         if self.n_sites < 1:
             raise ValueError("n_sites must be at least 1")
 
-    # Continuum descriptors of the chain, for golden-rule style estimates.
-    def dispersion(self, k: float) -> float:
-        return self.beta_lattice + 2.0 * self.sigma * math.cos(k)
-
-    def dispersion_derivative(self, k: float) -> float:
-        return -2.0 * self.sigma * math.sin(k)
-
-    def coupling(self, k: float) -> float:
-        return self.rho / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class GoldenRuleRate:
-    """Weak-coupling decay rate, with a flag telling whether any band state
-    is resonant. resonant=False means the rate picture does not apply
-    (bound-state regime) and gamma is reported as 0."""
-
-    gamma: float
-    resonant: bool
-
 
 def lattice_gamma(sigma: float, rho: float) -> float:
     """Memoryless rate rho^2 / (2 sigma) of the band-centered chain."""
@@ -143,73 +121,6 @@ def lattice_gamma(sigma: float, rho: float) -> float:
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
     return rho * rho / (2.0 * sigma)
-
-
-# Cells of golden_rule_gamma's sign-change scan of [-pi, pi).
-_SCAN_POINTS = 4096
-
-
-def golden_rule_gamma(
-    dispersion,
-    coupling,
-    beta2: float,
-    dispersion_derivative=None,
-) -> GoldenRuleRate:
-    """Weak-coupling decay rate for a general band.
-
-    Evaluates gamma = pi * sum_{k0} |g(k0)|^2 / |beta'(k0)| over the
-    simple roots k0 of dispersion(k0) = beta2 on [-pi, pi). Roots are
-    located by a sign-change scan over _SCAN_POINTS cells refined with
-    Brent's method. Pass the analytic dispersion_derivative when available;
-    the finite-difference fallback costs a few digits of accuracy.
-    """
-    if not math.isfinite(beta2):
-        raise ValueError("beta2 must be finite")
-    from scipy.optimize import brentq  # imported here so that importing ptcoupler loads no scipy
-
-    def f(k: float) -> float:
-        return dispersion(k) - beta2
-
-    ks = np.linspace(-math.pi, math.pi, _SCAN_POINTS + 1)
-    fs = np.array([f(k) for k in ks])
-    if not np.all(np.isfinite(fs)):
-        raise ValueError("dispersion must be finite on [-pi, pi)")
-
-    roots: list[float] = []
-    for i in range(_SCAN_POINTS):
-        a, b = ks[i], ks[i + 1]
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(float(brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
-    # fs[-1] is k = +pi, the same Brillouin-zone point as -pi; skip it.
-
-    # Merge refined roots that landed in adjacent scan cells.
-    spacing = 2.0 * math.pi / _SCAN_POINTS
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 0.5 * spacing:
-            merged.append(r)
-
-    if not merged:
-        return GoldenRuleRate(0.0, resonant=False)
-
-    scale = max(abs(float(fs.max())), abs(float(fs.min())), 1.0)
-    total = 0.0
-    for k0 in merged:
-        if dispersion_derivative is not None:
-            slope = dispersion_derivative(k0)
-        else:
-            h = 1e-6
-            slope = (f(k0 + h) - f(k0 - h)) / (2.0 * h)
-        if abs(slope) < 1e-9 * scale:
-            raise ValueError(
-                f"dispersion has a non-simple resonance at k = {k0!r} (band edge?)"
-            )
-        g = coupling(k0)
-        total += math.pi * g * g / abs(slope)
-    return GoldenRuleRate(total, resonant=True)
 
 
 def min_lattice_size(sigma: float, z_max: float) -> int:
@@ -261,7 +172,8 @@ def full_hamiltonian(params: CouplerParams, lattice: LatticeReservoir) -> np.nda
 
 
 class LatticePropagator:
-    """Propagator e^{-i H z} of the coupler + chain system; H is never built.
+    """Arm block S(z) of the propagator e^{-iHz} of the coupler + chain system;
+    H is never built.
 
     A Gershgorin bound puts the spectrum of H in [c - r, c + r], and
 
@@ -288,11 +200,9 @@ class LatticePropagator:
     and sin samples against them give Re S and Im S, in row blocks of bounded size:
     a further distance of a known length costs O(M) time, and memory does not grow
     with distances x terms. scattering(z) is the one-distance view of the same
-    call; column and evolve apply the same series to one vector by the recurrence
-    on the sparse stencil, in O((n + 2) M) time. A distance whose recurrence would
-    exceed SITE_STEP_LIMIT site-steps, or a chain above 1e7 sites, is refused with
-    ValueError before any vector of the chain's length is allocated (for S,
-    conservatively); an array is checked at its farthest distance.
+    call. A chain above _MAX_SITES sites, or a farthest distance whose series
+    passes _MAX_TERMS terms, is refused with ValueError before anything is
+    allocated.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -312,44 +222,31 @@ class LatticePropagator:
         self._center = 0.5 * (lo + hi)
         self._radius = 0.5 * (hi - lo)
         c, r = self._center, self._radius
-        self._stencil = (
+        self._entries = (  # of (H - c) / r
             (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
             params.kappa / r, lattice.rho / r, lattice.sigma / r,
         )
         self._moments = np.empty((0, 4))  # mu_m, row-major
         self._table_size, self._table = 0, None
 
-    def _step(self, x: np.ndarray) -> np.ndarray:
-        """((H - c) / r) x for a vector of the full basis."""
-        d1, d2, d_chain, kappa, rho, sigma = self._stencil
-        mid = self._mid
-        y = d_chain * x
-        y[0] = d1 * x[0] + kappa * x[1]
-        y[1] = d2 * x[1] + kappa * x[0] + rho * x[mid]
-        y[mid] += rho * x[1]
-        y[2:-1] += sigma * x[3:]
-        y[3:] += sigma * x[2:-1]
-        return y
-
     def _sizes(self, z: np.ndarray) -> np.ndarray:
         """The series length N of each distance, an FFT length whose half
-        N / 2 >= M is the number of terms, once every distance is finite
-        and non-negative and the farthest is within the work limit."""
+        N / 2 >= M is the number of terms, once every distance is finite and
+        non-negative, the chain within _MAX_SITES sites and the farthest
+        distance's series within _MAX_TERMS terms."""
         if not (np.isfinite(z).all() and (z >= 0.0).all()):
             raise ValueError("z must be finite and non-negative")
         sigma, n = self.lattice.sigma, self.lattice.n_sites
-        if self.size > _MAX_SITES:  # first: the site-steps of such a chain may pass any float
+        if self.size > _MAX_SITES:  # n may be an integer past any float
             count = f"{n:.3g}" if n < 1e300 else f"{str(n)[0]}e+{len(str(n)) - 1}"
             raise ValueError(f"chain reservoir too large: sigma = {sigma:g} and n_sites = {count}; "
                              f"the limit is {_MAX_SITES:.0e} sites")
-        terms = _chebyshev_terms(self._radius * z)
         far = float(z.max(initial=0.0))
-        site_steps = (self.size + _STEP_OVERHEAD_SITES) * _chebyshev_terms(self._radius * far)
-        if site_steps > SITE_STEP_LIMIT:
-            raise ValueError(
-                f"chain reservoir too large: sigma = {sigma:g}, z = {far:g} and n_sites = {n} "
-                f"need about {site_steps:.3g} site-steps; the limit is {SITE_STEP_LIMIT:.0e}"
-            )
+        # In Python floats, where r z overflows to inf silently; NaN is refused too.
+        if not _chebyshev_terms(float(self._radius) * far) <= _MAX_TERMS:
+            raise ValueError(f"chain reservoir too large: sigma = {sigma:g} and z = {far:g} "
+                             f"need a longer series; the limit is {_MAX_TERMS:.0e} terms")
+        terms = _chebyshev_terms(self._radius * z)
         return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)
 
     def _samples(self, z, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +264,7 @@ class LatticePropagator:
         e^{-w}, w = delta + i theta. A segment of k chain sites ends in g_k = lam (1 - lam^2k) /
         (sigma (1 - lam^{2k+2})), sigma (lam + 1 / lam) = E - d_chain: lam = u / (1 + sqrt((1 - u)
         (1 + u))), u = 2 sigma / (E - d_chain), the principal root giving |lam| <= 1 unbranched."""
-        d1, d2, d_chain, kappa, rho, sigma = self._stencil
+        d1, d2, d_chain, kappa, rho, sigma = self._entries
         cos, sin = np.cos(theta), np.sin(theta)
         e = math.cosh(delta) * cos + 1j * (math.sinh(delta) * sin)  # cosh w
         u = (2.0 * sigma) / (e - d_chain)
@@ -421,12 +318,6 @@ class LatticePropagator:
             self._table_size, self._table = size, (fold.real.copy(), fold.imag.copy())
         return self._table
 
-    def _series(self, z: float) -> tuple[complex, np.ndarray, int]:
-        """The phase e^{-icz}, samples f = e^{-irz sin tau_k} and series length of one distance."""
-        size = int(self._sizes(np.array([z], dtype=float))[0])
-        cos, sin = self._samples(z, size)
-        return np.exp(-1j * self._center * z), cos - 1j * sin, size
-
     def _blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
         """S, shape z.shape + (2, 2), and its entrywise determinants at the
         distances z; the matrices are not checked here."""
@@ -449,17 +340,6 @@ class LatticePropagator:
         s = blocks.reshape(z.shape + (2, 2))
         return s, entrywise_determinants(s)
 
-    def _propagate(self, vector: np.ndarray, series: tuple[complex, np.ndarray, int]) -> np.ndarray:
-        phase, samples, size = series
-        half = np.concatenate((samples, samples[-2::-1]))  # k = 0 .. N/2; Hermitian beyond
-        bessel = np.fft.irfft(half, size)[: size // 2]
-        prev, cur = vector, self._step(vector)
-        out = bessel[0] * vector.astype(complex)
-        for m in range(1, size // 2):
-            out += (_SERIES_PHASES[m % 4] * bessel[m]) * cur
-            prev, cur = cur, 2.0 * self._step(cur) - prev
-        return phase * out
-
     def scattering_array(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Propagators restricted to the two coupler arms at every distance
         of the array z: S with shape z.shape + (2, 2) and the entrywise
@@ -474,32 +354,6 @@ class LatticePropagator:
         view of scattering_array, checked by ScatteringMatrix."""
         s, _ = self._blocks(np.array([z], dtype=float))
         return ScatteringMatrix(s[0], z=float(z))
-
-    def column(self, index: int, z: float) -> np.ndarray:
-        """Full amplitude vector evolved from the basis state index (arm 1,
-        arm 2, then the chain sites)."""
-        if not (isinstance(index, (int, np.integer)) and 0 <= index < self.size):
-            raise ValueError(f"index must be an integer in [0, n_sites + 2) = [0, {self.size}), "
-                             f"got {index!r}")
-        series = self._series(z)  # the work limit is checked before allocating
-        start = np.zeros(self.size)
-        start[index] = 1.0
-        return self._propagate(start, series)
-
-    def evolve(self, amplitudes, z: float) -> np.ndarray:
-        """n_sites + 2 finite amplitudes (arm 1, arm 2, the chain), a 1-d array, evolved over z."""
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (self.size,):
-            raise ValueError(f"amplitudes must be a 1-d array of length n_sites + 2 = {self.size}")
-        if not np.isfinite(amplitudes).all():
-            raise ValueError("amplitudes must be finite")
-        out = self._propagate(amplitudes, self._series(z))
-        norm_in = float(np.linalg.norm(amplitudes))
-        norm_out = float(np.linalg.norm(out))
-        # H is Hermitian, so any norm drift is numerical failure, not physics.
-        if abs(norm_out - norm_in) > 1e-10 * max(1.0, norm_in):
-            raise RuntimeError("evolution failed to conserve the norm")
-        return out
 
 
 def nonmarkovian_scattering(

@@ -67,8 +67,11 @@ def half_trace_and_omega(params: CouplerParams, gamma=None) -> tuple:
     gamma, when given, replaces params.gamma (any array shape)."""
     gamma = params.gamma if gamma is None else gamma
     half_trace = 0.5 * (params.beta1 + params.beta2 - 1j * gamma)
-    d = 0.5 * (params.beta1 - params.beta2 + 1j * gamma)
-    omega = np.sqrt(params.kappa * params.kappa + d * d + 0j)
+    a, b = 0.5 * (params.beta1 - params.beta2), 0.5 * gamma
+    d = a + 1j * b
+    # d^2 from its real parts: Python's complex multiply of a scalar d and
+    # numpy's of an array d round differently.
+    omega = np.sqrt(params.kappa * params.kappa + (a - b) * (a + b) + 2j * (a * b))
     flip = (omega.imag < 0.0) | ((omega.imag == 0.0) & (omega.real * np.real(d) < 0.0))
     return half_trace, d, np.where(flip, -omega, omega)
 

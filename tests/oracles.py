@@ -7,6 +7,7 @@ import scipy.linalg
 
 from ptcoupler.core import Indistinguishable, PolarizationEntangled, TwoPhotonInput
 from ptcoupler.quantum import _clamp_probability
+from ptcoupler.reservoir import full_hamiltonian
 
 
 def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
@@ -38,3 +39,13 @@ def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
     psi = psi.reshape(n, n)
     p = float(np.sum(np.abs(psi[:2, :2]) ** 2))
     return _clamp_probability(p, "oracle survival")
+
+
+def chain_scattering_oracle(params, lattice, z) -> np.ndarray:
+    """Arm block S of e^{-iHz}, shape z.shape + (2, 2), of the coupler +
+    chain matrix H = full_hamiltonian(params, lattice), from its dense
+    eigendecomposition H = V diag(w) V^T: S = V[:2] e^{-iwz} V[:2]^T. Dense
+    O(n^3), so keep the chain to a few thousand sites."""
+    w, v = np.linalg.eigh(full_hamiltonian(params, lattice))
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(z, dtype=float), w))
+    return np.einsum("ik,...k,jk->...ij", v[:2], phases, v[:2])

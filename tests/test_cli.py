@@ -518,23 +518,38 @@ def test_sweep_lattice_fermion_matches_library_bit_for_bit(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["fig5", "--sigma", "1e6", "--points", "2"], None),
+SERIES_PAST_ANY_FLOAT = ("sigma = 1e+300 and z = 1e+10 need a longer series; "
+                         "the limit is 5e+05 terms\n")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["fig5", "--sigma", "1e6", "--points", "2"], None, "sigma = 1e+06"),
     (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1",
-                                              sigma="1e6", phi="0", z="0, 1")),
-], ids=["fig5", "sweep"])
-def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config):
-    # sigma = 1e6 asks for a chain of millions of sites; it must be refused
-    # with a message before anything of that size is allocated.
+                                              sigma="1e6", phi="0", z="0, 1"), "sigma = 1e+06"),
+    (["fig5", "--sigma", "1e300", "--nsites", "11", "--zmax", "1e10", "--points", "2"], None,
+     SERIES_PAST_ANY_FLOAT),
+    (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1", sigma="1e300",
+                                              nsites="11", phi="0", z="0, 1e10"),
+     SERIES_PAST_ANY_FLOAT),
+], ids=["fig5", "sweep", "fig5-series", "sweep-series"])
+def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config, message):
+    # sigma = 1e6 asks for a chain of millions of sites or a series of
+    # millions of terms, and sigma = 1e300 for a series whose r z passes any
+    # float; each must be refused with one line of finite numbers, and no
+    # warning even when warnings are errors, before anything of that size is
+    # allocated.
     if config is not None:
         (tmp_path / "sweep.cfg").write_text(config)
         argv = argv + [str(tmp_path / "sweep.cfg")]
     src = str(Path(ptcoupler.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-m", "ptcoupler", *argv, "--out", str(tmp_path)],
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "ptcoupler", *argv,
+                             "--out", str(tmp_path)],
                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: chain reservoir too large: sigma = 1e+06")
+    assert result.stderr.startswith("error: chain reservoir too large: " + message)
+    assert result.stderr.count("\n") == 1 and "inf" not in result.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -562,8 +577,8 @@ def test_chain_length_past_any_float_exits_1(tmp_path, capsys, argv, config):
                                               sigma="2", phi="0", z="0.5, 1e300")),
 ], ids=["fig5", "fig5-nsites", "sweep"])
 def test_chain_past_the_site_limit_exits_1_with_a_short_message(tmp_path, capsys, argv, config):
-    # The default chain length for zmax = 1e300 is a 303-digit integer, whose
-    # site-steps overflow to inf: refused by the site limit, sizes printed short.
+    # The default chain length for zmax = 1e300 is a 303-digit integer:
+    # refused by the site limit before its series is counted, sizes printed short.
     if config is not None:
         (tmp_path / "sweep.cfg").write_text(config)
         argv = argv + [str(tmp_path / "sweep.cfg")]
@@ -940,12 +955,12 @@ def test_figures_evaluate_s_once_per_loss_rate(tmp_path, monkeypatch, command, b
 
 
 def test_sweep_streams_its_rows(tmp_path):
-    # 20 x 100 x 100 = 2e5 rows; held whole, their text would take several
-    # times the CSV.
+    # 20 x 25 x 100 = 5e4 rows; held whole, their text would take about
+    # twice the CSV (2.07 of it with every row in one block, 0.14 streamed).
     config = tmp_path / "sweep.cfg"
     config.write_text(sweep_config_text(
         gamma=", ".join(str(0.5 * i) for i in range(20)),
-        phi=", ".join(str(0.03 * i) for i in range(100)),
+        phi=", ".join(str(0.12 * i) for i in range(25)),
         z=", ".join(str(0.1 * i) for i in range(100)),
     ))
     tracemalloc.start()
@@ -956,7 +971,7 @@ def test_sweep_streams_its_rows(tmp_path):
         tracemalloc.stop()
     assert code == 0
     csv = tmp_path / "out" / "sweep.csv"
-    assert len(read_table(csv)[2]) == 200_000
+    assert len(read_table(csv)[2]) == 50_000
     assert peak < csv.stat().st_size / 4
 
 

@@ -9,7 +9,7 @@ import ptcoupler
 def test_public_surface():
     from ptcoupler import classical, core, scattering
 
-    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 35
+    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 33
     for name in ptcoupler.__all__:
         assert hasattr(ptcoupler, name), name
     # Tolerances are importable by module path but are not public names.
@@ -20,8 +20,8 @@ def test_public_surface():
 
 
 def test_import_and_cli_load_no_scipy(tmp_path):
-    # scipy is needed only by the oracles and the golden-rule root finder,
-    # which import it when called; importing the package must not pay for it.
+    # scipy is needed only by the oracles, which import it when called;
+    # neither importing the package nor running its commands may load it.
     config = tmp_path / "sweep.cfg"
     config.write_text("backend = lattice\nrho = 1\nsigma = 2\nphi = 0\nz = 0.5\n")
     code = f"""

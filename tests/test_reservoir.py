@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ import mpmath
 from ptcoupler import reservoir
 from ptcoupler.core import CouplerParams
 from ptcoupler.reservoir import (
-    SITE_STEP_LIMIT,
     LatticePropagator,
     LatticeReservoir,
     full_hamiltonian,
-    golden_rule_gamma,
     lattice_gamma,
     min_lattice_size,
     nonmarkovian_scattering,
 )
 from ptcoupler.scattering import scattering_matrix
+
+from oracles import chain_scattering_oracle
 
 
 def test_lattice_gamma_values():
@@ -52,55 +53,9 @@ def test_reservoir_field_validation():
         LatticeReservoir(sigma=math.inf, rho=1.0, n_sites=5)
 
 
-def test_golden_rule_recovers_chain_rate():
-    lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=1, beta_lattice=0.0)
-    res = golden_rule_gamma(lat.dispersion, lat.coupling, beta2=0.0,
-                            dispersion_derivative=lat.dispersion_derivative)
-    expected = lattice_gamma(20.0, 5.0)
-    assert res.resonant
-    assert abs(res.gamma - expected) <= 1e-12 * expected
-    # Without dispersion_derivative the slope is a central finite difference.
-    for sigma, rho, beta2 in ((20.0, 5.0, 0.0), (5.0, 2.0, 0.0), (1.0, 0.3, 0.7), (3.0, 1.0, -4.0)):
-        lat = LatticeReservoir(sigma=sigma, rho=rho, n_sites=1)
-        analytic = golden_rule_gamma(lat.dispersion, lat.coupling, beta2,
-                                     dispersion_derivative=lat.dispersion_derivative)
-        fallback = golden_rule_gamma(lat.dispersion, lat.coupling, beta2)
-        assert analytic.resonant and fallback.resonant
-        assert abs(fallback.gamma - analytic.gamma) <= 1e-9 * analytic.gamma
-
-
-@given(sigma=st.floats(min_value=0.5, max_value=100.0),
-       rho=st.floats(min_value=0.0, max_value=10.0),
-       beta2=st.floats(min_value=-1.0, max_value=1.0))
-def test_golden_rule_matches_formula_inside_band(sigma, rho, beta2):
-    # In-band detuning keeps two simple roots at beta' = -2 sigma sin k.
-    lat = LatticeReservoir(sigma=sigma, rho=rho, n_sites=1, beta_lattice=0.0)
-    res = golden_rule_gamma(lat.dispersion, lat.coupling, beta2=beta2 * sigma,
-                            dispersion_derivative=lat.dispersion_derivative)
-    k0 = math.acos(beta2 * sigma / (2.0 * sigma))
-    expected = 2.0 * math.pi * (rho**2 / (2.0 * math.pi)) / abs(2.0 * sigma * math.sin(k0))
-    assert res.resonant
-    assert abs(res.gamma - expected) <= 1e-9 * max(expected, 1e-12)
-
-
-def test_golden_rule_zero_coupling():
-    lat = LatticeReservoir(sigma=5.0, rho=0.0, n_sites=1)
-    res = golden_rule_gamma(lat.dispersion, lat.coupling, beta2=0.0,
-                            dispersion_derivative=lat.dispersion_derivative)
-    assert res.gamma == 0.0
-
-
-def test_golden_rule_outside_band_flags_bound_state():
-    lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=1, beta_lattice=0.0)
-    res = golden_rule_gamma(lat.dispersion, lat.coupling, beta2=3.0 * 5.0,
-                            dispersion_derivative=lat.dispersion_derivative)
-    assert res.gamma == 0.0
-    assert not res.resonant
-
-
 def test_outside_band_excitation_does_not_decay():
-    # Same detuning exercised on the exact chain: the survival stays high
-    # because the arm hybridizes into bound states instead of radiating.
+    # Arm 2 far above the band: the survival stays high because the arm
+    # hybridizes into bound states instead of radiating.
     params = CouplerParams(beta1=30.0, beta2=30.0, kappa=1.0, gamma=0.0)
     lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=201, beta_lattice=0.0)
     prop = LatticePropagator(params, lat)
@@ -109,18 +64,6 @@ def test_outside_band_excitation_does_not_decay():
         for z in np.linspace(0.0, 3.0, 31)
     )
     assert floor > 0.9
-
-
-def test_golden_rule_rejects_band_edge_resonance():
-    lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=1, beta_lattice=0.0)
-    with pytest.raises(ValueError, match="non-simple"):
-        golden_rule_gamma(lat.dispersion, lat.coupling, beta2=2.0 * 5.0,
-                          dispersion_derivative=lat.dispersion_derivative)
-    for beta2 in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="beta2 must be finite"):
-            golden_rule_gamma(lat.dispersion, lat.coupling, beta2=beta2)
-    with pytest.raises(ValueError, match="dispersion must be finite"):
-        golden_rule_gamma(lambda k: math.nan if k > 1.0 else 0.0, lat.coupling, beta2=0.0)
 
 
 def test_min_lattice_size_values():
@@ -179,24 +122,6 @@ def test_full_hamiltonian_rejects_intrinsic_loss():
         full_hamiltonian(params, lat)
 
 
-def test_full_system_state_basics():
-    # The former FullSystemState test, now run on evolve. evolve takes and returns plain amplitude arrays over arm 1, arm 2 and
-    # the chain, and checks what it is given.
-    prop = LatticePropagator(CouplerParams(0.0, 0.0, 1.0, 0.0),
-                             LatticeReservoir(sigma=1.0, rho=1.0, n_sites=1))
-    state = np.array([0.0, 1.0, 0.0])
-    evolved = prop.evolve(state, 0.0)
-    assert isinstance(evolved, np.ndarray) and evolved.dtype == complex
-    assert np.abs(evolved - state).max() < 1e-14
-    assert state.tolist() == [0.0, 1.0, 0.0]  # the input is not touched
-    with pytest.raises(ValueError, match="length"):
-        prop.evolve(np.array([1.0, 0.0]), 1.0)
-    with pytest.raises(ValueError, match="length"):
-        prop.evolve(np.zeros((3, 1)), 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        prop.evolve(np.array([math.nan, 0.0, 0.0]), 1.0)
-
-
 def test_propagator_identity_at_zero_and_negative_z():
     params = CouplerParams(0.0, 0.0, 1.0, 0.0)
     lat = LatticeReservoir(sigma=2.0, rho=1.0, n_sites=9)
@@ -223,29 +148,16 @@ def test_propagator_decoupled_reservoir_matches_closed_form():
        rho=st.floats(min_value=0.0, max_value=3.0),
        z=st.floats(min_value=0.0, max_value=4.0))
 def test_full_norm_conservation(beta, kappa, sigma, rho, z):
+    # A photon launched in either arm is in the arms (S's column) or in the
+    # chain (the rest of e^{-iHz}'s column, from a dense eigensolution):
+    # the two probabilities add up to 1.
     params = CouplerParams(beta, beta, kappa, 0.0)
     lat = LatticeReservoir(sigma=sigma, rho=rho, n_sites=21)
-    prop = LatticePropagator(params, lat)
-    for index in (0, 1):
-        column = prop.column(index, z)
-        assert abs(np.sum(np.abs(column) ** 2) - 1.0) < 1e-10
-
-
-def test_evolve_matches_column_and_checks_size():
-    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
-    lat = LatticeReservoir(sigma=2.0, rho=1.5, n_sites=7)
-    prop = LatticePropagator(params, lat)
-    state = np.zeros(9)
-    state[1] = 1.0
-    evolved = prop.evolve(state, 1.7)
-    assert np.abs(evolved - prop.column(1, 1.7)).max() < 1e-14
-    assert abs(np.linalg.norm(evolved) - 1.0) < 1e-10
-    with pytest.raises(ValueError, match="amplitudes"):
-        prop.evolve(np.eye(7)[0], 1.0)
-    small = LatticePropagator(params, LatticeReservoir(sigma=2.0, rho=1.5, n_sites=5))
-    for index in (-1, 7, 2.5):
-        with pytest.raises(ValueError, match=r"index must be an integer in \[0, n_sites \+ 2\) = \[0, 7\)"):
-            small.column(index, 0.0)
+    s = LatticePropagator(params, lat).scattering(z).as_array()
+    w, v = np.linalg.eigh(full_hamiltonian(params, lat))
+    chain = (v[2:] * np.exp(-1j * w * z)) @ v[:2].T
+    total = np.sum(np.abs(s) ** 2, axis=0) + np.sum(np.abs(chain) ** 2, axis=0)
+    assert np.abs(total - 1.0).max() < 1e-10
 
 
 # Detuned arms and an off-center band, so that neither the Gershgorin
@@ -261,18 +173,16 @@ def test_propagator_matches_expm(n):
     for z in np.linspace(0.0, 5.0, 11):
         u = scipy.linalg.expm(-1j * z * h)
         assert np.abs(prop.scattering(z).as_array() - u[:2, :2]).max() <= 1e-12
-        for index in (0, 1, n + 1):
-            assert np.abs(prop.column(index, z) - u[:, index]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [310, 311])
 def test_propagator_matches_dense_eigh(n):
     lat = LatticeReservoir(sigma=20.0, rho=10.0, n_sites=n, beta_lattice=0.25)
-    w, v = np.linalg.eigh(full_hamiltonian(ORACLE_PARAMS, lat))
+    zs = np.linspace(0.0, 3.0, 31)
+    expected = chain_scattering_oracle(ORACLE_PARAMS, lat, zs)
     prop = LatticePropagator(ORACLE_PARAMS, lat)
-    for z in np.linspace(0.0, 3.0, 31):
-        expected = (v[:2] * np.exp(-1j * w * z)) @ v[:2].T
-        assert np.abs(prop.scattering(z).as_array() - expected).max() <= 1e-12
+    for z, sz in zip(zs, expected):
+        assert np.abs(prop.scattering(z).as_array() - sz).max() <= 1e-12
 
 
 def test_cached_moments_do_not_change_results():
@@ -296,20 +206,52 @@ def test_oversized_chain_refused_before_allocating():
         for z in (0.0, 1e-9):  # little work, but the chain alone is too long
             with pytest.raises(ValueError, match=too_long):
                 prop.scattering(z)
-        with pytest.raises(ValueError, match=too_long):
-            prop.column(0, 3.0)
-        with pytest.raises(ValueError, match="index"):  # before the work limit
-            prop.column(-1, 3.0)
+        # r z past the largest double: one message of finite numbers, no warning.
+        huge = LatticePropagator(params, LatticeReservoir(sigma=1e300, rho=1.0, n_sites=11))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^chain reservoir too large: sigma = 1e\+300 and "
+                                                 r"z = 1e\+10 need a longer series; the limit is "
+                                                 r"5e\+05 terms$"):
+                huge.scattering_array(np.array([0.0, 1e10]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6  # a chain vector alone would be 120 MB
-    # A short chain over a long distance is bounded too: the step count
+    assert peak < 1e6  # the moments of the 6e6-term series alone would take 0.2 GB
+    # A short chain over a long distance is bounded too: the series length
     # itself, not just the chain length, sets the work and the memory.
     short = LatticePropagator(params, LatticeReservoir(sigma=20.0, rho=5.0, n_sites=1))
-    with pytest.raises(ValueError, match=r"sigma = 20, z = 1e\+08 and n_sites = 1 need about "
-                                         r"\S+ site-steps; the limit is 1e\+09$"):
-        short.scattering(SITE_STEP_LIMIT / 10.0)
+    with pytest.raises(ValueError, match=r"sigma = 20 and z = 1e\+08 need a longer series; "
+                                         r"the limit is 5e\+05 terms$"):
+        short.scattering(1e8)
+
+
+def test_series_limit_holds_at_its_edge():
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    prop = LatticePropagator(params, LatticeReservoir(sigma=20.0, rho=5.0, n_sites=1))
+    # No lower than the longest series that a count of (n + 2 + 2000) M
+    # stencil steps <= 1e9 let through, on the shortest chain.
+    assert reservoir._MAX_TERMS >= 10**9 // 2003
+    reach = float(reservoir._MAX_TERMS)  # r z whose series is exactly the limit
+    for _ in range(20):
+        reach = reservoir._MAX_TERMS - 20.0 - 12.0 * reach ** (1.0 / 3.0)
+    edge = reach / prop._radius
+    assert prop._sizes(np.array([0.0, edge * (1.0 - 1e-9)])).max() >= reservoir._MAX_TERMS
+    with pytest.raises(ValueError, match=r"sigma = 20 and z = \S+ need a longer series"):
+        prop._sizes(np.array([edge * (1.0 + 1e-9), 0.0]))
+
+
+def test_chains_longer_than_the_front_reaches_give_the_same_s():
+    # n = 1e5 and 6e4 at sigma = 100, z = 100: about 2.1e4 terms each, at
+    # a cost that does not grow with n. The front has run 2 sigma z = 2e4
+    # sites, short of either chain's ends (min_lattice_size gives 50,010
+    # sites), so S must not see the length. Measured: 3.2e-15.
+    zs = np.linspace(0.0, 100.0, 11)
+    s_long, s_short = (
+        LatticePropagator(ORACLE_PARAMS, LatticeReservoir(100.0, 5.0, n, 0.25)).scattering_array(zs)[0]
+        for n in (10**5, 6 * 10**4)
+    )
+    assert np.abs(s_long - s_short).max() <= 3e-14
 
 
 def test_truncation_insensitivity():
@@ -414,7 +356,7 @@ def test_scattering_array_refuses_the_farthest_distance_before_allocating():
     tracemalloc.start()
     try:
         prop = LatticePropagator(params, lat)
-        with pytest.raises(ValueError, match=r"sigma = 1e\+06, z = 3 and n_sites = 1000 need about"):
+        with pytest.raises(ValueError, match=r"sigma = 1e\+06 and z = 3 need a longer series"):
             prop.scattering_array(np.array([0.0, 1e-9, 3.0, 0.5]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -488,15 +430,13 @@ def test_moments_match_the_dense_recurrence_across_chain_shapes(n, shape):
     assert np.abs(moments - dense_moments(prop, full_hamiltonian(ORACLE_PARAMS, lat), 200)).max() <= 1e-13
 
 
-def test_scattering_array_matches_the_stencil_far_along_a_short_chain():
+def test_scattering_array_matches_the_dense_oracle_far_along_a_short_chain():
     # z = 100 needs about 5,000 moments, long after the front has come back
-    # from the ends of the 41 sites; column() applies the stencil itself.
-    prop = LatticePropagator(ORACLE_PARAMS, LatticeReservoir(20.0, 5.0, 41, 0.25))
+    # from the ends of the 41 sites.
+    lat = LatticeReservoir(20.0, 5.0, 41, 0.25)
     zs = np.array([100.0, 0.0, 3.7, 41.0])
-    s, _ = prop.scattering_array(zs)
-    for z, sz in zip(zs, s):
-        columns = np.stack([prop.column(index, z)[:2] for index in (0, 1)], axis=1)
-        assert np.abs(sz - columns).max() <= 1e-12
+    s, _ = LatticePropagator(ORACLE_PARAMS, lat).scattering_array(zs)
+    assert np.abs(s - chain_scattering_oracle(ORACLE_PARAMS, lat, zs)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))
