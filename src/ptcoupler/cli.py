@@ -1,15 +1,15 @@
 """Command-line front end: figure datasets and config-driven sweeps.
 
-The table _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help
-line, flags from _FLAGS). main() builds the parser once per process and
-runs subcommand <name> as the module-level cmd_<name>, looked up at
-dispatch, so a wrapper installed on that attribute after import is what
-runs. fig2, fig3 and fig4 panel (a) write one CSV per loss rate through
-_write_per_gamma, every curve of a file from one scattering_array call.
+_COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
+from _FLAGS); main() builds the parser once per process and runs <name> as the
+module-level cmd_<name>, looked up at dispatch. fig2, fig3 and fig4 panel (a)
+write one CSV per loss rate (_write_per_gamma), each file's curves from one
+scattering_array call. CSV layout, sweep keys, exit codes: README.md.
 
-CSV layout, sweep config keys, exit codes: see README.md ("Command line").
-write_table writes every CSV from one array per column (run_sweep's: _SWEEP_COLUMNS).
-"""
+write_table writes every CSV, one block of rows at a time, as bytes: a float
+cell's bytes are format_float's, spelled for the block at once in numpy
+(_spell); near-ties, non-finite values and |exponent| > 100 go to
+format_float itself. Text is encoded once per column, at its own shape."""
 
 from __future__ import annotations
 
@@ -49,15 +49,12 @@ __all__ = [
     "main",
 ]
 
-# A float cell: 17 significant digits, which parse back to the identical
-# double. write_table formats and writes _WRITE_LINES rows at a time.
-_FLOAT_CELL = "%.17g"
-_WRITE_LINES = 1024
+_WRITE_LINES = 1024  # rows that write_table writes at a time
 
 
 def format_float(x: float) -> str:
-    """One float as write_table writes it."""
-    return _FLOAT_CELL % float(x)
+    """One float as write_table writes it: 17 significant digits, which parse back to it."""
+    return "%.17g" % float(x)
 
 
 def _format_value(value) -> str:
@@ -69,16 +66,98 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# _spell writes format_float's bytes for an array of floats. Nonzero a = |x| with decimal
+# exponent E, |E| <= _E_MAX, prints the 17 digits of n = round(a 10^k), k = 16 - E. With 10^k
+# = hi + lo to 2^-106 and Dekker's split of a, p + s is a 10^k to 4.3e-15: a hi = p + e exactly,
+# p > 2^53 an integer, |e| <= 8; lo and t = a lo err by 1.3e-15 each, e + t by half an ulp of
+# 32. So n = p + rint(s) unless s is within _TIE_WINDOW of a half-integer: those cells (exact
+# ties among them), non-finite ones and those past _E_MAX are spelled by format_float.
+_E_MAX, _TIE_WINDOW, _SPLIT = 100, 1e-14, 2.0**27 + 1.0
+
+
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """hi, lo, hi's split halves and the least double >= 10^p at p + _E_MAX + 1, p in
+    [-_E_MAX - 1, _E_MAX + 16]: hi + lo is 10^p rounded twice (int / int rounds right)."""
+    tens = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(-_E_MAX - 1, _E_MAX + 17)]
+    hi = np.array([ten / one for ten, one in tens])
+    lo = np.array([(ten * b - a * one) / (one * b) for (ten, one), (a, b)
+                   in zip(tens, map(float.as_integer_ratio, hi.tolist()))])
+    top = hi * _SPLIT - (hi * _SPLIT - hi)
+    return hi, lo, top, hi - top, np.where(lo > 0, np.nextafter(hi, np.inf), hi)
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Per key 17 form + last: which bytes of _spell's scratch row (000 and n's 17 digits, sign,
+    3 unused, then |E| in 3 digits, ".e", E's sign, NULs) spell a cell, and its end; form - 4 is E
+    (0-20), or 21 and 22 exponential with 2 and 3 digits of |E|, last n's last nonzero digit."""
+    form, last = np.indices((23, 17)).reshape(2, -1, 1)
+    point = np.where((form > 4) & (form < 21), form - 3, 1)  # digits before the point
+    zeros = np.maximum(4 - form, 0)  # leading zeros
+    shown = np.maximum(last + 1 + zeros, point)
+    mantissa, suffix = shown + (shown > point), (form > 20) * (form - 17)
+    j, k = np.arange(24), np.arange(24) - mantissa  # places after the sign, in the suffix
+    at = np.select([k >= suffix, k == 0, k == 1, k > 1, j == point],
+                   [31, 28, 29, 27 - suffix + k, 27], np.maximum(j - (j > point) - zeros + 3, 0))
+    return np.column_stack([np.full(len(at), 20), at]), (1 + mantissa + suffix).ravel()
+
+
+_HI, _LO, _HI_TOP, _HI_BOTTOM, _AT_LEAST = _powers_of_ten()
+_LAYOUT, _END = _layouts()
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()  # 0000 to 9999: bytes, last nonzero
+_QUADS = (_DIGITS + 48).view(np.uint32)[:, 0]
+_LAST = ((_DIGITS > 0) * np.arange(17, 21, dtype=np.int8)).max(1) - np.int8(17)  # -17: none
+# Per biased binary exponent: the index of 10^E for the least E it holds.
+_BINARY = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.intp) + _E_MAX + 1
+# Per index of 10^E: 17 times a nonzero cell's form, and the scratch row's tail.
+_E = np.arange(-_E_MAX - 1, _E_MAX + 17)
+_FORM = 17 * np.where(abs(_E - 6) <= 10, _E + 4, 21 + (abs(_E) > 99))
+_TAIL = np.frombuffer("".join(f"{abs(e):03}.e{'-+'[e >= 0]}\0\0" for e in _E.tolist()).encode(), "u8")
+
+
+def _spell(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """format_float's bytes, among NULs, for each float of each array: bytes along a new
+    last axis as wide as the array's longest cell and one more (NUL) byte."""
+    x = np.concatenate([c.ravel() for c in columns], dtype=float)
+    a = np.abs(x)
+    normal = (a >= _AT_LEAST[1]) & (a < _AT_LEAST[2 * _E_MAX + 2])
+    a = np.where(normal, a, 1.0)
+    e = _BINARY.take(a.view(np.int64) >> 52)
+    e += a >= _AT_LEAST.take(e + 1)
+    k = 2 * _E_MAX + 18 - e  # index of 10^(16 - E)
+    top = (split := a * _SPLIT) - (split - a)
+    bottom, hi_top, hi_bottom = a - top, _HI_TOP.take(k), _HI_BOTTOM.take(k)
+    p = a * _HI.take(k)
+    s = ((top * hi_top - p) + top * hi_bottom + bottom * hi_top) + bottom * hi_bottom  # a hi - p
+    r = np.rint(s := s + a * _LO.take(k))
+    fallback = np.flatnonzero(~normal & (x != 0) | (abs(s - r) > 0.5 - _TIE_WINDOW))
+    n = (p.astype(np.int64) + r.astype(np.int64)) * (x != 0)  # 0 spells zero
+    n -= (carry := n >= 10**17) * 9 * 10**16  # rounded up to 10^(E + 1)
+    e += carry
+    groups = np.array(np.unravel_index(n, (10,) + (10**4,) * 4))  # 000d, then 4 digits each
+    scratch = np.empty((x.size, 4), np.uint64)
+    scratch.view(np.uint32)[:, :5] = _QUADS.take(groups).T
+    scratch.view(np.uint8)[:, 20] = 45 * np.signbit(x)
+    scratch[:, 3] = _TAIL.take(e)
+    last = (_LAST.take(groups) + np.array([[-3], [1], [5], [9], [13]], np.int8)).max(0)
+    key = _FORM.take(e) + np.maximum(last, 0)  # n's last nonzero digit
+    del a, split, top, bottom, hi_top, hi_bottom, p, s, r, groups, last  # before the widest arrays
+    ends = _END.take(key)
+    ends[fallback] = 24  # the longest cell
+    index = _LAYOUT[:, : ends.max() + 1].take(key, axis=0)
+    index += np.arange(0, 32 * x.size, 32)[:, None]
+    cells = scratch.view(np.uint8).ravel().take(index)
+    spelled = np.array([format_float(v) for v in x[fallback].tolist()], "S24").view(np.uint8)
+    cells[fallback, :24] = spelled.reshape(-1, 24)[:, : cells.shape[1]]
+    starts = np.cumsum([0] + [c.size for c in columns[:-1]])
+    return [cells[i : i + c.size, : w + 1].reshape(c.shape + (w + 1,)) for c, i, w in
+            zip(columns, starts.tolist(), np.maximum.reduceat(ends, starts).tolist())]
+
+
 def write_table(path, metadata: dict, header: list[str], columns, shape=None) -> int:
     """'# key=value' metadata lines, the header, then one row per element of
     shape (default: the first column's length) in C order; columns holds one
     array per header name, each broadcasting against shape. Floats are
-    written as by format_float, anything else by str. Returns the row count.
-
-    Each block of about _WRITE_LINES rows is one % on a row template: a float
-    column of the block's full shape is a %.17g slot, the others are formatted
-    once per block at their own shape, each joined onto the text cell before
-    it while the joined shape stays smaller than the block."""
+    written as by format_float, anything else by str. Returns the row count."""
     columns = [np.asarray(c) for c in columns]
     if not columns or len(columns) != len(header):
         raise ValueError(f"need one column per header name, got {len(columns)} for {len(header)}")
@@ -87,54 +166,32 @@ def write_table(path, metadata: dict, header: list[str], columns, shape=None) ->
         if c.ndim > len(shape) or any(n not in (1, m) for n, m in zip(c.shape[::-1], shape[::-1])):
             raise ValueError(f"column {name!r} of shape {c.shape} does not broadcast to {shape}")
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]  # all axes
+    for i, (name, c) in enumerate(zip(header, columns)):
+        if c.dtype.kind != "f":  # text by str in UTF-8, NUL-padded to one byte past the longest
+            cells = [str(v).encode() for v in c.ravel().tolist()]
+            if b"\0" in b"".join(cells):
+                raise ValueError(f"column {name!r}: a text cell holds NUL, which pads the cells")
+            cells = np.array(cells, dtype=f"S{max(map(len, cells), default=0) + 1}")
+            columns[i] = cells.view(np.uint8).reshape(c.shape + (cells.itemsize,))
     # Blocks: slices of the first axis past which one index holds at most _WRITE_LINES rows.
     axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _WRITE_LINES)
     step = max(1, _WRITE_LINES // max(math.prod(shape[axis + 1 :]), 1))
-    with open(path, "w", newline="\n") as out:
-        out.write("".join(f"# {key}={value}\n" for key, value in metadata.items())
-                  + ",".join(header) + "\n")
+    with open(path, "wb") as out:
+        out.write(("".join(f"# {key}={value}\n" for key, value in metadata.items())
+                   + ",".join(header) + "\n").encode())
         for *lead, start in itertools.product(*map(range, shape[:axis]),
-                                              range(0, shape[axis], step)):
+                                              range(0, shape[axis] if math.prod(shape) else 0, step)):
             block = [c[tuple(i if n > 1 else 0 for i, n in zip(lead, c.shape))] for c in columns]
             block = [b[start : start + step] if len(b) > 1 else b for b in block]
-            out.write(_block_text(block, (min(step, shape[axis] - start),) + shape[axis + 1 :]))
+            # One byte matrix of the block's rows, cells NUL-padded; written without the NULs.
+            spelled = iter(_spell(fs) if (fs := [b for b in block if b.dtype.kind == "f"]) else [])
+            block = [next(spelled) if b.dtype.kind == "f" else b for b in block]
+            here = (min(step, shape[axis] - start),) + shape[axis + 1 :]
+            rows = np.concatenate([np.broadcast_to(b, here + b.shape[-1:]) for b in block], axis=-1)
+            rows[..., np.cumsum([b.shape[-1] for b in block]) - 1] = ord(",")  # after each cell
+            rows[..., -1] = ord("\n")
+            out.write(rows.tobytes().translate(None, b"\0"))
     return math.prod(shape)
-
-
-def _block_text(columns: list[np.ndarray], shape: tuple[int, ...]) -> str:
-    """The rows of one block of the given shape, from its columns."""
-    slots = _slots(columns, shape)
-    cells = [None] * (math.prod(shape) * len(slots))  # row by row
-    for i, values in enumerate(slots):
-        values = values if values.shape == shape else np.broadcast_to(values, shape)
-        cells[i :: len(slots)] = values.ravel().tolist()
-    line = ",".join("%s" if values.dtype == object else _FLOAT_CELL for values in slots) + "\n"
-    return line * math.prod(shape) % tuple(cells)
-
-
-def _slots(columns: list[np.ndarray], shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Each cell's values for a block's rows: a float column of the block's
-    full shape as it is, the others as text (_text), each joined onto the
-    text cell before it while the joined shape stays smaller than the block."""
-    slots = []
-    for c in columns:
-        if c.dtype.kind == "f" and c.shape == shape:
-            slots.append(c)
-        elif (slots and slots[-1].dtype == object
-              and math.prod(map(max, slots[-1].shape, c.shape)) < math.prod(shape)):
-            slots[-1] = slots[-1] + "," + _text(c)
-        else:
-            slots.append(_text(c))
-    return slots
-
-
-def _text(values: np.ndarray) -> np.ndarray:
-    """values as an object array of cells: floats as by format_float, anything else by str."""
-    cells = values.ravel().tolist()
-    if values.dtype.kind != "f":
-        return np.fromiter(map(str, cells), object, len(cells)).reshape(values.shape)
-    text = (f"{_FLOAT_CELL}\n" * len(cells) % tuple(cells)).split("\n")[:-1]  # one % for them all
-    return np.fromiter(text, object, len(cells)).reshape(values.shape)
 
 
 def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:

@@ -70,9 +70,9 @@ _MAX_SITES = 10**7
 # Series lengths are rounded up to a multiple of this, so that nearby
 # distances share one transform of the moments.
 _TERMS_STEP = 64
-# Distances, and the moments' generating function, are evaluated in blocks of at most
-# this many samples, which bounds the temporaries of long distance arrays and series.
-_BLOCK_SAMPLES = 1 << 15
+# Samples per block: of distances, bounding their temporaries; of the moments' generating
+# function, keeping its complex temporaries in cache and fig5's longest series (4097) in one call.
+_BLOCK_SAMPLES, _GENERATING_SAMPLES = 1 << 15, 1 << 13
 
 
 def _chebyshev_terms(x):
@@ -222,6 +222,9 @@ class LatticePropagator:
         self._center = 0.5 * (lo + hi)
         self._radius = 0.5 * (hi - lo)
         c, r = self._center, self._radius
+        if not (math.isfinite(c) and 0.0 < r < math.inf):  # the scale of (H - c) / r
+            raise ValueError(f"chain reservoir out of range: sigma = {lattice.sigma:g} and rho = "
+                             f"{lattice.rho:g} give a spectral centre {c:g} and width {2 * r:g}")
         self._entries = (  # of (H - c) / r
             (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
             params.kappa / r, lattice.rho / r, lattice.sigma / r,
@@ -293,8 +296,8 @@ class LatticePropagator:
             lo, hi = len(self._moments), max(2 * len(self._moments), _TERMS_STEP)
             size, delta, half = 8 * hi, 5.0 / hi, 4 * hi + 1
             samples = np.empty((3, half), dtype=complex)
-            for start in range(0, half, _BLOCK_SAMPLES):
-                theta = np.arange(start, min(start + _BLOCK_SAMPLES, half)) * (2.0 * math.pi / size)
+            for start in range(0, half, _GENERATING_SAMPLES):
+                theta = np.arange(start, min(start + _GENERATING_SAMPLES, half)) * (2.0 * math.pi / size)
                 samples[:, start : start + theta.size] = self._generating(delta, theta)
             growth = np.exp(delta * np.arange(lo, hi))
             m00, m01, m11 = np.fft.irfft(samples, size)[:, lo:hi] * growth

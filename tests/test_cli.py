@@ -590,6 +590,21 @@ def test_chain_past_the_site_limit_exits_1_with_a_short_message(tmp_path, capsys
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig5", "--sigma", "1e308", "--nsites", "5", "--points", "2"],
+    ["fig5", "--beta1", "1e300", "--beta2", "1e300", "--nsites", "5", "--points", "2"],
+], ids=["width-overflows", "width-rounds-to-0"])
+def test_chain_spectrum_past_the_floats_exits_1(tmp_path, capsys, argv):
+    # Refused when the propagator is built, naming sigma, rho and the width:
+    # not blamed on z, and no ZeroDivisionError traceback.
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: chain reservoir out of range: sigma = ") and " and rho = 5 " in err
+    assert " width " in err and "z =" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("key, value", [("sigma", "5"), ("nsites", "3"), ("beta_lattice", "2")])
 def test_memoryless_sweep_refuses_chain_keys(tmp_path, capsys, key, value):
     code, csv = run_sweep_cli(tmp_path, sweep_config_text(**{key: value}))
@@ -893,24 +908,103 @@ def test_write_table_text_is_format_float_per_cell(table, block):
     assert text == "\n".join(expected) + "\n"
 
 
-def test_write_table_joins_text_cells_below_the_block_size(tmp_path, monkeypatch):
-    # A sweep's repeated columns are joined into few text cells, but never
-    # into a block-sized array of new strings: only the row template is that big.
+def test_write_table_builds_no_block_sized_text(tmp_path, monkeypatch):
+    # Float cells are spelled in numpy and never become Python strings, and a
+    # text column is turned into text once per cell of its own shape: the 2
+    # labels below, not once for each of the 2 x 300 rows they label.
     import ptcoupler.cli as cli
 
-    seen = []
+    class Label:
+        made = 0
 
-    def spied(columns, shape):
-        slots = slots_of(columns, shape)
-        seen.append((math.prod(shape), [(values.dtype == object, values.size) for values in slots]))
-        return slots
+        def __str__(self):
+            Label.made += 1
+            return "x"
 
-    slots_of = cli._slots
-    monkeypatch.setattr(cli, "_slots", spied)
-    code, csv = run_sweep_cli(tmp_path, sweep_config_text())
-    assert code == 0 and len(read_table(csv)[2]) == 8
-    # gamma,phi | z,classical_power,mean_photon_number,p_boson | p_entangled | p_fermion,...
-    assert seen == [(8, [(True, 4), (True, 4), (False, 8), (True, 4)])]
+    spelled = []
+    monkeypatch.setattr(cli, "format_float", lambda x: spelled.append(x) or format_float(x))
+    floats = np.arange(600.0).reshape(2, 300) / 7.0
+    labels = np.array([[Label()], [Label()]], dtype=object)
+    header, path = ["a", "b"], tmp_path / "t.csv"
+    assert write_table(path, {"version": "1"}, header, [floats, labels], (2, 300)) == 600
+    assert spelled == [] and Label.made == 2
+    assert read_table(path)[2][-1] == [format_float(599 / 7.0), "x"]
+
+
+def test_write_table_refuses_nul_in_a_text_cell_before_opening(tmp_path):
+    # NUL pads the cells, so a text cell holding one could not be written as it is.
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"^column 'b': a text cell holds NUL"):
+        write_table(path, {"version": "1"}, ["a", "b"], [np.zeros(2), np.array(["x", "y\0z"], object)])
+    assert not path.exists()
+
+
+# -- float cells spelled in numpy: format_float's bytes, every one ------------
+
+def assert_spelled_as_format_float(xs):
+    # Each row of _spell, without its NULs, is format_float's text; its last byte is NUL.
+    import ptcoupler.cli as cli
+
+    xs = np.asarray(xs, dtype=float).ravel()
+    cells = cli._spell([xs])[0]
+    assert cells.shape[0] == xs.size and not cells[:, -1].any()
+    cells[:, -1] = ord("\n")
+    got = cells.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    expected = [format_float(x).encode() for x in xs.tolist()]
+    if got != expected:
+        bad = [i for i, (cell, text) in enumerate(zip(got, expected)) if cell != text]
+        pytest.fail(f"{len(bad)} cells differ, e.g. {[(xs[i], expected[i], got[i]) for i in bad[:5]]}")
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_spelled_cells_are_format_float(xs):
+    assert_spelled_as_format_float(xs)  # nan, +-inf, +-0 and subnormals included
+
+
+def test_spelled_cells_at_the_edges_of_the_notation_and_the_range():
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])  # every power the doubles hold
+    edges = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e16, 1e17,
+                      1e-4, 1e-5, np.finfo(float).max, np.inf, np.nan])
+    xs = np.concatenate([tens, edges])
+    with np.errstate(over="ignore"):  # the neighbours of the largest double
+        xs = np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
+    assert_spelled_as_format_float(np.concatenate([xs, -xs]))
+
+
+def test_spelled_exact_ties_fall_back_to_format_float(monkeypatch):
+    # x = m / 2^(k+1), m odd: x 10^k = m 5^k / 2 lies halfway between two
+    # integers, 17-digit ones for m 5^k in [2e16, 2e17): a tie format_float
+    # breaks to even, and x is a double for m < 2^53.
+    import ptcoupler.cli as cli
+
+    rng = np.random.default_rng(14)
+    ties = []
+    for k in range(1, 24):
+        low, high = -(-2 * 10**16 // 5**k), min(-(-2 * 10**17 // 5**k), 2**53)
+        for m in rng.integers(low, high - 1, 8).tolist():
+            ties.append((m | 1) / 2 ** (k + 1))  # exact
+    spelled = []
+    monkeypatch.setattr(cli, "format_float", lambda x: spelled.append(x) or format_float(x))
+    assert_spelled_as_format_float(ties)
+    assert len(ties) == 184 and sorted(spelled) == sorted(ties)  # every tie, and nothing else
+
+
+def test_spelled_cells_of_random_bit_patterns():
+    bits = np.random.default_rng(2024).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    assert_spelled_as_format_float(bits.view(float))
+
+
+def test_every_cell_through_the_fallback_gives_the_same_bytes(monkeypatch):
+    # A tie window past 1/2 sends every cell to format_float.
+    import ptcoupler.cli as cli
+
+    xs = np.concatenate([np.random.default_rng(3).standard_normal(500) * 10.0 ** np.arange(-250, 250),
+                         [0.0, -0.0, 1e16, 1e17, 5e-324, np.nan, -np.inf]])
+    spelled = []
+    monkeypatch.setattr(cli, "format_float", lambda x: spelled.append(x) or format_float(x))
+    monkeypatch.setattr(cli, "_TIE_WINDOW", 1.0)
+    assert_spelled_as_format_float(xs)
+    assert len(spelled) == xs.size
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_at_dispatch(tmp_path, monkeypatch, capsys):

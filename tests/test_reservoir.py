@@ -194,6 +194,23 @@ def test_cached_moments_do_not_change_results():
         assert np.array_equal(used.scattering(z).as_array(), fresh)
 
 
+@pytest.mark.parametrize("params, lat, message", [
+    # 2 sigma + rho overflows the Gershgorin width: once a NaN centre, blamed on z.
+    ((0.0, 0.0, 1.0, 0.0), (1e308, 1.0, 5),
+     r"sigma = 1e\+308 and rho = 1 give a spectral centre nan and width inf$"),
+    # Every disc rounds to one point: once a ZeroDivisionError.
+    ((1e300, 1e300, 1.0, 0.0), (20.0, 5.0, 5, 1e300),
+     r"sigma = 20 and rho = 5 give a spectral centre 1e\+300 and width 0$"),
+])
+def test_spectrum_past_the_floats_refused_when_built(params, lat, message):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^chain reservoir out of range: " + message):
+            LatticePropagator(CouplerParams(*params), LatticeReservoir(*lat)).scattering(0.0)
+    # Just inside the floats the same chain is built and evaluated.
+    LatticePropagator(CouplerParams(0.0, 0.0, 1.0, 0.0), LatticeReservoir(1e307, 1.0, 5)).scattering(0.0)
+
+
 def test_oversized_chain_refused_before_allocating():
     params = CouplerParams(0.0, 0.0, 1.0, 0.0)
     lat = LatticeReservoir(sigma=1e6, rho=5.0, n_sites=min_lattice_size(1e6, 3.0))
@@ -486,6 +503,7 @@ def test_scattering_array_is_bit_for_bit_on_fig5_shapes(monkeypatch):
             assert np.array_equal(record.as_array(), s[i])
             assert record.determinant == det[i]
     monkeypatch.setattr(reservoir, "_BLOCK_SAMPLES", 140)
+    monkeypatch.setattr(reservoir, "_GENERATING_SAMPLES", 140)  # the moments' pass too
     split = LatticePropagator(params, lat).scattering_array(grid)
     assert np.array_equal(split[0], s) and np.array_equal(split[1], det)
 
