@@ -4,18 +4,26 @@
     python scripts/bench.py --out BENCH_<n>.json
     python scripts/bench.py --out BENCH_<n>.json --baseline <commit>
 
-Every source tree is measured in a fresh interpreter whose PYTHONPATH is
-that tree: this checkout's src/ as it is on disk, then, with --baseline,
-the src/ of that commit (extracted with git archive), so one run gives
-before and after numbers on the same machine. Within it each
-layer gets one untimed warm-up call, then REPEATS timed calls; the JSON
-keeps every time and their median. Layers:
+Every source tree is measured in fresh interpreters whose PYTHONPATH is
+that tree: this checkout's src/ as it is on disk and, with --baseline, the
+src/ of that commit (extracted with git archive). Without --baseline one
+interpreter measures this tree; with it, ROUNDS rounds each run one
+interpreter per tree, the two in alternating order, so that drift of the
+host lands in both trees alike. Within an interpreter each layer gets one
+untimed warm-up call, then REPEATS timed calls. The JSON keeps every time,
+each tree's median per layer and per round, and, with --baseline, each
+layer's ratio this / baseline: the median of the per-round ratios of
+medians, with their smallest and largest. Layers:
 
   scattering.matrix_1pt         one scattering_matrix call (beta1 = 0.3,
                                 beta2 = -0.2, kappa = 1.1, gamma = 0.7,
                                 z = 2): the closed form and its record
   quantum.observables_1pt       the four pair observables (boson, phi = 1.2,
                                 fermion, mean photon number) on that record
+  quantum.pairs_fig4b           fig4b's three phase columns (0, 2 pi/3, pi)
+                                over its 201 loss rates at kappa z0 = 3, as
+                                fig4 makes them: one survival_entangled call
+                                on the array of phases
   sweep.run_sweep               run_sweep on a seeded 101 x 7 x 8 markovian
                                 config with all seven observables: its
                                 columns, none of them formatted (cli.sweep
@@ -36,9 +44,10 @@ keeps every time and their median. Layers:
 
 A tree without LatticePropagator.scattering_array is timed on its
 per-distance scattering(z), farthest first, as its survival_curve did. A
-tree whose write_table takes rows (no shape parameter) is timed on the rows
-of the same columns, made in the timed call as its figures made them, and
-on every row its run_sweep yields.
+tree whose survival_entangled takes no det is timed on one call per phase,
+as its fig4 made them. A tree whose write_table takes rows (no shape
+parameter) is timed on the rows of the same columns, made in the timed call
+as its figures made them, and on every row its run_sweep yields.
 Only numpy, the standard library and perfbench/workloads.py are used.
 """
 
@@ -64,7 +73,8 @@ from importlib import metadata
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-REPEATS = 15  # timed calls per layer
+REPEATS = 15  # timed calls per layer and interpreter
+ROUNDS = 5  # with --baseline: interpreters per tree, alternating
 PERFBENCH_SEED = 1  # sweep_dense's config for cli.sweep
 
 
@@ -93,7 +103,7 @@ def layers(tmp: Path) -> dict:
         survival_indistinguishable,
     )
     from ptcoupler.reservoir import LatticePropagator, LatticeReservoir
-    from ptcoupler.scattering import scattering_matrix
+    from ptcoupler.scattering import scattering_array, scattering_matrix
 
     markov = CouplerParams(0.3, -0.2, 1.1, 0.7)
     record = scattering_matrix(markov, 2.0)
@@ -101,6 +111,16 @@ def layers(tmp: Path) -> dict:
     def observables():
         return (survival_indistinguishable(record), survival_entangled(record, 1.2),
                 survival_fermionic(record), mean_photon_number(record))
+
+    fig4b, fig4b_det = scattering_array(CouplerParams(0.0, 0.0, 1.0), 3.0,
+                                        gamma=np.linspace(0.0, 5.0, 201))
+    phis = (0.0, 2.0 * math.pi / 3.0, math.pi)
+    phase_array = "det" in inspect.signature(survival_entangled).parameters
+
+    def pairs():
+        if phase_array:
+            return survival_entangled(fig4b, np.array(phis)[:, None], fig4b_det)
+        return [survival_entangled(fig4b, phi) for phi in phis]
 
     def chain(sigma, rho, n_sites, z_max):
         params, zs = CouplerParams(0.0, 0.0, 1.0), np.linspace(0.0, z_max, 301)
@@ -149,6 +169,7 @@ def layers(tmp: Path) -> dict:
     return {
         "scattering.matrix_1pt": lambda: scattering_matrix(markov, 2.0),
         "quantum.observables_1pt": observables,
+        "quantum.pairs_fig4b": pairs,
         "sweep.run_sweep": sweep,
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
@@ -178,13 +199,31 @@ def measure() -> dict:
 
 
 def run_tree(src: Path) -> dict:
+    """Every layer's times from one fresh interpreter on the tree src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, __file__, "--measure"],
         env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
-    times = json.loads(result.stdout)
-    return {name: {"median_s": statistics.median(t), "runs_s": t} for name, t in times.items()}
+    return json.loads(result.stdout)
+
+
+def summary(rounds: list[dict]) -> dict:
+    """Per layer: the median of all its times, each round's median, every time."""
+    return {name: {"median_s": statistics.median(t for r in rounds for t in r[name]),
+                   "round_medians_s": [statistics.median(r[name]) for r in rounds],
+                   "runs_s": [t for r in rounds for t in r[name]]} for name in rounds[0]}
+
+
+def ratios(this: dict, baseline: dict) -> dict:
+    """Per layer: this / baseline, round by round, and their median, min and max."""
+    out = {}
+    for name in this:
+        per_round = [a / b for a, b in zip(this[name]["round_medians_s"],
+                                           baseline[name]["round_medians_s"])]
+        out[name] = {"median": statistics.median(per_round), "min": min(per_round),
+                     "max": max(per_round), "per_round": per_round}
+    return out
 
 
 def git(*argv: str) -> str:
@@ -233,17 +272,28 @@ def main() -> int:
 
     trees = {"this": {"src": "working tree", "git_sha": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain", "--", "src"))}}
-    layers = {"this": run_tree(REPO / "src")}
+    srcs = {"this": REPO / "src"}
+    count = 1 if args.baseline is None else ROUNDS
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.baseline is not None:
+            trees["baseline"] = {"src": args.baseline, "git_sha": git("rev-parse", args.baseline)}
+            srcs["baseline"] = extract_src(args.baseline, Path(tmp))
+        rounds = {tree: [] for tree in srcs}
+        for i in range(count):
+            for tree in list(srcs)[:: 1 if i % 2 == 0 else -1]:
+                rounds[tree].append(run_tree(srcs[tree]))
+    layers = {tree: summary(r) for tree, r in rounds.items()}
+    report = {"machine": machine(), "repeats": REPEATS, "rounds": count, "trees": trees,
+              "layers": layers}
     if args.baseline is not None:
-        trees["baseline"] = {"src": args.baseline, "git_sha": git("rev-parse", args.baseline)}
-        with tempfile.TemporaryDirectory() as tmp:
-            layers["baseline"] = run_tree(extract_src(args.baseline, Path(tmp)))
-    report = {"machine": machine(), "repeats": REPEATS, "trees": trees, "layers": layers}
+        report["ratios"] = ratios(layers["this"], layers["baseline"])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for layer in report["layers"]["this"]:
-        medians = "  ".join(f"{name} {report['layers'][name][layer]['median_s'] * 1e3:8.2f} ms"
+        medians = "  ".join(f"{name} {layers[name][layer]['median_s'] * 1e3:8.2f} ms"
                             for name in trees)
-        print(f"{layer:30s} {medians}")
+        ratio = report.get("ratios", {}).get(layer)
+        spread = f"  ratio {ratio['median']:.3f} [{ratio['min']:.3f}, {ratio['max']:.3f}]" if ratio else ""
+        print(f"{layer:30s} {medians}{spread}")
     return 0
 
 

@@ -9,7 +9,8 @@ and every command of perfbench's workloads, the sweep_dense config at seeds
 whose PYTHONPATH is its src/: this checkout's as it is on disk, and the src/
 of the baseline extracted with git archive, as scripts/bench.py --baseline
 does. Every CSV is compared byte for byte; one that differs, or that only one
-tree wrote, is listed, and so is a command that fails.
+tree wrote, is listed, and so is a command that fails. A differing CSV names
+its differing columns, each with its largest absolute difference.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def run_tree(src: Path, runs: dict[str, list[str]], out: Path) -> list[str]:
     return failed
 
 
+def differing_columns(this: Path, baseline: Path) -> str:
+    """The columns in which two CSVs differ, each with its largest |difference|."""
+    mine, theirs = ([line.split(",") for line in path.read_text().splitlines()
+                     if not line.startswith("# ")] for path in (this, baseline))
+    if mine[:1] != theirs[:1] or len(mine) != len(theirs):
+        return "header or row count"
+    found = []
+    for name, a, b in zip(mine[0], zip(*mine[1:]), zip(*theirs[1:])):
+        if a != b:
+            try:
+                worst = max(abs(float(x) - float(y)) for x, y in zip(a, b))
+            except ValueError:  # a text column
+                found.append(name)
+            else:
+                found.append(f"{name} (max |diff| {worst:.3g})")
+    return ", ".join(found) or "metadata only"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", metavar="REV", required=True, help="git revision to compare with")
@@ -74,7 +93,8 @@ def main() -> int:
             if not all(path in names for names in csvs.values()):
                 problems.append(f"{path}: written by one tree only")
             elif (tmp / "this" / path).read_bytes() != (tmp / "baseline" / path).read_bytes():
-                problems.append(f"{path}: bytes differ")
+                columns = differing_columns(tmp / "this" / path, tmp / "baseline" / path)
+                problems.append(f"{path}: bytes differ in {columns}")
         same = len(csvs["this"] & csvs["baseline"]) - sum("bytes differ" in p for p in problems)
         print(f"{len(runs)} commands, {same} of {len(csvs['this'] | csvs['baseline'])} CSVs "
               f"byte-identical to {args.baseline}:")

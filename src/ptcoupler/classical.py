@@ -27,7 +27,7 @@ from .core import (
     require_non_negative,
     validate,
 )
-from .scattering import half_trace_and_omega, scattering_array, scattering_matrix
+from .scattering import scaled_roots, scattering_array, scattering_matrix
 
 __all__ = [
     "Regime",
@@ -95,7 +95,8 @@ def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, n
     """lambda1, lambda2 of supermodes at each loss rate of the array gamma (replacing
     params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
     them (hypot, as Python's abs): the code behind supermodes and the sweep."""
-    half_trace, _, omega = half_trace_and_omega(params, require_non_negative("gamma", gamma))
+    half_trace, e, _, _, omega = scaled_roots(params, require_non_negative("gamma", gamma))
+    omega = omega * np.ldexp(1.0, e)
     plus, minus = half_trace + omega, half_trace - omega
     first = (plus.imag > minus.imag) | ((plus.imag == minus.imag) & (plus.real <= minus.real))
     lambda1, lambda2 = np.where(first, plus, minus), np.where(first, minus, plus)
@@ -123,12 +124,13 @@ def _regimes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray]:
     gamma (replacing params.gamma): the code behind classify_ep and the sweep."""
     if params.beta1 != params.beta2:
         raise ValueError("classify_ep requires beta1 == beta2; for a detuned coupler use supermodes")
-    gamma = require_non_negative("gamma", gamma)
-    disc = params.kappa * params.kappa - 0.25 * gamma * gamma
-    tol = EP_DISCRIMINANT_TOL * params.kappa * params.kappa
+    _, e, kappa, d, _ = scaled_roots(params, require_non_negative("gamma", gamma))
+    disc = kappa * kappa - d.imag * d.imag
+    tol = EP_DISCRIMINANT_TOL * kappa * kappa
     regimes = np.select([disc > tol, disc < -tol], [Regime.BELOW.value, Regime.ABOVE.value],
                         Regime.AT.value)
-    return regimes, disc
+    with np.errstate(over="ignore"):  # the discriminant itself may pass the float range
+        return regimes, np.ldexp(disc, 2 * e)
 
 
 def classify_ep(params: CouplerParams) -> EpRegime:
@@ -136,9 +138,9 @@ def classify_ep(params: CouplerParams) -> EpRegime:
 
     Only defined for beta1 = beta2, where the discriminant
     kappa^2 - (gamma/2)^2 is real and its sign decides the regime; the
-    "at" band has half-width EP_DISCRIMINANT_TOL * kappa^2. For detuned
-    couplers the eigenvalue structure never coalesces; inspect supermodes
-    directly instead.
+    "at" band has half-width EP_DISCRIMINANT_TOL * kappa^2, both read in
+    the unit of scattering.scaled_roots. For detuned couplers the eigenvalue
+    structure never coalesces; inspect supermodes directly instead.
     """
     validate(params)
     regimes, discs = _regimes(params, np.array([params.gamma]))

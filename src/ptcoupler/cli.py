@@ -34,8 +34,7 @@ from .quantum import (
     survival_indistinguishable,
 )
 from .reservoir import LatticePropagator, LatticeReservoir, lattice_gamma, min_lattice_size
-# scattering_matrix stays bound here: perfbench/tracing.py wraps it at every
-# module that binds it.
+# scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
 from .scattering import scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
@@ -260,9 +259,9 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
 
 def _write_per_gamma(args, grid, outdir, name, defaults, curves_for, head, tail=None):
     """One CSV per loss rate (--gamma, else the defaults in units of kappa),
-    <name>_gamma<gamma/kappa>.csv, holding curves_for(s), {label: values},
-    for the rate's propagators s over the grid; its metadata is head, the
-    shared settings, tail. Returns the rates and file names."""
+    <name>_gamma<gamma/kappa>.csv, holding curves_for(s, det), {label:
+    values}, for the rate's propagators and determinants over the grid; its
+    metadata is head, the shared settings, tail. Returns the rates and file names."""
     gammas = _rates(args.gamma, args.kappa, defaults)
     zs = grid.points()
     written = []
@@ -271,7 +270,7 @@ def _write_per_gamma(args, grid, outdir, name, defaults, curves_for, head, tail=
         meta = _metadata(head | _shared(args, grid, gamma=gamma) | (tail or {}))
         # S lives only until its curves are made, not while they are written.
         curves = [DecayCurve.from_arrays(label, zs, v)
-                  for label, v in curves_for(scattering_array(params, zs)[0]).items()]
+                  for label, v in curves_for(*scattering_array(params, zs)).items()]
         file = f"{name}_gamma{gamma / args.kappa:g}.csv"
         write_decay_curves(outdir / file, meta, curves)
         written.append(file)
@@ -283,8 +282,8 @@ def cmd_fig2(args) -> int:
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig2", (0.5, 2.0, 10.0),
         # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
-        lambda s: {"power_balanced_orthogonal": 0.5 * mean_photon_number(s),
-                   "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2},
+        lambda s, det: {"power_balanced_orthogonal": 0.5 * mean_photon_number(s),
+                        "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2},
         {"command": "fig2", "backend": "markovian"},
         {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"},
     )
@@ -296,7 +295,7 @@ def cmd_fig3(args) -> int:
     grid, outdir = _setup(args, 10.0, 501)
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig3", (0.5, 2.0, 10.0),
-        lambda s: {"survival_indistinguishable": survival_indistinguishable(s)},
+        lambda s, det: {"survival_indistinguishable": survival_indistinguishable(s)},
         {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"},
     )
     _write_sidecar(outdir, "fig3", _shared(args, grid, gammas=gammas) | {"files": written})
@@ -309,13 +308,14 @@ def cmd_fig4(args) -> int:
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
     # PolarizationEntangled refuses a bad --phi before anything is computed.
     labels = [_survival_function(PolarizationEntangled(phi))[1] for phi in phis]
+    phase_axis = np.array(phis)[:, None]  # each phase's column: P_B and P_F mixed at once
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
 
     # Panel (a): survival vs distance, one file per loss rate.
     gammas, written = _write_per_gamma(
         args, grid, outdir, "fig4a", (0.625, 2.5),
-        lambda s: {label: survival_entangled(s, phi) for label, phi in zip(labels, phis)},
+        lambda s, det: dict(zip(labels, survival_entangled(s, phase_axis, det))),
         head, {"phis": phis},
     )
 
@@ -323,8 +323,8 @@ def cmd_fig4(args) -> int:
     # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
     z0 = 3.0 / kappa
     gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
-    s, _ = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
-    columns = [gamma_axis] + [survival_entangled(s, phi) for phi in phis]
+    s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
+    columns = [gamma_axis, *survival_entangled(s, phase_axis, det)]
     meta = _metadata(head | {
         "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
         "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
@@ -350,10 +350,10 @@ def cmd_fig5(args) -> int:
     written = []
     for rho in rhos:
         reservoir = LatticeReservoir(sigma=sigma, rho=rho, n_sites=nsites, beta_lattice=args.beta2)
-        s, _ = LatticePropagator(params, reservoir).scattering_array(zs)
+        s, det = LatticePropagator(params, reservoir).scattering_array(zs)
         gamma_eff = lattice_gamma(sigma, rho)
         markov = np.exp(-2.0 * gamma_eff * zs)
-        curves = [DecayCurve.from_arrays("survival_lattice", zs, survival_entangled(s, phi)),
+        curves = [DecayCurve.from_arrays("survival_lattice", zs, survival_entangled(s, phi, det)),
                   DecayCurve.from_arrays("survival_markovian_exponential", zs, markov)]
         meta = _metadata({
             "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
@@ -386,8 +386,7 @@ _SWEEP_COLUMNS = {
     "classical_power": lambda s, det, phis, bare, rates: 0.5 * mean_photon_number(s),
     "mean_photon_number": lambda s, det, phis, bare, rates: mean_photon_number(s),
     "p_boson": lambda s, det, phis, bare, rates: survival_indistinguishable(s),
-    "p_entangled": lambda s, det, phis, bare, rates: np.concatenate(
-        [survival_entangled(s, phi) for phi in phis], axis=1),
+    "p_entangled": lambda s, det, phis, bare, rates: survival_entangled(s, np.array(phis)[:, None], det),
     "p_fermion": lambda s, det, phis, bare, rates: survival_fermionic(s, det),
     "ep_regime": lambda s, det, phis, bare, rates: _regimes(bare, rates)[0][:, None, None],
     "eigenvalue_gap": lambda s, det, phis, bare, rates: _supermodes(bare, rates)[2][:, None, None],

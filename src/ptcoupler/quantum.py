@@ -4,16 +4,16 @@ The photon Hamiltonian is quadratic, so every two-photon quantity factors
 through the single-photon transfer matrix S. Launching one photon into
 each arm:
 
-  indistinguishable pair  P = 2|S11 S12|^2 + 2|S21 S22|^2 + |S11 S22 + S12 S21|^2
-  exchange phase phi      P = 2 cos^2(phi/2) (|S11 S12|^2 + |S21 S22|^2)
-                              + |S11 S22|^2 + |S12 S21|^2
-                              + 2 cos(phi) Re(S11 S22 S12* S21*)
-  phi = pi (fermionic)    P = |det S|^2
+  indistinguishable pair  P_B = 2|S11 S12|^2 + 2|S21 S22|^2 + |S11 S22 + S12 S21|^2
+  antisymmetric pair      P_F = |det S|^2
+  exchange phase phi      P = cos^2(phi/2) P_B + sin^2(phi/2) P_F
 
-The fermionic case contracts to the determinant alone, which for the bare
-coupler is insensitive to the eigenvalue structure: |det S|^2 = e^{-2 gamma z}
-whether below, at, or above the coalescence point. The bosonic case keeps
-the permanent-like combination and feels the coalescence strongly.
+The entangled pair is the symmetric pair times cos(phi/2) plus the
+antisymmetric one times sin(phi/2), up to phases. S keeps each amplitude
+matrix (anti)symmetric, and the two parts do not interfere in the survival
+sum: sum_nm A_nm B_nm* = 0 for A symmetric, B antisymmetric. For the bare
+coupler P_F = e^{-2 gamma z} in every regime, so the coalescence enters P
+only through P_B, whose weight vanishes at phi = pi.
 
 survival_curve evaluates any of these along a grid against either the
 closed-form coupler propagator (memoryless loss, no reservoir) or the exact
@@ -40,8 +40,7 @@ from .core import (
     validate,
 )
 from .reservoir import LatticePropagator, LatticeReservoir
-# scattering_matrix stays bound here: perfbench/tracing.py wraps it at every
-# module that binds it.
+# scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
 from .scattering import scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
@@ -89,15 +88,18 @@ class TwoPhotonOccupations:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _occupations(s) -> tuple[np.ndarray, ...]:
-    """p20, p02, p11, p_lost of the indistinguishable pair, over a batch."""
+def _bunching(s) -> tuple[np.ndarray, ...]:
+    """p20, p02, p11 of the indistinguishable pair over a batch, unclamped."""
     s = np.asarray(s)
     s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
-    p20 = _clamp_probability(2.0 * np.abs(s11 * s12) ** 2, "p20")
-    p02 = _clamp_probability(2.0 * np.abs(s21 * s22) ** 2, "p02")
-    p11 = _clamp_probability(np.abs(s11 * s22 + s12 * s21) ** 2, "p11")
-    p_lost = _clamp_probability(1.0 - p20 - p02 - p11, "p_lost")
-    return p20, p02, p11, p_lost
+    return (2.0 * np.abs(s11 * s12) ** 2, 2.0 * np.abs(s21 * s22) ** 2,
+            np.abs(s11 * s22 + s12 * s21) ** 2)
+
+
+def _occupations(s) -> tuple[np.ndarray, ...]:
+    """p20, p02, p11, p_lost of the indistinguishable pair, over a batch."""
+    p20, p02, p11 = (_clamp_probability(p, name) for p, name in zip(_bunching(s), ("p20", "p02", "p11")))
+    return p20, p02, p11, _clamp_probability(1.0 - p20 - p02 - p11, "p_lost")
 
 
 def occupations_indistinguishable(s: ScatteringMatrix) -> TwoPhotonOccupations:
@@ -111,43 +113,36 @@ def occupations_indistinguishable(s: ScatteringMatrix) -> TwoPhotonOccupations:
 
 def survival_indistinguishable(s) -> float | np.ndarray:
     """Probability that both photons of the bosonic pair stay guided."""
-    p20, p02, p11, _ = _occupations(s)
+    p20, p02, p11 = _bunching(s)
     return _clamp_probability(p20 + p02 + p11, "survival")
 
 
-def survival_entangled(s, phi: float) -> float | np.ndarray:
-    """Pair survival for the polarization-entangled input with exchange
-    phase phi. phi = 0 reproduces the indistinguishable result, phi = pi
-    the fermionic one; in between the interference term is weighted by
-    cos(phi)."""
-    phi = PolarizationEntangled(phi).phi
-    s = np.asarray(s)
-    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
-    a = s11 * s22
-    b = s12 * s21
-    bunching = np.abs(s11 * s12) ** 2 + np.abs(s21 * s22) ** 2
-    p = (
-        2.0 * math.cos(0.5 * phi) ** 2 * bunching
-        + np.abs(a) ** 2
-        + np.abs(b) ** 2
-        + math.cos(phi) * 2.0 * (a * b.conjugate()).real
-    )
-    return _clamp_probability(p, "survival")
-
-
 def survival_fermionic(s, det=None) -> float | np.ndarray:
-    """Pair survival for the antisymmetric (phi = pi) input: |det S|^2.
-
-    Uses the reduced determinant when there is one: the one a
-    ScatteringMatrix carries, or det (shape (...)), which an array of
-    matrices must come with. For the memoryless coupler this is
-    e^{-2 gamma z} to a few ulp at any distance, immune to the cancellation
-    that would wash out the entrywise product difference."""
+    """Pair survival for the antisymmetric (phi = pi) input: |det S|^2, of
+    the determinant a ScatteringMatrix carries or of det (shape (...)), which
+    an array of matrices must come with. The memoryless coupler's reduced
+    determinant gives e^{-2 gamma z} to a few ulp at any distance, where the
+    entrywise product difference cancels."""
     if isinstance(s, ScatteringMatrix):
         det = s.determinant
     elif det is None:
         raise ValueError("det is required with an array of matrices")
     return _clamp_probability(np.abs(det) ** 2, "survival")
+
+
+def survival_entangled(s, phi, det=None) -> float | np.ndarray:
+    """Pair survival of the polarization-entangled input, cos^2(phi/2) P_B +
+    sin^2(phi/2) P_F: exactly P_B at phi = 0 and P_F at phi = pi. det as for
+    survival_fermionic; phi, in [0, pi], may be an array broadcast against
+    the batch shape of s, one P_B and P_F serving every phase."""
+    if np.ndim(phi) == 0:
+        phi = PolarizationEntangled(phi).phi
+    elif not np.all(np.greater_equal(phi, 0.0) & np.less_equal(phi, math.pi)):  # NaN too
+        raise ValueError("phi must lie in [0, pi]")
+    c = np.cos(phi)
+    p_boson, p_fermion = survival_indistinguishable(s), survival_fermionic(s, det)
+    # Both parts lie in [0, 1] and the weights sum to 1 up to roundoff.
+    return np.minimum(0.5 * (1.0 + c) * p_boson + 0.5 * (1.0 - c) * p_fermion, 1.0)
 
 
 def mean_photon_number(s) -> float | np.ndarray:
@@ -162,12 +157,12 @@ def mean_photon_number(s) -> float | np.ndarray:
 
 
 def _survival_function(input_state: TwoPhotonInput):
-    """An input's survival observable and curve label, formatted here only."""
+    """An input's survival observable f(s, det) and curve label, formatted here only."""
     if isinstance(input_state, Indistinguishable):
-        return survival_indistinguishable, "survival_indistinguishable"
+        return (lambda s, det: survival_indistinguishable(s)), "survival_indistinguishable"
     if isinstance(input_state, PolarizationEntangled):
         phi = input_state.phi
-        return (lambda s: survival_entangled(s, phi)), f"survival_phi_{phi:.12g}"
+        return (lambda s, det: survival_entangled(s, phi, det)), f"survival_phi_{phi:.12g}"
     raise ValueError(f"unknown two-photon input {input_state!r}")
 
 
@@ -183,12 +178,12 @@ def survival_curve(
     fn, label = _survival_function(input_state)
     zs = grid.points()
     if reservoir is None:
-        s, _ = scattering_array(params, zs)
+        s, det = scattering_array(params, zs)
     elif isinstance(reservoir, LatticeReservoir):
-        s, _ = LatticePropagator(params, reservoir).scattering_array(zs)
+        s, det = LatticePropagator(params, reservoir).scattering_array(zs)
     else:
         raise ValueError(f"unknown reservoir {reservoir!r}")
-    return DecayCurve.from_arrays(label, zs, fn(s))
+    return DecayCurve.from_arrays(label, zs, fn(s, det))
 
 
 def _pair_amplitudes(u: np.ndarray, input_state: TwoPhotonInput) -> np.ndarray:

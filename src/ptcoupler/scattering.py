@@ -28,6 +28,10 @@ short series replaces the quotient, so the coalescence point gamma =
 Generic eigendecomposition loses half its digits near that point; this
 single code path does not.
 
+Units. kappa^2 + d^2 under- or overflows long before S does, so the rates
+are taken in units of 2^e <= max(kappa, |Re d|, Im d) < 2^(e + 1) and z in
+units of 2^-e: exact scaling, so S(2^k p, 2^-k z) is S(p, z) bit for bit.
+
 Array shapes. scattering_array(params, z, gamma) broadcasts the distances
 z against the loss rates gamma (default params.gamma) to one shape B and
 returns S with shape B + (2, 2), complex, and the determinants with shape
@@ -58,34 +62,34 @@ __all__ = ["scattering_matrix"]
 SINC_SERIES_THRESHOLD = 1e-4
 
 
-def half_trace_and_omega(params: CouplerParams, gamma=None) -> tuple:
-    """h = tr M/2, d = (M11 - M22)/2 and the root w of kappa^2 + d^2 with
-    Im w >= 0, so that h + w is the slower-decaying eigenvalue of M. Of two
-    real roots (no loss) the one with the sign of Re d is taken, so that
-    w + d never cancels.
-
+def scaled_roots(params: CouplerParams, gamma=None) -> tuple:
+    """h = tr M/2, the exponent e of the unit 2^e (see Units above) and, in
+    that unit, kappa, d = (M11 - M22)/2 and the root w of kappa^2 + d^2 with
+    Im w >= 0: h + 2^e w is the slower-decaying eigenvalue of M. Of two real
+    roots (no loss) the one with the sign of Re d, so that w + d never cancels.
     gamma, when given, replaces params.gamma (any array shape)."""
     gamma = params.gamma if gamma is None else gamma
     half_trace = 0.5 * (params.beta1 + params.beta2 - 1j * gamma)
     a, b = 0.5 * (params.beta1 - params.beta2), 0.5 * gamma
-    d = a + 1j * b
+    e = np.frexp(np.maximum(np.maximum(params.kappa, abs(a)), b))[1] - 1
+    kappa, a, b = np.ldexp(params.kappa, -e), np.ldexp(a, -e), np.ldexp(b, -e)
     # d^2 from its real parts: Python's complex multiply of a scalar d and
     # numpy's of an array d round differently.
-    omega = np.sqrt(params.kappa * params.kappa + (a - b) * (a + b) + 2j * (a * b))
-    flip = (omega.imag < 0.0) | ((omega.imag == 0.0) & (omega.real * np.real(d) < 0.0))
-    return half_trace, d, np.where(flip, -omega, omega)
+    omega = np.sqrt(kappa * kappa + (a - b) * (a + b) + 2j * (a * b))
+    flip = (omega.imag < 0.0) | ((omega.imag == 0.0) & (np.sign(omega.real) * np.sign(a) < 0.0))
+    return half_trace, e, kappa, a + 1j * b, np.where(flip, -omega, omega)
 
 
 def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.ndarray, np.ndarray]:
-    """S, shape B + (2, 2), and the reduced determinants, shape B, for
-    validated distances z and loss rates gamma; the matrices are not
-    checked here."""
-    half_trace, d, omega = half_trace_and_omega(params, gamma)
-    # h + w = beta1 + (w - d) = beta1 + kappa^2/(w + d): Im h and Im w
-    # nearly cancel far above the exceptional point, w + d never does.
-    slow_mode = params.beta1 + params.kappa * params.kappa / (omega + d)
+    """S, shape B + (2, 2), and the reduced determinants, shape B, for validated
+    distances z and loss rates gamma; the matrices are not checked here."""
+    half_trace, e, kappa, d, omega = scaled_roots(params, gamma)
+    t = np.ldexp(z, e)  # z in units of 2^-e
+    # (h + w) z = beta1 z + kappa^2/(w + d) z: Im h and Im w nearly cancel far
+    # above the exceptional point, w + d never does. beta1 has no bound in the unit.
+    slow_phase = params.beta1 * z + kappa * kappa / (omega + d) * t
 
-    wz = omega * z
+    wz = omega * t
     shape = np.shape(wz)
     x = np.atleast_1d(wz)
     q = np.expm1(2j * x)
@@ -93,12 +97,12 @@ def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.n
     sinc = q / (2j * np.where(small, 1.0, omega))  # e^{i w z} sin(w z)/w
     if small.any():
         y = 2j * x[small]
-        z_small = np.broadcast_to(z, x.shape)[small]
-        sinc[small] = z_small * (1.0 + y / 2.0 * (1.0 + y / 3.0 * (1.0 + y / 4.0 * (1.0 + y / 5.0))))
-    slow = np.exp(-1j * slow_mode * z)
+        t_small = np.broadcast_to(t, x.shape)[small]
+        sinc[small] = t_small * (1.0 + y / 2.0 * (1.0 + y / 3.0 * (1.0 + y / 4.0 * (1.0 + y / 5.0))))
+    slow = np.exp(-1j * slow_phase)
     cos = slow * (1.0 + 0.5 * q)
     sin = slow * sinc
-    off = -1j * sin * params.kappa
+    off = -1j * sin * kappa
     s = np.array([[cos - 1j * sin * d, off], [off, cos + 1j * sin * d]])  # (2, 2) + x.shape
     s = s.transpose(tuple(range(2, s.ndim)) + (0, 1)).reshape(shape + (2, 2))
     return s, np.reshape(np.exp(-2j * half_trace * z), shape)

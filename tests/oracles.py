@@ -41,6 +41,20 @@ def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
     return _clamp_probability(p, "oracle survival")
 
 
+def interference_sum(s, phi: float):
+    """Entangled-pair survival summed term by term from the entries of S
+    (one (2, 2) matrix or an array (..., 2, 2)): the bunching terms, then
+    |a|^2 + |b|^2 + 2 cos(phi) Re(a b*) with a = S11 S22 and b = S12 S21.
+    At phi = pi this is |a - b|^2, which cancels once |det S| << |a|, so it
+    is a reference at moderate gamma z only."""
+    s = np.asarray(s)
+    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    a, b = s11 * s22, s12 * s21
+    bunching = np.abs(s11 * s12) ** 2 + np.abs(s21 * s22) ** 2
+    return (2.0 * math.cos(0.5 * phi) ** 2 * bunching + np.abs(a) ** 2 + np.abs(b) ** 2
+            + 2.0 * math.cos(phi) * (a * b.conjugate()).real)
+
+
 def chain_scattering_oracle(params, lattice, z) -> np.ndarray:
     """Arm block S of e^{-iHz}, shape z.shape + (2, 2), of the coupler +
     chain matrix H = full_hamiltonian(params, lattice), from its dense

@@ -92,6 +92,19 @@ def test_classify_ep_discriminant_and_tolerance_scale():
     assert classify_ep(CouplerParams(0.0, 0.0, 1.0, 2.0 * math.sqrt(1.0 - eps))).regime is Regime.AT
 
 
+@pytest.mark.parametrize("kappa", [1e-170, 1e170])
+@pytest.mark.parametrize("ratio, regime", [(0.5, Regime.BELOW), (2.0, Regime.AT), (10.0, Regime.ABOVE)])
+def test_classify_ep_and_supermodes_at_any_scale(kappa, ratio, regime):
+    # kappa^2 - (gamma/2)^2 under- or overflows at these scales; the sign is
+    # read in units of a power of two near kappa.
+    p = CouplerParams(0.0, 0.0, kappa, ratio * kappa)
+    assert classify_ep(p).regime is regime
+    unit = supermodes(CouplerParams(0.0, 0.0, 1.0, ratio))
+    assert supermodes(p).gap() == pytest.approx(kappa * unit.gap(), rel=1e-15, abs=0.0)
+    if ratio == 0.5:
+        assert supermodes(p).gap() == pytest.approx(2.0 * math.sqrt(1.0 - 0.0625) * kappa, rel=1e-15)
+
+
 def test_classify_ep_rejects_detuned():
     with pytest.raises(ValueError, match="supermodes"):
         classify_ep(CouplerParams(0.0, 1.0, 1.0, 0.5))

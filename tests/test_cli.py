@@ -157,6 +157,33 @@ def test_fig2_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kappa", "1e-170"], ["--kappa", "1e300"], ["--gamma", "1e200"],
+    ["--kappa", "1e-170", "--beta1", "1e200", "--beta2", "1e200", "--zmax", "1e-190"],
+])
+def test_fig2_at_any_scale_of_the_rates_exits_0(tmp_path, flags):
+    # kappa^2 + d^2 under- or overflows at these scales; the closed form
+    # forms it in units of a power of two near kappa and d, which a common
+    # propagation constant far above them must not overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig2", "--points", "3", *flags, "--out", str(tmp_path)]) == 0
+    for path in tmp_path.glob("fig2_gamma*.csv"):
+        _, curves = read_decay_curves(path)
+        for c in curves:
+            assert c.values()[0] == 1.0 and 0.0 <= c.values().min() <= c.values().max() <= 1.0
+
+
+@pytest.mark.parametrize("k", [-560, 560])
+def test_fig2_at_a_power_of_two_kappa_is_fig2_at_kappa_1(tmp_path, k):
+    # Rates times 2^k and distances times 2^-k: the same powers, bit for bit.
+    assert main(["fig2", "--out", str(tmp_path / "one")]) == 0
+    assert main(["fig2", "--kappa", repr(2.0**k), "--out", str(tmp_path / "scaled")]) == 0
+    for name in ("fig2_gamma0.5.csv", "fig2_gamma2.csv", "fig2_gamma10.csv"):
+        rows = [read_table(tmp_path / tree / name)[2] for tree in ("one", "scaled")]
+        assert [row[1:] for row in rows[0]] == [row[1:] for row in rows[1]]
+
+
 # -- fig3 -------------------------------------------------------------------
 
 def test_fig3_outputs(tmp_path):
@@ -231,6 +258,28 @@ def test_fig4_panel_b_outputs(tmp_path):
     i = 100
     assert gammas[i] == 2.5
     assert boson_like.values()[i] / fermi_like.values()[i] > 100.0
+
+
+def test_fig4_panel_b_fermionic_column_is_the_exponential_law_to_the_last_digits(tmp_path):
+    # The phi = pi column is |det S|^2 = e^{-2 gamma z0} at every rate; the
+    # entrywise interference sum cancelled to 3.9e-7 relative at gamma = 4.95.
+    assert main(["fig4", "--out", str(tmp_path)]) == 0
+    _, curves = read_decay_curves(tmp_path / "fig4b.csv")
+    fermi = curve_by_label(curves, "survival_phi_3.14159265359")
+    assert len(fermi.values()) == 201
+    for gamma, value in zip(fermi.z_values(), fermi.values()):
+        expected = math.exp(-2.0 * gamma * 3.0)
+        assert abs(value - expected) <= 1e-13 * expected
+
+
+def test_fig4_boson_column_is_fig3_byte_for_byte(tmp_path):
+    assert main(["fig4", "--gamma", "2", "--out", str(tmp_path / "fig4")]) == 0
+    assert main(["fig3", "--gamma", "2", "--zmax", "3", "--points", "301",
+                 "--out", str(tmp_path / "fig3")]) == 0
+    _, header4, rows4 = read_table(tmp_path / "fig4" / "fig4a_gamma2.csv")
+    _, header3, rows3 = read_table(tmp_path / "fig3" / "fig3_gamma2.csv")
+    boson = header4.index("survival_phi_0")
+    assert [(row[0], row[boson]) for row in rows4] == [tuple(row) for row in rows3]
 
 
 def test_fig4_panel_b_matches_per_rate_propagators(tmp_path):
@@ -773,11 +822,27 @@ def test_sweep_lattice_matches_the_array_call(tmp_path):
         gap = supermodes(CouplerParams(0.0, 0.0, 1.0, lattice_gamma(5.0, rho))).gap()
         for phi in (0.0, math.pi):
             columns = (mean_photon_number(s), survival_indistinguishable(s),
-                       survival_entangled(s, phi), survival_fermionic(s, det))
+                       survival_entangled(s, phi, det), survival_fermionic(s, det))
             for j, z in enumerate(zs):
                 expected.append([format_float(v) for v in (rho, phi, z)]
                                 + [format_float(c[j]) for c in columns] + [format_float(gap)])
     assert rows == expected
+
+
+@pytest.mark.parametrize("backend", [
+    {},
+    {"backend": "lattice", "gamma": "", "rho": "1, 2.5", "sigma": "5", "nsites": "41"},
+])
+def test_sweep_entangled_column_is_boson_at_0_and_fermion_at_pi(tmp_path, backend):
+    text = sweep_config_text(**{"gamma": "0, 0.5, 2, 9", "phi": "0, 1.1, 3.141592653589793",
+                                "z": "0, 0.7, 2.5, 6", **backend})
+    code, csv = run_sweep_cli(tmp_path, text)
+    assert code == 0
+    _, header, rows = read_table(csv)
+    column = {name: [row[header.index(name)] for row in rows] for name in header}
+    for phi, name in (("0", "p_boson"), (format_float(math.pi), "p_fermion")):
+        at = [i for i, value in enumerate(column["phi"]) if value == phi]
+        assert at and [column["p_entangled"][i] for i in at] == [column[name][i] for i in at]
 
 
 def oversized_sweep_text():

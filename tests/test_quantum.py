@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from ptcoupler.quantum import (
 from ptcoupler.reservoir import LatticePropagator, LatticeReservoir, full_hamiltonian
 from ptcoupler.scattering import scattering_array, scattering_matrix
 
-from oracles import two_photon_oracle_kron
+from oracles import interference_sum, two_photon_oracle_kron
 
 E_MINUS_4 = 0.018315638888734179
 
@@ -96,22 +97,20 @@ def test_lossless_pair_always_survives(z, kappa):
 @given(params=params_st, z=z_st)
 def test_phi_zero_reduces_to_indistinguishable(params, z):
     s = scattering_matrix(params, z)
-    assert abs(survival_entangled(s, 0.0) - survival_indistinguishable(s)) < 1e-12
+    assert survival_entangled(s, 0.0) == survival_indistinguishable(s)
 
 
-@given(params=params_st, z=st.floats(min_value=0.0, max_value=3.0))
+@given(params=params_st, z=z_st)
 def test_phi_pi_reduces_to_fermionic(params, z):
-    # Moderate gamma z keeps the entrywise combination away from the
-    # cancellation regime, where the two expressions are comparable.
     s = scattering_matrix(params, z)
-    assert abs(survival_entangled(s, math.pi) - survival_fermionic(s)) < 1e-12
+    assert survival_entangled(s, math.pi) == survival_fermionic(s)
 
 
 def test_phi_pi_matches_entrywise_determinant_on_lattice_matrix():
     params = lossless()
     lat = LatticeReservoir(sigma=4.0, rho=1.5, n_sites=31)
     s = LatticePropagator(params, lat).scattering(1.3)
-    assert abs(survival_entangled(s, math.pi) - survival_fermionic(s)) < 1e-12
+    assert survival_entangled(s, math.pi) == survival_fermionic(s)
 
 
 def test_entangled_phi_validation():
@@ -119,6 +118,18 @@ def test_entangled_phi_validation():
     for phi in (-0.1, math.pi + 0.1, math.nan):
         with pytest.raises(ValueError, match="phi"):
             survival_entangled(s, phi)
+        with pytest.raises(ValueError, match="phi"):
+            survival_entangled(s, np.array([0.0, phi, 1.0]))
+
+
+def test_an_array_of_phases_gives_each_phase_bit_for_bit():
+    s, det = scattering_array(CouplerParams(0.3, -0.2, 1.1), np.linspace(0.0, 4.0, 9),
+                              gamma=np.array([[0.0], [0.7], [2.2], [9.0]]))
+    phis = np.array([0.0, 0.4, 2.0 * math.pi / 3.0, math.pi])
+    mixed = survival_entangled(s, phis[:, None, None], det)
+    assert mixed.shape == (4,) + det.shape
+    for phi, column in zip(phis, mixed):
+        assert np.array_equal(column, survival_entangled(s, phi, det))
 
 
 def test_fermionic_closed_form_value():
@@ -155,6 +166,48 @@ def test_statistics_ordering_above_coalescence():
         fermi = survival_fermionic(s)
         assert boson >= middle - 1e-12
         assert middle >= fermi - 1e-12
+
+
+@settings(max_examples=60)
+@given(params=params_st, phi=st.floats(min_value=0.0, max_value=math.pi))
+def test_entangled_survival_is_the_interference_sum_on_the_closed_form(params, phi):
+    # gamma z <= 18 keeps the reference sum clear of its cancellation.
+    s, det = scattering_array(params, np.linspace(0.0, 3.0, 31))
+    assert np.abs(survival_entangled(s, phi, det) - interference_sum(s, phi)).max() <= 1e-14
+
+
+def test_entangled_survival_is_the_interference_sum_on_the_chain():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        params = CouplerParams(*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 2.0))
+        lattice = LatticeReservoir(rng.uniform(0.5, 4.0), rng.uniform(0.0, 2.0), int(rng.integers(1, 40)),
+                                   rng.uniform(-1.0, 1.0))
+        s, det = LatticePropagator(params, lattice).scattering_array(np.linspace(0.0, 3.0, 31))
+        for phi in (0.0, rng.uniform(0.0, math.pi), 2.0 * math.pi / 3.0, math.pi):
+            assert np.abs(survival_entangled(s, phi, det) - interference_sum(s, phi)).max() <= 1e-14
+
+
+def mp_entangled_survival(gamma, z, turns):
+    """Entangled-pair survival of the kappa = 1 coupler at phase turns * pi
+    (pi exactly, as cos(math.pi) is -1 in double precision), from mpmath's
+    expm: the squared amplitudes of U A(0) U^T, one photon per arm. 160
+    digits, as the antisymmetric part (~e^{-2 gamma z}) cancels 131 digits of
+    the O(1) amplitudes at gamma z = 150."""
+    with mpmath.workdps(160):
+        u = mpmath.expm(mpmath.matrix([[0, 1], [1, mpmath.mpc(0, -gamma)]]) * mpmath.mpc(0, -z))
+        rt = 1 / mpmath.sqrt(2)
+        a0 = mpmath.matrix([[0, rt], [rt * mpmath.expjpi(turns), 0]])
+        a = u * a0 * u.T
+        return float(mpmath.fsum(abs(a[i, j]) ** 2 for i in range(2) for j in range(2)))
+
+
+@pytest.mark.parametrize("gamma, z", [(50.0, 3.0), (10.0, 2.0)])
+@pytest.mark.parametrize("turns", [mpmath.mpf(2) / 3, 1])
+def test_entangled_survival_far_above_the_ep_matches_mpmath(gamma, z, turns):
+    # The interference sum gave 0.0 for e^{-300} at (50, 3), 1.5e-3 off at (10, 2).
+    s = scattering_matrix(CouplerParams(0.0, 0.0, 1.0, gamma), z)
+    exact = mp_entangled_survival(gamma, z, turns)
+    assert abs(survival_entangled(s, float(turns * mpmath.pi)) - exact) <= 1e-13 * exact
 
 
 # -- mean photon number ---------------------------------------------------
@@ -312,7 +365,7 @@ def test_array_observables_match_the_per_matrix_loop():
     s, det = scattering_array(params, zs, gamma=gammas)
     arrays = {
         "boson": survival_indistinguishable(s),
-        "entangled": survival_entangled(s, 1.2),
+        "entangled": survival_entangled(s, 1.2, det),
         "fermion": survival_fermionic(s, det),
         "mean": mean_photon_number(s),
     }
@@ -341,11 +394,11 @@ def test_one_record_matches_its_batch_of_one():
         for _ in range(50)
     ]
     for one in records:
-        batch = one.as_array()[None]
+        batch, dets = one.as_array()[None], np.array([one.determinant])
         pairs = [
             (survival_indistinguishable(one), survival_indistinguishable(batch)),
-            (survival_entangled(one, 1.2), survival_entangled(batch, 1.2)),
-            (survival_fermionic(one), survival_fermionic(batch, np.array([one.determinant]))),
+            (survival_entangled(one, 1.2), survival_entangled(batch, 1.2, dets)),
+            (survival_fermionic(one), survival_fermionic(batch, dets)),
             (mean_photon_number(one), mean_photon_number(batch)),
         ]
         for value, batched in pairs:

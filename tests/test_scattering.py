@@ -213,6 +213,30 @@ def test_a_loss_rate_array_gives_the_scalar_rate_bit_for_bit():
         assert np.array_equal(s, s_array) and np.array_equal(det, det_array)
 
 
+def far_from_subnormal(values):
+    """Zero, or large enough that 2^-560 times it is still a normal double."""
+    return values.filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+@settings(max_examples=200)
+@given(st.tuples(*map(far_from_subnormal, (betas, betas, kappas)),
+                 st.one_of(st.just(0.0), far_from_subnormal(gamma_ratios))),
+       st.lists(far_from_subnormal(kz), min_size=1, max_size=5),
+       st.sampled_from([-560, -300, 300, 560]))
+def test_rates_times_2k_over_distances_over_2k_give_the_same_s_bit_for_bit(tup, xs, k):
+    # The closed form works in units of a power of two near the rates, so
+    # S(2^k p, 2^-k z) is S(p, z) exactly, also where kappa^2 itself would
+    # under- (k = -560) or overflow (k = 560). Exact, that is, until a
+    # scaled rate or distance falls among the subnormals.
+    p = random_params(tup)
+    zs = np.array(xs) / p.kappa
+    scale = 2.0**k
+    scaled = CouplerParams(p.beta1 * scale, p.beta2 * scale, p.kappa * scale, p.gamma * scale)
+    s, det = scattering_array(p, zs)
+    s_scaled, det_scaled = scattering_array(scaled, zs / scale)
+    assert np.array_equal(s, s_scaled) and np.array_equal(det, det_scaled)
+
+
 def test_array_rejects_bad_distances_and_loss_rates():
     p = CouplerParams(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="z must be non-negative"):
