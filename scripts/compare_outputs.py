@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Run the CLI on this tree and on a git revision; exit 1 if any CSV differs.
+"""Run the CLI on this tree and on a git revision; exit 1 if any output differs.
 
     python scripts/compare_outputs.py --baseline HEAD
 
-Commands: fig2 to fig5 at their defaults, the sweep of scripts/sweep_example.cfg,
-and every command of perfbench's workloads, the sweep_dense config at seeds
-1 to 3 (each distinct argv once). Each tree runs them in fresh interpreters
-whose PYTHONPATH is its src/: this checkout's as it is on disk, and the src/
-of the baseline extracted with git archive, as scripts/bench.py --baseline
-does. Every CSV is compared byte for byte; one that differs, or that only one
-tree wrote, is listed, and so is a command that fails. A differing CSV names
-its differing columns, each with its largest absolute difference.
+Commands: fig2 to fig5 at their defaults and off them (grids that cross
+write_table's 1024-row blocks, a single --gamma and --phi, a short chain
+over a long distance), the sweep of scripts/sweep_example.cfg, a lattice
+sweep of 1200 rows, and every command of perfbench's workloads, the
+sweep_dense config at seeds 1 to 3 (each distinct argv once). Each tree runs
+them in fresh interpreters whose PYTHONPATH is its src/: this checkout's as
+it is on disk, and the src/ of the baseline extracted with git archive, as
+scripts/bench.py --baseline does. Every CSV and every <command>_run.txt
+sidecar is compared byte for byte (both trees read the same config paths);
+one that differs, or that only one tree wrote, is listed, and so is a
+command that fails. A differing CSV names its differing columns, each with
+its largest absolute difference.
 """
 
 from __future__ import annotations
@@ -29,12 +33,19 @@ from bench import extract_src  # noqa: E402
 from workloads import CONFIG, WORKLOADS, sweep_config  # noqa: E402
 
 SEEDS = (1, 2, 3)  # sweep_dense configs
+LATTICE_SWEEP = ("backend = lattice\nrho = 0.5, 1, 2.5\nsigma = 5\nphi = 0, 0.7, 1.9, 3.141592653589793\n"
+                 f"z = {', '.join(repr(0.05 * i) for i in range(100))}\n")
 
 
 def commands(configs: Path) -> dict[str, list[str]]:
     """Output directory name -> argv without --out; sweep configs are written under configs."""
     runs = {name: [name] for name in ("fig2", "fig3", "fig4", "fig5")}
+    runs["fig2_5000"] = ["fig2", "--points", "5000", "--gamma", "2"]
+    runs["fig4_2000"] = ["fig4", "--points", "2000", "--gamma", "10", "--phi", "1"]
+    runs["fig5_short_chain"] = ["fig5", "--nsites", "41", "--zmax", "10", "--points", "501"]
     runs["sweep_example"] = ["sweep", "--config", str(REPO / "scripts" / "sweep_example.cfg")]
+    (configs / "sweep_lattice.cfg").write_text(LATTICE_SWEEP)
+    runs["sweep_lattice"] = ["sweep", "--config", str(configs / "sweep_lattice.cfg")]
     for seed in SEEDS:
         (configs / f"sweep_seed{seed}.cfg").write_text(sweep_config(seed).text())
     for workload in WORKLOADS.values():
@@ -88,16 +99,23 @@ def main() -> int:
         problems = []
         for tree, src in trees.items():
             problems += [f"{tree}: {failure}" for failure in run_tree(src, runs, tmp / tree)]
-        csvs = {tree: {p.relative_to(tmp / tree) for p in (tmp / tree).rglob("*.csv")} for tree in trees}
-        for path in sorted(csvs["this"] | csvs["baseline"]):
-            if not all(path in names for names in csvs.values()):
+        files = {tree: {p.relative_to(tmp / tree) for pattern in ("*.csv", "*_run.txt")
+                        for p in (tmp / tree).rglob(pattern)} for tree in trees}
+        same = []
+        for path in sorted(files["this"] | files["baseline"]):
+            if not all(path in names for names in files.values()):
                 problems.append(f"{path}: written by one tree only")
-            elif (tmp / "this" / path).read_bytes() != (tmp / "baseline" / path).read_bytes():
+            elif (tmp / "this" / path).read_bytes() == (tmp / "baseline" / path).read_bytes():
+                same.append(path)
+            elif path.suffix == ".csv":
                 columns = differing_columns(tmp / "this" / path, tmp / "baseline" / path)
                 problems.append(f"{path}: bytes differ in {columns}")
-        same = len(csvs["this"] & csvs["baseline"]) - sum("bytes differ" in p for p in problems)
-        print(f"{len(runs)} commands, {same} of {len(csvs['this'] | csvs['baseline'])} CSVs "
-              f"byte-identical to {args.baseline}:")
+            else:
+                problems.append(f"{path}: sidecar bytes differ")
+        counts = [f"{sum(p.suffix == suffix for p in same)} of "
+                  f"{sum(p.suffix == suffix for p in files['this'] | files['baseline'])} {kind}"
+                  for suffix, kind in ((".csv", "CSVs"), (".txt", "sidecars"))]
+        print(f"{len(runs)} commands, {' and '.join(counts)} byte-identical to {args.baseline}:")
         for name, argv in runs.items():
             print(f"  {name}: ptcoupler {' '.join(Path(a).name if '/' in a else a for a in argv)}")
         for problem in problems:

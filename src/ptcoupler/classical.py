@@ -25,18 +25,17 @@ from .core import (
     DecayCurve,
     PropagationGrid,
     require_non_negative,
-    validate,
+    _validate,
 )
-from .scattering import scaled_roots, scattering_array, scattering_matrix
+# scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
+from .scattering import scaled_roots, scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
     "Regime",
     "SupermodePair",
     "EpRegime",
-    "coupler_matrix",
     "supermodes",
     "classify_ep",
-    "propagate_classical",
     "classical_power_curve",
 ]
 
@@ -82,15 +81,6 @@ class EpRegime:
     discriminant: float
 
 
-def coupler_matrix(params: CouplerParams) -> np.ndarray:
-    """Coupled-mode matrix M, a complex (2, 2) array: diag propagation
-    constants, kappa off-diagonal, the loss as the imaginary part of the
-    lossy arm's diagonal element."""
-    validate(params)
-    return np.array([[params.beta1, params.kappa],
-                     [params.kappa, complex(params.beta2, -params.gamma)]], dtype=complex)
-
-
 def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda1, lambda2 of supermodes at each loss rate of the array gamma (replacing
     params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
@@ -113,7 +103,7 @@ def supermodes(params: CouplerParams) -> SupermodePair:
     instead of a generic eigensolver keeps the gap exactly zero at the
     coalescence point, where iterative solvers are ill-conditioned.
     """
-    validate(params)
+    _validate(params)
     # A one-element array: numpy's scalar and array arithmetic may round differently.
     lambda1, lambda2, _ = _supermodes(params, np.array([params.gamma]))
     return SupermodePair(complex(lambda1[0]), complex(lambda2[0]))
@@ -142,19 +132,9 @@ def classify_ep(params: CouplerParams) -> EpRegime:
     the unit of scattering.scaled_roots. For detuned couplers the eigenvalue
     structure never coalesces; inspect supermodes directly instead.
     """
-    validate(params)
+    _validate(params)
     regimes, discs = _regimes(params, np.array([params.gamma]))
     return EpRegime(Regime(regimes.item()), discs.item())
-
-
-def propagate_classical(params: CouplerParams, c0, z: float) -> np.ndarray:
-    """Amplitudes (c1, c2) after distance z for launch amplitudes c0."""
-    c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != (2,):
-        raise ValueError("c0 must be a pair of complex amplitudes")
-    if not np.all(np.isfinite(c0.view(float))):
-        raise ValueError("c0 must be finite")
-    return scattering_matrix(params, z).as_array() @ c0
 
 
 def classical_power_curve(
@@ -167,7 +147,7 @@ def classical_power_curve(
     the two channels propagate independently and add in power:
     P = (P_arm1_launch + P_arm2_launch) / 2.
     """
-    validate(params)
+    _validate(params)
     if not isinstance(input_state, ClassicalInput):
         raise ValueError(f"unknown classical input {input_state!r}")
     zs = grid.points()

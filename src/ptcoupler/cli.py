@@ -2,9 +2,10 @@
 
 _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
 from _FLAGS); main() builds the parser once per process and runs <name> as the
-module-level cmd_<name>, looked up at dispatch. fig2, fig3 and fig4 panel (a)
-write one CSV per loss rate (_write_per_gamma), each file's curves from one
-scattering_array call. CSV layout, sweep keys, exit codes: README.md.
+module-level cmd_<name>, looked up at dispatch. Each command lazily makes its
+tables, fig2 to fig5 one per rate from one propagator call each (_per_rate), and
+_write_tables writes them and the <command>_run.txt sidecar. CSV layout, sweep
+keys, exit codes: README.md.
 
 write_table writes every CSV, one block of rows at a time, as bytes: a float
 cell's bytes are format_float's, spelled for the block at once in numpy
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .classical import _regimes, _supermodes
-from .core import MAX_GRID_POINTS, CouplerParams, DecayCurve, PolarizationEntangled, PropagationGrid
+from .core import MAX_GRID_POINTS, CouplerParams, PolarizationEntangled, PropagationGrid
 from .quantum import (
     _survival_function,
     mean_photon_number,
@@ -40,8 +41,6 @@ from .scattering import scattering_array, scattering_matrix  # noqa: F401
 __all__ = [
     "format_float",
     "write_table",
-    "write_decay_curves",
-    "read_decay_curves",
     "parse_sweep_config",
     "SWEEP_OBSERVABLES",
     "build_parser",
@@ -193,40 +192,8 @@ def write_table(path, metadata: dict, header: list[str], columns, shape=None) ->
     return math.prod(shape)
 
 
-def write_decay_curves(path, metadata: dict, curves: list[DecayCurve]) -> None:
-    """Curves side by side over their common z grid, first column z."""
-    if not curves:
-        raise ValueError("need at least one curve")
-    zs = curves[0].z_values()
-    for curve in curves[1:]:
-        if not np.array_equal(curve.z_values(), zs):
-            raise ValueError("curves must share one z grid")
-    header = ["z"] + [curve.label for curve in curves]
-    write_table(path, metadata, header, [zs] + [curve.values() for curve in curves])
-
-
-def read_decay_curves(path) -> tuple[dict, list[DecayCurve]]:
-    """Inverse of write_decay_curves; floats come back bit-identical."""
-    metadata: dict[str, str] = {}
-    table: list[list[str]] = []  # the header row, then the data rows
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            metadata[key] = value
-        elif line or not table:
-            table.append(line.split(","))
-    if not table:
-        raise ValueError(f"{path}: missing header row")
-    if len(table) == 1:
-        raise ValueError(f"{path}: no data rows")
-    z, *columns = zip(*table)  # each column: its label, then its values
-    zs = [float(v) for v in z[1:]]
-    curves = [DecayCurve.from_arrays(c[0], zs, [float(v) for v in c[1:]]) for c in columns]
-    return metadata, curves
-
-
 def _metadata(values: dict) -> dict:
-    """CSV metadata: the package version, then values (command first)."""
+    """CSV metadata: the package version, then values (command first); idempotent."""
     return {"version": __version__} | {key: _format_value(v) for key, v in values.items()}
 
 
@@ -236,14 +203,24 @@ def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
     (outdir / f"{command}_run.txt").write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _setup(args, zmax: float, points: int) -> tuple[PropagationGrid, Path]:
-    """The z grid from --zmax/--points, else from the command's defaults
-    (zmax in units of 1/kappa), then the output directory."""
-    grid = PropagationGrid(args.zmax if args.zmax is not None else zmax / args.kappa,
-                           args.points if args.points is not None else points)
-    outdir = Path(args.out)
+def _write_tables(out, command: str, settings: dict, tables) -> None:
+    """Create the directory out, write each table (file, metadata values, header,
+    columns[, shape]) of the iterable tables as it is made, then <command>_run.txt:
+    the settings and the files."""
+    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return grid, outdir
+    files = []
+    for file, values, header, *columns in tables:
+        write_table(outdir / file, _metadata(values), header, *columns)
+        files.append(file)
+    _write_sidecar(outdir, command, settings | {"files": files})
+
+
+def _grid(args, zmax: float, points: int) -> PropagationGrid:
+    """The z grid from --zmax/--points, else from the command's defaults
+    (zmax in units of 1/kappa)."""
+    return PropagationGrid(args.zmax if args.zmax is not None else zmax / args.kappa,
+                           args.points if args.points is not None else points)
 
 
 def _rates(value, kappa: float, defaults: tuple[float, ...]) -> list[float]:
@@ -257,116 +234,106 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
             "zmax": grid.z_max, "points": grid.num_points}
 
 
-def _write_per_gamma(args, grid, outdir, name, defaults, curves_for, head, tail=None):
-    """One CSV per loss rate (--gamma, else the defaults in units of kappa),
-    <name>_gamma<gamma/kappa>.csv, holding curves_for(s, det), {label:
-    values}, for the rate's propagators and determinants over the grid; its
-    metadata is head, the shared settings, tail. Returns the rates and file names."""
-    gammas = _rates(args.gamma, args.kappa, defaults)
+def _per_rate(args, grid, name: str, rates, propagate, table):
+    """The tables of fig2 to fig5, one per rate (a loss rate, or fig5's rho), made
+    lazily: <name><rate/kappa>.csv holds z and the curves of table(rate, zs, s, det),
+    which returns (metadata values, {label: values}), s and det from propagate(rate, zs)."""
     zs = grid.points()
-    written = []
-    for gamma in gammas:
-        params = CouplerParams(args.beta1, args.beta2, args.kappa, gamma)
-        meta = _metadata(head | _shared(args, grid, gamma=gamma) | (tail or {}))
+    for rate in rates:
         # S lives only until its curves are made, not while they are written.
-        curves = [DecayCurve.from_arrays(label, zs, v)
-                  for label, v in curves_for(*scattering_array(params, zs)).items()]
-        file = f"{name}_gamma{gamma / args.kappa:g}.csv"
-        write_decay_curves(outdir / file, meta, curves)
-        written.append(file)
-    return gammas, written
+        values, curves = table(rate, zs, *propagate(rate, zs))
+        yield f"{name}{rate / args.kappa:g}.csv", values, ["z", *curves], [zs, *curves.values()]
+
+
+def _closed_form(args):
+    """propagate(gamma, zs) of fig2 to fig4: the memoryless coupler at the loss rate gamma."""
+    return lambda gamma, zs: scattering_array(CouplerParams(args.beta1, args.beta2, args.kappa, gamma), zs)
 
 
 def cmd_fig2(args) -> int:
-    grid, outdir = _setup(args, 10.0, 501)
-    gammas, written = _write_per_gamma(
-        args, grid, outdir, "fig2", (0.5, 2.0, 10.0),
+    grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
+
+    def table(gamma, zs, s, det):
+        values = {"command": "fig2", "backend": "markovian"} | _shared(args, grid, gamma=gamma)
         # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
-        lambda s, det: {"power_balanced_orthogonal": 0.5 * mean_photon_number(s),
-                        "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2},
-        {"command": "fig2", "backend": "markovian"},
-        {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"},
-    )
-    _write_sidecar(outdir, "fig2", _shared(args, grid, gammas=gammas) | {"files": written})
+        return values | {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"}, {
+            "power_balanced_orthogonal": 0.5 * mean_photon_number(s),
+            "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2}
+
+    _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas),
+                  _per_rate(args, grid, "fig2_gamma", gammas, _closed_form(args), table))
     return 0
 
 
 def cmd_fig3(args) -> int:
-    grid, outdir = _setup(args, 10.0, 501)
-    gammas, written = _write_per_gamma(
-        args, grid, outdir, "fig3", (0.5, 2.0, 10.0),
-        lambda s, det: {"survival_indistinguishable": survival_indistinguishable(s)},
-        {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"},
-    )
-    _write_sidecar(outdir, "fig3", _shared(args, grid, gammas=gammas) | {"files": written})
+    grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
+
+    def table(gamma, zs, s, det):
+        values = {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"}
+        return values | _shared(args, grid, gamma=gamma), {
+            "survival_indistinguishable": survival_indistinguishable(s)}
+
+    _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas),
+                  _per_rate(args, grid, "fig3_gamma", gammas, _closed_form(args), table))
     return 0
 
 
 def cmd_fig4(args) -> int:
-    grid, outdir = _setup(args, 3.0, 301)
-    kappa = args.kappa
+    grid, kappa = _grid(args, 3.0, 301), args.kappa
+    gammas = _rates(args.gamma, kappa, (0.625, 2.5))
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
     # PolarizationEntangled refuses a bad --phi before anything is computed.
     labels = [_survival_function(PolarizationEntangled(phi))[1] for phi in phis]
     phase_axis = np.array(phis)[:, None]  # each phase's column: P_B and P_F mixed at once
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
-
-    # Panel (a): survival vs distance, one file per loss rate.
-    gammas, written = _write_per_gamma(
-        args, grid, outdir, "fig4a", (0.625, 2.5),
-        lambda s, det: dict(zip(labels, survival_entangled(s, phase_axis, det))),
-        head, {"phis": phis},
-    )
-
-    # Panel (b): survival at the fixed distance z0 against the loss rate.
     # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
     z0 = 3.0 / kappa
-    gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
-    s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
-    columns = [gamma_axis, *survival_entangled(s, phase_axis, det)]
-    meta = _metadata(head | {
-        "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
-        "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
-        "gamma_points": 201, "phis": phis,
-    })
-    write_table(outdir / "fig4b.csv", meta, ["gamma"] + labels, columns)
-    written.append("fig4b.csv")
 
-    settings = _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0, "files": written}
-    _write_sidecar(outdir, "fig4", settings)
+    def table(gamma, zs, s, det):
+        return (head | _shared(args, grid, gamma=gamma) | {"phis": phis},
+                dict(zip(labels, survival_entangled(s, phase_axis, det))))
+
+    def tables():
+        # Panel (a): survival vs distance, one file per loss rate.
+        yield from _per_rate(args, grid, "fig4a_gamma", gammas, _closed_form(args), table)
+        # Panel (b): survival at the fixed distance z0 against the loss rate.
+        gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
+        s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
+        yield "fig4b.csv", head | {
+            "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
+            "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
+            "gamma_points": 201, "phis": phis,
+        }, ["gamma"] + labels, [gamma_axis, *survival_entangled(s, phase_axis, det)]
+
+    _write_tables(args.out, "fig4", _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0}, tables())
     return 0
 
 
 def cmd_fig5(args) -> int:
-    grid, outdir = _setup(args, 3.0, 301)
-    kappa = args.kappa
+    grid, kappa = _grid(args, 3.0, 301), args.kappa
     sigma = args.sigma if args.sigma is not None else 20.0 * kappa
     rhos = _rates(args.rho, kappa, (5.0, 10.0))
     phi = PolarizationEntangled(args.phi if args.phi is not None else math.pi).phi
     nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, grid.z_max)
     params = CouplerParams(args.beta1, args.beta2, kappa, 0.0)
-    zs = grid.points()
-    written = []
-    for rho in rhos:
-        reservoir = LatticeReservoir(sigma=sigma, rho=rho, n_sites=nsites, beta_lattice=args.beta2)
-        s, det = LatticePropagator(params, reservoir).scattering_array(zs)
+
+    def table(rho, zs, s, det):
         gamma_eff = lattice_gamma(sigma, rho)
-        markov = np.exp(-2.0 * gamma_eff * zs)
-        curves = [DecayCurve.from_arrays("survival_lattice", zs, survival_entangled(s, phi, det)),
-                  DecayCurve.from_arrays("survival_markovian_exponential", zs, markov)]
-        meta = _metadata({
+        return {
             "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
             "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
             "sigma": sigma, "rho": rho, "nsites": nsites, "beta_lattice": args.beta2,
             "gamma_eff": gamma_eff, "zmax": grid.z_max, "points": grid.num_points,
             "dashed": "exp(-2*gamma_eff*z)",
-        })
-        name = f"fig5_rho{rho / kappa:g}.csv"
-        write_decay_curves(outdir / name, meta, curves)
-        written.append(name)
+        }, {"survival_lattice": survival_entangled(s, phi, det),
+            # gamma_eff z first: 2 gamma_eff may overflow, and inf times z = 0 is NaN.
+            "survival_markovian_exponential": np.exp(-2.0 * (gamma_eff * zs))}
+
     settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
-    _write_sidecar(outdir, "fig5", settings | {"files": written})
+    _write_tables(args.out, "fig5", settings, _per_rate(args, grid, "fig5_rho", rhos, lambda rho, zs: (
+        LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, args.beta2)).scattering_array(zs)),
+        table))
     _warn_if_short(nsites, sigma, grid.z_max)
     return 0
 
@@ -547,13 +514,9 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tupl
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_sweep_config(Path(args.config).read_text())
-    meta, header, columns, shape = run_sweep(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = write_table(outdir / "sweep.csv", meta, header, columns, shape)
-    settings = {"config": args.config, "rows": written, "files": ["sweep.csv"]}
-    _write_sidecar(outdir, "sweep", settings)
+    meta, header, columns, shape = run_sweep(parse_sweep_config(Path(args.config).read_text()))
+    _write_tables(args.out, "sweep", {"config": args.config, "rows": math.prod(shape)},
+                  [("sweep.csv", meta, header, columns, shape)])
     return 0
 
 

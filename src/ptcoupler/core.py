@@ -10,6 +10,7 @@ enforces a unit system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -18,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "CouplerParams",
-    "validate",
     "ScatteringMatrix",
     "PropagationGrid",
     "DecayCurve",
@@ -76,7 +76,7 @@ class CouplerParams:
             raise ValueError("gamma must be non-negative")
 
 
-def validate(params: CouplerParams) -> CouplerParams:
+def _validate(params: CouplerParams) -> CouplerParams:
     """Re-check the CouplerParams invariants and hand the value back.
 
     Raises ValueError naming the offending field. Useful at API boundaries
@@ -228,16 +228,17 @@ class ScatteringMatrix:
 
 # Largest accepted grid, and largest sweep (rows), checked before anything
 # of its size is allocated. A fig3 curve peaks at about 0.25 GB resident per
-# 10**6 points (the grid's propagators and their temporaries; the CSV is
-# written in chunks), a markovian sweep at about 0.4 GB per 10**6 rows (the
-# row texts), so this refuses only sizes that need several GB.
+# 10**6 points (the grid's propagators and their temporaries; the CSV text is
+# streamed). A sweep's peak follows its axis x z propagators, not its rows:
+# 1000 x 1 x 1000 rows peaked at 283 MB, 100 x 100 x 100 at 48 MB. So this
+# refuses only sizes that need several GB.
 MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
 class PropagationGrid:
     """Uniform grid of propagation distances from 0 to z_max inclusive,
-    with 2 to MAX_GRID_POINTS points."""
+    with 2 to MAX_GRID_POINTS distinct points."""
 
     z_max: float
     num_points: int
@@ -252,6 +253,10 @@ class PropagationGrid:
             raise ValueError(
                 f"num_points must be at most {MAX_GRID_POINTS}, got {self.num_points}"
             )
+        # Multiples of a normal step, MAX_GRID_POINTS of them at most, round to
+        # distinct doubles; a subnormal one may repeat a point.
+        if self.z_max / (self.num_points - 1) < sys.float_info.min:
+            raise ValueError(f"z_max = {self.z_max!r} is too small for {self.num_points} distinct points")
 
     def points(self) -> np.ndarray:
         # linspace pins the first point to exactly 0.0 and the last to z_max

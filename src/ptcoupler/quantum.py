@@ -25,7 +25,6 @@ matrix exponential and takes norms, never touching the formulas above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +36,13 @@ from .core import (
     PropagationGrid,
     ScatteringMatrix,
     TwoPhotonInput,
-    validate,
+    _validate,
 )
 from .reservoir import LatticePropagator, LatticeReservoir
 # scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
 from .scattering import scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
-    "TwoPhotonOccupations",
-    "occupations_indistinguishable",
     "survival_indistinguishable",
     "survival_entangled",
     "survival_fermionic",
@@ -69,42 +66,12 @@ def _clamp_probability(p, what: str):
     return np.clip(p, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class TwoPhotonOccupations:
-    """Final-state occupation probabilities of the photon pair: both in
-    arm 1, both in arm 2, one in each, or at least one photon lost."""
-
-    p20: float
-    p02: float
-    p11: float
-    p_lost: float
-
-    def __post_init__(self):
-        for name in ("p20", "p02", "p11", "p_lost"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def _bunching(s) -> tuple[np.ndarray, ...]:
     """p20, p02, p11 of the indistinguishable pair over a batch, unclamped."""
     s = np.asarray(s)
     s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     return (2.0 * np.abs(s11 * s12) ** 2, 2.0 * np.abs(s21 * s22) ** 2,
             np.abs(s11 * s22 + s12 * s21) ** 2)
-
-
-def _occupations(s) -> tuple[np.ndarray, ...]:
-    """p20, p02, p11, p_lost of the indistinguishable pair, over a batch."""
-    p20, p02, p11 = (_clamp_probability(p, name) for p, name in zip(_bunching(s), ("p20", "p02", "p11")))
-    return p20, p02, p11, _clamp_probability(1.0 - p20 - p02 - p11, "p_lost")
-
-
-def occupations_indistinguishable(s: ScatteringMatrix) -> TwoPhotonOccupations:
-    """Occupations for the indistinguishable pair, one photon per arm."""
-    return TwoPhotonOccupations(*map(float, _occupations(s)))
 
 
 # The observables below read s through np.asarray: one ScatteringMatrix (or
@@ -174,7 +141,7 @@ def survival_curve(
 ) -> DecayCurve:
     """Pair survival along the grid: memoryless loss at params.gamma when
     reservoir is None, else the chain reservoir traced explicitly."""
-    validate(params)
+    _validate(params)
     fn, label = _survival_function(input_state)
     zs = grid.points()
     if reservoir is None:
@@ -219,7 +186,10 @@ def two_photon_oracle(h, input_state: TwoPhotonInput, z: float) -> float:
         raise ValueError("h must be a square matrix of size >= 2")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError("z must be finite and non-negative")
-    import scipy.linalg  # imported here so that importing ptcoupler loads no scipy
+    try:  # imported here so that importing ptcoupler loads no scipy
+        import scipy.linalg
+    except ImportError as exc:
+        raise ImportError("two_photon_oracle needs scipy: install the test extra, ptcoupler[test]") from exc
 
     u = scipy.linalg.expm(-1j * z * h)
     a = _pair_amplitudes(u, input_state)

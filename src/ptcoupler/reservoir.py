@@ -43,7 +43,7 @@ from .core import (
     ScatteringMatrix,
     check_propagators,
     entrywise_determinants,
-    validate,
+    _validate,
 )
 
 __all__ = [
@@ -113,14 +113,24 @@ class LatticeReservoir:
 
 
 def lattice_gamma(sigma: float, rho: float) -> float:
-    """Memoryless rate rho^2 / (2 sigma) of the band-centered chain."""
+    """Memoryless rate rho^2 / (2 sigma) of the band-centered chain. Where rho^2
+    or 2 sigma alone overflows, the rate is formed as rho ((rho / 2) / sigma),
+    whose factors do not overflow where the rate does not; a rate past the
+    float range is refused."""
     if not (math.isfinite(sigma) and math.isfinite(rho)):
         raise ValueError("sigma and rho must be finite")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
-    return rho * rho / (2.0 * sigma)
+    if rho * rho < math.inf and 2.0 * sigma < math.inf:
+        gamma = rho * rho / (2.0 * sigma)
+    else:
+        gamma = rho * (0.5 * rho / sigma)
+    if gamma == math.inf:
+        raise ValueError(f"sigma = {sigma:g} and rho = {rho:g} give a rate rho^2 / (2 sigma) "
+                         "past the float range")
+    return gamma
 
 
 def min_lattice_size(sigma: float, z_max: float) -> int:
@@ -140,7 +150,7 @@ def min_lattice_size(sigma: float, z_max: float) -> int:
 
 
 def _require_lossless(params: CouplerParams) -> None:
-    validate(params)
+    _validate(params)
     if params.gamma != 0.0:
         raise ValueError("intrinsic loss and explicit reservoir are mutually exclusive")
 

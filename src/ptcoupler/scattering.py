@@ -51,7 +51,7 @@ from .core import (
     ScatteringMatrix,
     check_propagators,
     require_non_negative,
-    validate,
+    _validate,
 )
 
 __all__ = ["scattering_matrix"]
@@ -121,7 +121,7 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
     or below 1, and |det| = e^{-gamma z}. Every matrix passes the checks of
     ScatteringMatrix (check_propagators).
     """
-    validate(params)
+    _validate(params)
     if gamma is not None:
         gamma = require_non_negative("gamma", gamma)
     z = require_non_negative("z", z)
@@ -134,7 +134,7 @@ def scattering_matrix(params: CouplerParams, z: float) -> ScatteringMatrix:
     """Amplitude transfer matrix of the bare lossy coupler over distance z:
     the one-point batch of the closed form of scattering_array, checked
     once, by the record's construction."""
-    validate(params)
+    _validate(params)
     # Always an array: numpy's scalar and array loops may round differently.
     z = np.atleast_1d(require_non_negative("z", z))
     s, det = _propagators(params, z)

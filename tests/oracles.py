@@ -5,9 +5,17 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ptcoupler.core import Indistinguishable, PolarizationEntangled, TwoPhotonInput
+from ptcoupler.core import CouplerParams, Indistinguishable, PolarizationEntangled, TwoPhotonInput
 from ptcoupler.quantum import _clamp_probability
 from ptcoupler.reservoir import full_hamiltonian
+
+
+def coupler_matrix(params: CouplerParams) -> np.ndarray:
+    """Coupled-mode matrix M, a complex (2, 2) array, transcribed from the
+    model: diag propagation constants, kappa off-diagonal, the loss as the
+    imaginary part of the lossy arm's diagonal element."""
+    return np.array([[params.beta1, params.kappa],
+                     [params.kappa, complex(params.beta2, -params.gamma)]], dtype=complex)
 
 
 def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:

@@ -20,9 +20,7 @@ from ptcoupler.cli import (
     format_float,
     main,
     parse_sweep_config,
-    read_decay_curves,
     run_sweep,
-    write_decay_curves,
     write_table,
 )
 from ptcoupler.core import MAX_GRID_POINTS, CouplerParams, DecayCurve
@@ -49,6 +47,19 @@ def read_table(path):
     return metadata, header, rows
 
 
+def read_decay_curves(path):
+    """A figure CSV's metadata and its columns after the first as DecayCurves over
+    the first, which check their invariants: z starts at 0 and strictly increases,
+    and every value is finite and non-negative. Floats come back bit-identical."""
+    metadata, header, rows = read_table(path)
+    if header is None:
+        raise ValueError(f"{path}: missing header row")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    z, *columns = ([float(v) for v in column] for column in zip(*rows))
+    return metadata, [DecayCurve.from_arrays(label, z, c) for label, c in zip(header[1:], columns)]
+
+
 def curve_by_label(curves, label):
     matches = [c for c in curves if c.label == label]
     assert len(matches) == 1, f"missing column {label!r}"
@@ -67,23 +78,14 @@ def test_decay_curve_round_trip(tmp_path):
     c1 = DecayCurve.from_arrays("alpha", zs, [1.0, 1.0 / 7.0, 2e-300, 0.0])
     c2 = DecayCurve.from_arrays("beta", zs, [0.3, 0.1, 0.05, 1e-17])
     path = tmp_path / "t.csv"
-    write_decay_curves(path, {"version": "x", "note": "n"}, [c1, c2])
+    write_table(path, {"version": "x", "note": "n"}, ["z", "alpha", "beta"],
+                [c1.z_values(), c1.values(), c2.values()])
     metadata, curves = read_decay_curves(path)
     assert metadata == {"version": "x", "note": "n"}
     assert [c.label for c in curves] == ["alpha", "beta"]
     assert np.array_equal(curves[0].z_values(), c1.z_values())
     assert np.array_equal(curves[0].values(), c1.values())
     assert np.array_equal(curves[1].values(), c2.values())
-
-
-def test_write_decay_curves_validation(tmp_path):
-    zs = [0.0, 1.0]
-    c1 = DecayCurve.from_arrays("a", zs, [1.0, 0.5])
-    c2 = DecayCurve.from_arrays("b", [0.0, 2.0], [1.0, 0.5])
-    with pytest.raises(ValueError, match="at least one curve"):
-        write_decay_curves(tmp_path / "x.csv", {}, [])
-    with pytest.raises(ValueError, match="share one z grid"):
-        write_decay_curves(tmp_path / "x.csv", {}, [c1, c2])
 
 
 def test_read_decay_curves_errors(tmp_path):
@@ -334,6 +336,22 @@ def test_fig5_on_a_very_narrow_band_exits_0_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     metadata, _ = read_decay_curves(tmp_path / "fig5_rho5.csv")
     assert metadata["nsites"] == "11"
+
+
+def test_fig5_and_lattice_sweep_past_the_range_of_rho_squared_exit_0(tmp_path):
+    # kappa = 1e200: rho = 5e200 and 1e201 square past the float range, while
+    # gamma_eff = rho^2 / (2 sigma) = 6.25e199 and 2.5e200 does not.
+    assert main(["fig5", "--kappa", "1e200", "--points", "5", "--out", str(tmp_path)]) == 0
+    for name, gamma_eff in (("fig5_rho5.csv", 6.25e199), ("fig5_rho10.csv", 2.5e200)):
+        metadata, header, rows = read_table(tmp_path / name)
+        assert float(metadata["gamma_eff"]) == pytest.approx(gamma_eff, rel=1e-15)
+        values = np.array(rows, dtype=float)
+        assert np.isfinite(values).all() and values[0, 1:].tolist() == [pytest.approx(1.0), 1.0]
+    lattice = dict(backend="lattice", gamma="", rho="1e201", sigma="2e201", phi="0", z="0, 1e-201")
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(**lattice, observables="p_boson, eigenvalue_gap"))
+    assert code == 0
+    for row in read_table(csv)[2]:  # far above the EP the gap is gamma_eff itself
+        assert 0.0 <= float(row[3]) <= 1.0 and float(row[4]) == pytest.approx(2.5e200, rel=1e-15)
 
 
 def test_short_chain_warns_once_on_stderr(tmp_path, capsys):
@@ -672,6 +690,16 @@ def test_oversized_grid_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr == (
         f"error: num_points must be at most {MAX_GRID_POINTS}, got 1000000000000\n")
+
+
+@pytest.mark.parametrize("argv", [["fig4", "--zmax", "5e-324", "--points", "3"],
+                                  ["fig2", "--zmax", "8e-323", "--points", "10"]])
+def test_grid_that_would_repeat_a_point_exits_1_before_writing(tmp_path, capsys, argv):
+    # A subnormal step: linspace would give 0, 0, 5e-324 (or 8e-323 twice).
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    z_max, points = float(argv[2]), argv[4]
+    assert capsys.readouterr().err == f"error: z_max = {z_max!r} is too small for {points} distinct points\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_oversized_grid_refused_before_allocating(tmp_path):
@@ -1111,6 +1139,42 @@ def test_figures_evaluate_s_once_per_loss_rate(tmp_path, monkeypatch, command, b
     monkeypatch.setattr(cli, "scattering_array", counted)
     assert main([command, "--out", str(tmp_path)]) == 0
     assert calls == batched
+
+
+def test_fig5_evaluates_s_once_per_rho(tmp_path, monkeypatch):
+    import ptcoupler.cli as cli
+
+    calls, array = [], cli.LatticePropagator.scattering_array
+
+    def counted(self, z):
+        calls.append((self.lattice.rho, np.shape(z)))
+        return array(self, z)
+
+    monkeypatch.setattr(cli.LatticePropagator, "scattering_array", counted)
+    assert main(["fig5", "--points", "11", "--out", str(tmp_path)]) == 0
+    assert calls == [(5.0, (11,)), (10.0, (11,))]
+
+
+def test_every_file_of_the_sidecar_is_written_once_by_write_table(tmp_path, monkeypatch):
+    import ptcoupler.cli as cli
+
+    written = []
+
+    def counted(path, *args):
+        written.append(Path(path).name)
+        return write_table(path, *args)
+
+    monkeypatch.setattr(cli, "write_table", counted)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(sweep_config_text())
+    small = ["--points", "3", "--zmax", "0.5"]
+    for argv in (["fig2", *small], ["fig3", *small], ["fig4", *small], ["fig5", *small, "--sigma", "2"],
+                 ["sweep", "--config", str(config)]):
+        written.clear()
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        sidecar = (tmp_path / argv[0] / f"{argv[0]}_run.txt").read_text().splitlines()
+        files = sorted(p.name for p in (tmp_path / argv[0]).glob("*.csv"))
+        assert f"files={';'.join(written)}" in sidecar and sorted(written) == files
 
 
 def test_sweep_streams_its_rows(tmp_path):

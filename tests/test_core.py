@@ -18,8 +18,8 @@ from ptcoupler.core import (
     ScatteringMatrix,
     check_propagators,
     entrywise_determinants,
+    _validate,
     largest_singular_value,
-    validate,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -29,7 +29,7 @@ nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 def test_params_accept_basic():
     p = CouplerParams(beta1=0.0, beta2=0.0, kappa=1.0, gamma=0.5)
-    assert validate(p) is p
+    assert _validate(p) is p
 
 
 def test_params_reject_zero_kappa():
@@ -250,6 +250,19 @@ def test_check_propagators_names_the_fault_in_an_array():
         check_propagators(entries_of(eye), z, np.array([1.0, math.inf, 1.0]))
     with pytest.raises(ValueError, match="z must be non-negative"):
         check_propagators(entries_of(eye), -z)
+
+
+@pytest.mark.parametrize("z_max, num_points", [(5e-324, 3), (8e-323, 10), (2.2e-301, MAX_GRID_POINTS)])
+def test_grid_refuses_a_step_that_could_repeat_points(z_max, num_points):
+    # linspace repeats points of a subnormal step: 5e-324 over 3 points gives 0, 0, 5e-324.
+    with pytest.raises(ValueError, match=f"z_max = {z_max!r} is too small for {num_points} distinct"):
+        PropagationGrid(z_max, num_points)
+
+
+@pytest.mark.parametrize("z_max, num_points", [(4.5e-308, 3), (1e-300, 10**4)])
+def test_grid_points_of_a_normal_step_are_distinct(z_max, num_points):
+    z = PropagationGrid(z_max, num_points).points()
+    assert z[0] == 0.0 and z[-1] == z_max and (np.diff(z) > 0.0).all()
 
 
 def test_grid_size_limit():

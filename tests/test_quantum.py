@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from ptcoupler.classical import ClassicalInput, classical_power_curve, coupler_matrix
+from ptcoupler.classical import ClassicalInput, classical_power_curve
 from ptcoupler.core import (
     CouplerParams,
     Indistinguishable,
@@ -14,10 +15,9 @@ from ptcoupler.core import (
     PropagationGrid,
 )
 from ptcoupler.quantum import (
-    TwoPhotonOccupations,
+    _bunching,
     _clamp_probability,
     mean_photon_number,
-    occupations_indistinguishable,
     survival_curve,
     survival_entangled,
     survival_fermionic,
@@ -27,7 +27,7 @@ from ptcoupler.quantum import (
 from ptcoupler.reservoir import LatticePropagator, LatticeReservoir, full_hamiltonian
 from ptcoupler.scattering import scattering_array, scattering_matrix
 
-from oracles import interference_sum, two_photon_oracle_kron
+from oracles import coupler_matrix, interference_sum, two_photon_oracle_kron
 
 E_MINUS_4 = 0.018315638888734179
 
@@ -45,43 +45,37 @@ def lossless(kappa=1.0):
     return CouplerParams(beta1=0.0, beta2=0.0, kappa=kappa, gamma=0.0)
 
 
-# -- occupations ---------------------------------------------------------
+# -- occupations: p20, p02, p11, the terms of P_B ---------------------------
 
 def test_occupations_at_zero_distance():
-    occ = occupations_indistinguishable(scattering_matrix(lossless(), 0.0))
-    assert occ.p11 == 1.0
-    assert occ.p20 == 0.0
-    assert occ.p02 == 0.0
-    assert occ.p_lost == 0.0
+    p20, p02, p11 = _bunching(scattering_matrix(lossless(), 0.0))
+    assert p11 == 1.0
+    assert p20 == 0.0
+    assert p02 == 0.0
+    assert 1.0 - p20 - p02 - p11 == 0.0  # nothing lost
 
 
 def test_occupations_half_beat_bunching():
     # Quarter-period 50:50 splitter: the pair always exits together.
-    occ = occupations_indistinguishable(scattering_matrix(lossless(), math.pi / 4.0))
-    assert occ.p11 < 1e-12
-    assert abs(occ.p20 - 0.5) < 1e-12
-    assert abs(occ.p02 - 0.5) < 1e-12
+    p20, p02, p11 = _bunching(scattering_matrix(lossless(), math.pi / 4.0))
+    assert p11 < 1e-12
+    assert abs(p20 - 0.5) < 1e-12
+    assert abs(p02 - 0.5) < 1e-12
 
 
 def test_occupations_full_swap():
-    occ = occupations_indistinguishable(scattering_matrix(lossless(), math.pi / 2.0))
-    assert abs(occ.p11 - 1.0) < 1e-12
-    assert occ.p20 < 1e-12
-    assert occ.p02 < 1e-12
+    p20, p02, p11 = _bunching(scattering_matrix(lossless(), math.pi / 2.0))
+    assert abs(p11 - 1.0) < 1e-12
+    assert p20 < 1e-12
+    assert p02 < 1e-12
 
 
 @given(params=params_st, z=z_st)
 def test_survival_sums_occupations(params, z):
     s = scattering_matrix(params, z)
-    occ = occupations_indistinguishable(s)
-    assert abs(survival_indistinguishable(s) - (occ.p20 + occ.p02 + occ.p11)) < 1e-14
-
-
-def test_occupations_validation():
-    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-        TwoPhotonOccupations(1.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        TwoPhotonOccupations(0.0, math.nan, 0.0, 0.0)
+    occupations = _bunching(s)
+    assert all(0.0 <= p <= 1.0 + 1e-12 for p in occupations)
+    assert abs(survival_indistinguishable(s) - sum(occupations)) < 1e-14
 
 
 # -- survival probabilities ----------------------------------------------
@@ -334,6 +328,14 @@ def test_oracle_validation():
         two_photon_oracle(np.zeros((2, 2)), Indistinguishable(), -1.0)
     with pytest.raises(ValueError, match="unknown two-photon input"):
         two_photon_oracle(np.zeros((2, 2)), object(), 1.0)
+
+
+def test_oracle_without_scipy_names_the_test_extra(monkeypatch):
+    # scipy is a test dependency only; the oracle says so when it is missing.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ImportError, match=r"needs scipy: install the test extra, ptcoupler\[test\]"):
+        two_photon_oracle(np.eye(2), Indistinguishable(), 1.0)
 
 
 def test_kron_oracle_agrees_with_congruence():

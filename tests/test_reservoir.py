@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -28,6 +29,16 @@ def test_lattice_gamma_values():
     assert lattice_gamma(20.0, 5.0) == 0.625
     assert lattice_gamma(20.0, 10.0) == 2.5
     assert lattice_gamma(7.3, 0.0) == 0.0
+
+
+def test_lattice_gamma_where_rho_squared_or_two_sigma_overflows():
+    # rho^2 = 1e402 and 2 sigma = 2e308 pass the float range; the rates do not.
+    assert lattice_gamma(2e201, 1e201) == pytest.approx(2.5e200, rel=1e-15)
+    assert lattice_gamma(1e308, 1e154) == pytest.approx(0.5, rel=1e-15)
+    assert lattice_gamma(20.0, 0.1) == 0.1 * 0.1 / (2.0 * 20.0)  # bit for bit where both are in range
+    for sigma, rho in ((1.0, 1e300), (1e-10, 1e154)):
+        with pytest.raises(ValueError, match=re.escape(f"sigma = {sigma:g} and rho = {rho:g} give a rate ")):
+            lattice_gamma(sigma, rho)
 
 
 def test_lattice_gamma_rejects_bad_sigma():
