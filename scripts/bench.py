@@ -10,10 +10,11 @@ src/ of that commit (extracted with git archive). Without --baseline one
 interpreter measures this tree; with it, ROUNDS rounds each run one
 interpreter per tree, the two in alternating order, so that drift of the
 host lands in both trees alike. Within an interpreter each layer gets one
-untimed warm-up call, then REPEATS timed calls. The JSON keeps every time,
-each tree's median per layer and per round, and, with --baseline, each
-layer's ratio this / baseline: the median of the per-round ratios of
-medians, with their smallest and largest. Layers:
+untimed warm-up call, then REPEATS timed calls. The JSON keeps every time
+and each tree's median and minimum per layer over all of its runs and,
+with --baseline, each layer's ratio this / baseline of the two minima.
+Every layer makes public calls only, the same in both trees: a baseline
+that lacks one of them fails instead of being timed on other code. Layers:
 
   scattering.matrix_1pt         one scattering_matrix call (beta1 = 0.3,
                                 beta2 = -0.2, kappa = 1.1, gamma = 0.7,
@@ -24,45 +25,33 @@ medians, with their smallest and largest. Layers:
                                 over its 201 loss rates at kappa z0 = 3, as
                                 fig4 makes them: one survival_entangled call
                                 on the array of phases
-  sweep.run_sweep               run_sweep on a seeded 101 x 7 x 8 markovian
-                                config with all seven observables: its
-                                columns, none of them formatted (cli.sweep
-                                times all of the formatting)
+  sweep.run_sweep               run_sweep on the config cli.sweep reads: its
+                                columns, none of them formatted, so that
+                                cli.sweep - sweep.run_sweep is the formatting
+                                and writing
   reservoir.fig5_chain_rho5     S on fig5's 301-point grid (z <= 3) from a
   reservoir.fig5_chain_rho10    fresh LatticePropagator, sigma = 100:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
   reservoir.short_chain_far     the same for n = 41, sigma = 20, rho = 5,
                                 301 points up to z = 100
-  reservoir.fig5_moments        _moments_upto the series length of fig5's
-                                grid, from a fresh rho = 5 propagator: the
-                                Green's-function pass alone
   cli.write_table_1e5           write_table of three float columns of 10^5
                                 rows
   cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
   cli.sweep                     figures_markovian and sweep_dense (seed 1)
                                 commands, each call into a new directory
 
-A tree without LatticePropagator.scattering_array is timed on its
-per-distance scattering(z), farthest first, as its survival_curve did. A
-tree whose survival_entangled takes no det is timed on one call per phase,
-as its fig4 made them. A tree whose write_table takes rows (no shape
-parameter) is timed on the rows of the same columns, made in the timed call
-as its figures made them, and on every row its run_sweep yields.
 Only numpy, the standard library and perfbench/workloads.py are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
-import inspect
 import io
 import itertools
 import json
 import math
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -75,19 +64,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 REPEATS = 15  # timed calls per layer and interpreter
 ROUNDS = 5  # with --baseline: interpreters per tree, alternating
-PERFBENCH_SEED = 1  # sweep_dense's config for cli.sweep
-
-
-def sweep_text(seed: int = 5) -> str:
-    """101 loss rates in [0, 10] with 0 and 2 kappa pinned, 7 phases with 0
-    and pi pinned, 8 distances in [0.1, 10]."""
-    rng = random.Random(seed)
-    gammas = sorted([0.0, 2.0] + [rng.uniform(0.0, 10.0) for _ in range(99)])
-    phis = sorted([0.0, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(5)])
-    zs = sorted(rng.uniform(0.1, 10.0) for _ in range(8))
-    join = lambda values: ", ".join(repr(v) for v in values)  # noqa: E731
-    return (f"backend = markovian\ngamma = {join(gammas)}\nphi = {join(phis)}\n"
-            f"z = {join(zs)}\n")
+PERFBENCH_SEED = 1  # sweep_dense's config for sweep.run_sweep and cli.sweep
 
 
 def layers(tmp: Path) -> dict:
@@ -114,35 +91,18 @@ def layers(tmp: Path) -> dict:
 
     fig4b, fig4b_det = scattering_array(CouplerParams(0.0, 0.0, 1.0), 3.0,
                                         gamma=np.linspace(0.0, 5.0, 201))
-    phis = (0.0, 2.0 * math.pi / 3.0, math.pi)
-    phase_array = "det" in inspect.signature(survival_entangled).parameters
-
-    def pairs():
-        if phase_array:
-            return survival_entangled(fig4b, np.array(phis)[:, None], fig4b_det)
-        return [survival_entangled(fig4b, phi) for phi in phis]
+    phis = np.array([0.0, 2.0 * math.pi / 3.0, math.pi])[:, None]
 
     def chain(sigma, rho, n_sites, z_max):
         params, zs = CouplerParams(0.0, 0.0, 1.0), np.linspace(0.0, z_max, 301)
         lattice = LatticeReservoir(sigma, rho, n_sites, 0.0)
-
-        def run():
-            propagator = LatticePropagator(params, lattice)
-            if hasattr(propagator, "scattering_array"):
-                return propagator.scattering_array(zs)
-            return [propagator.scattering(z) for z in zs[::-1]]
-        return run
-
-    def moments(sigma, rho, n_sites, z_max):
-        params, lattice = CouplerParams(0.0, 0.0, 1.0), LatticeReservoir(sigma, rho, n_sites, 0.0)
-        sizes = LatticePropagator(params, lattice)._sizes(np.linspace(0.0, z_max, 301))
-        count = int(sizes.max()) // 2
-        return lambda: LatticePropagator(params, lattice)._moments_upto(count)
+        return lambda: LatticePropagator(params, lattice).scattering_array(zs)
 
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import CONFIG, WORKLOADS, sweep_config
 
     (tmp / "sweep.cfg").write_text(sweep_config(PERFBENCH_SEED).text())
+    config = parse_sweep_config((tmp / "sweep.cfg").read_text())
     outs = itertools.count()
 
     def command(workload, name):
@@ -154,28 +114,16 @@ def layers(tmp: Path) -> dict:
                 raise RuntimeError(f"{name} failed")
         return run
 
-    config = parse_sweep_config(sweep_text())
     table = [np.arange(100_000) / 7.0, np.arange(100_000) / 3.0, np.arange(100_000) * 1e-5]
-    columnar = "shape" in inspect.signature(write_table).parameters
-
-    def sweep():
-        if columnar:
-            return run_sweep(config)
-        return collections.deque(run_sweep(config)[2], maxlen=0)
-
-    def write():
-        columns = table if columnar else zip(*(c.tolist() for c in table))
-        return write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], columns)
     return {
         "scattering.matrix_1pt": lambda: scattering_matrix(markov, 2.0),
         "quantum.observables_1pt": observables,
-        "quantum.pairs_fig4b": pairs,
-        "sweep.run_sweep": sweep,
+        "quantum.pairs_fig4b": lambda: survival_entangled(fig4b, phis, fig4b_det),
+        "sweep.run_sweep": lambda: run_sweep(config),
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
-        "reservoir.fig5_moments": moments(100.0, 5.0, 1510, 3.0),
-        "cli.write_table_1e5": write,
+        "cli.write_table_1e5": lambda: write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], table),
         "cli.fig2": command("figures_markovian", "fig2"),
         "cli.fig3": command("figures_markovian", "fig3"),
         "cli.fig4": command("figures_markovian", "fig4"),
@@ -209,21 +157,17 @@ def run_tree(src: Path) -> dict:
 
 
 def summary(rounds: list[dict]) -> dict:
-    """Per layer: the median of all its times, each round's median, every time."""
-    return {name: {"median_s": statistics.median(t for r in rounds for t in r[name]),
-                   "round_medians_s": [statistics.median(r[name]) for r in rounds],
-                   "runs_s": [t for r in rounds for t in r[name]]} for name in rounds[0]}
+    """Per layer: every time of every round, their median and their minimum."""
+    out = {}
+    for name in rounds[0]:
+        runs = [t for r in rounds for t in r[name]]
+        out[name] = {"median_s": statistics.median(runs), "min_s": min(runs), "runs_s": runs}
+    return out
 
 
 def ratios(this: dict, baseline: dict) -> dict:
-    """Per layer: this / baseline, round by round, and their median, min and max."""
-    out = {}
-    for name in this:
-        per_round = [a / b for a, b in zip(this[name]["round_medians_s"],
-                                           baseline[name]["round_medians_s"])]
-        out[name] = {"median": statistics.median(per_round), "min": min(per_round),
-                     "max": max(per_round), "per_round": per_round}
-    return out
+    """Per layer: this tree's minimum over all runs / the baseline's."""
+    return {name: this[name]["min_s"] / baseline[name]["min_s"] for name in this}
 
 
 def git(*argv: str) -> str:
@@ -288,12 +232,11 @@ def main() -> int:
     if args.baseline is not None:
         report["ratios"] = ratios(layers["this"], layers["baseline"])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    for layer in report["layers"]["this"]:
-        medians = "  ".join(f"{name} {layers[name][layer]['median_s'] * 1e3:8.2f} ms"
-                            for name in trees)
-        ratio = report.get("ratios", {}).get(layer)
-        spread = f"  ratio {ratio['median']:.3f} [{ratio['min']:.3f}, {ratio['max']:.3f}]" if ratio else ""
-        print(f"{layer:30s} {medians}{spread}")
+    for layer in layers["this"]:
+        times = "  ".join(f"{tree} min {layers[tree][layer]['min_s'] * 1e3:8.3f} ms "
+                          f"median {layers[tree][layer]['median_s'] * 1e3:8.3f} ms" for tree in trees)
+        ratio = f"  ratio {report['ratios'][layer]:.3f}" if "ratios" in report else ""
+        print(f"{layer:28s} {times}{ratio}")
     return 0
 
 

@@ -229,6 +229,9 @@ class LatticePropagator:
         )
         lo = min(center - radius for center, radius in discs)
         hi = max(center + radius for center, radius in discs)
+        # The couplings, not the spread of the propagation constants, set the width when
+        # one disc holds the others; _sizes's refusal then names sigma.
+        self._couplings_set_width = any((lo, hi) == (c - radius, c + radius) for c, radius in discs)
         self._center = 0.5 * (lo + hi)
         self._radius = 0.5 * (hi - lo)
         c, r = self._center, self._radius
@@ -257,7 +260,11 @@ class LatticePropagator:
         far = float(z.max(initial=0.0))
         # In Python floats, where r z overflows to inf silently; NaN is refused too.
         if not _chebyshev_terms(float(self._radius) * far) <= _MAX_TERMS:
-            raise ValueError(f"chain reservoir too large: sigma = {sigma:g} and z = {far:g} "
+            p, width = self.params, f"sigma = {sigma:g}"
+            if not self._couplings_set_width:
+                width = (f"the spectral width {2 * self._radius:g} (beta1 = {p.beta1:g}, beta2 = "
+                         f"{p.beta2:g}, beta_lattice = {self.lattice.beta_lattice:g})")
+            raise ValueError(f"chain reservoir too large: {width} and z = {far:g} "
                              f"need a longer series; the limit is {_MAX_TERMS:.0e} terms")
         terms = _chebyshev_terms(self._radius * z)
         return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)

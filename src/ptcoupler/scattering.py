@@ -80,6 +80,7 @@ def scaled_roots(params: CouplerParams, gamma=None) -> tuple:
     return half_trace, e, kappa, a + 1j * b, np.where(flip, -omega, omega)
 
 
+@np.errstate(all="ignore")  # a fault leaves a non-finite entry, which the checks refuse
 def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.ndarray, np.ndarray]:
     """S, shape B + (2, 2), and the reduced determinants, shape B, for validated
     distances z and loss rates gamma; the matrices are not checked here."""
@@ -119,14 +120,22 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
     The loss enters as the imaginary part -i gamma of the second diagonal
     element, so every propagator is passive: both singular values stay at
     or below 1, and |det| = e^{-gamma z}. Every matrix passes the checks of
-    ScatteringMatrix (check_propagators).
+    ScatteringMatrix (check_propagators); a phase or decay past the float
+    range is refused with ValueError naming z.
     """
     _validate(params)
     if gamma is not None:
         gamma = require_non_negative("gamma", gamma)
     z = require_non_negative("z", z)
     s, det = _propagators(params, z, gamma)
-    check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z, det)
+    try:
+        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z, det)
+    except ValueError:
+        if np.isfinite(s).all():
+            raise
+        near = np.broadcast_to(z, det.shape)[~np.isfinite(s).all(axis=(-2, -1))].min()
+        raise ValueError(f"the propagator's phase or decay at z = {near:g} passes the float "
+                         "range") from None
     return s, det
 
 

@@ -598,13 +598,19 @@ SERIES_PAST_ANY_FLOAT = ("sigma = 1e+300 and z = 1e+10 need a longer series; "
     (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1", sigma="1e300",
                                               nsites="11", phi="0", z="0, 1e10"),
      SERIES_PAST_ANY_FLOAT),
-], ids=["fig5", "sweep", "fig5-series", "sweep-series"])
+    (["fig5", "--beta1", "1e6", "--points", "3"], None,
+     "the spectral width 1.00005e+06 (beta1 = 1e+06, beta2 = 0, beta_lattice = 0) and z = 3 need"),
+    (["sweep", "--config"], sweep_config_text(backend="lattice", gamma="", rho="1", sigma="5",
+                                              phi="0", z="1", beta_lattice="1e7"),
+     "the spectral width 1e+07 (beta1 = 0, beta2 = 0, beta_lattice = 1e+07) and z = 1 need"),
+], ids=["fig5", "sweep", "fig5-series", "sweep-series", "fig5-beta1", "sweep-beta_lattice"])
 def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config, message):
     # sigma = 1e6 asks for a chain of millions of sites or a series of
     # millions of terms, and sigma = 1e300 for a series whose r z passes any
     # float; each must be refused with one line of finite numbers, and no
     # warning even when warnings are errors, before anything of that size is
-    # allocated.
+    # allocated. Where a propagation constant, not sigma, spreads the
+    # spectrum, the message names the width it sets.
     if config is not None:
         (tmp_path / "sweep.cfg").write_text(config)
         argv = argv + [str(tmp_path / "sweep.cfg")]
@@ -617,6 +623,32 @@ def test_oversized_chain_exits_1_without_traceback(tmp_path, argv, config, messa
     assert result.stderr.startswith("error: chain reservoir too large: " + message)
     assert result.stderr.count("\n") == 1 and "inf" not in result.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, z", [
+    (["fig3", "--zmax", "1e308", "--points", "3", "--gamma", "1e-300"], "1e+308"),
+    (["fig2", "--beta1", "2", "--zmax", "1e308", "--points", "3", "--gamma", "0"], "1e+308"),
+    (["fig3", "--gamma", "1e300", "--zmax", "1e10", "--points", "3"], "5e+09"),
+], ids=["expm1", "phase", "unit"])
+def test_closed_form_past_the_float_range_exits_1_with_one_line(tmp_path, argv, z):
+    # 2|w z|, beta1 z or z in the unit 2^-e passes the largest double: one
+    # line naming z, no RuntimeWarning, no traceback when warnings are errors.
+    src = str(Path(ptcoupler.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "ptcoupler", *argv,
+                             "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 1
+    assert result.stderr == (f"error: the propagator's phase or decay at z = {z} passes the "
+                             "float range\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_closed_form_just_inside_the_float_range_is_written(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig3", "--zmax", "8e307", "--points", "3", "--gamma", "1e-300",
+                     "--out", str(tmp_path)]) == 0
+    assert list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv, config", [
