@@ -10,9 +10,10 @@ src/ of that commit (extracted with git archive). Without --baseline one
 interpreter measures this tree; with it, ROUNDS rounds each run one
 interpreter per tree, the two in alternating order, so that drift of the
 host lands in both trees alike. Within an interpreter each layer gets one
-untimed warm-up call, then REPEATS timed calls. The JSON keeps every time
-and each tree's median and minimum per layer over all of its runs and,
-with --baseline, each layer's ratio this / baseline of the two minima.
+untimed warm-up call, then REPEATS timed calls, writing to /dev/shm where
+it exists (see measure). The JSON keeps every time and each tree's median
+and minimum per layer over all of its runs and, with --baseline, each
+layer's ratio this / baseline of the two minima.
 Every layer makes public calls only, the same in both trees: a baseline
 that lacks one of them fails instead of being timed on other code. Layers:
 
@@ -132,8 +133,11 @@ def layers(tmp: Path) -> dict:
 
 
 def measure() -> dict:
-    """Every layer's times in seconds, in this interpreter."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """Every layer's times in seconds, in this interpreter. The layers write
+    to a RAM filesystem where there is one: in a disk-backed /tmp, creating
+    the cli layers' files took 1.5-3x longer in some interpreters than in
+    others, and their A/A ratios read 0.67-1.64."""
+    with tempfile.TemporaryDirectory(dir="/dev/shm" if os.path.isdir("/dev/shm") else None) as tmp:
         times = {}
         for name, run in layers(Path(tmp)).items():
             run()  # warm-up

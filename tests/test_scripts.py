@@ -29,8 +29,8 @@ def test_every_bench_layer_runs_on_this_tree(scripts, tmp_path):
 
 def test_bench_ratio_is_one_number_from_the_minima_over_all_runs(scripts):
     bench, _ = scripts
-    # Round by round this tree is faster in one round and slower in the other;
-    # only the minima over every run of every round are compared.
+    # Layer b is slower than the baseline in one round and faster in the
+    # other; only the minima over every run of every round are compared.
     this = bench.summary([{"a": [3.0, 1.0, 2.0], "b": [5.0]}, {"a": [0.5, 4.0, 4.0], "b": [4.0]}])
     baseline = bench.summary([{"a": [2.0, 2.0, 2.0], "b": [2.0]}, {"a": [1.0, 9.0, 9.0], "b": [8.0]}])
     assert this["a"] == {"median_s": 2.5, "min_s": 0.5, "runs_s": [3.0, 1.0, 2.0, 0.5, 4.0, 4.0]}
