@@ -7,14 +7,17 @@ Commands: fig2 to fig5 at their defaults and off them (grids that cross
 write_table's 1024-row blocks, a single --gamma and --phi, a short chain
 over a long distance), the sweep of scripts/sweep_example.cfg, a lattice
 sweep of 1200 rows, and every command of perfbench's workloads, the
-sweep_dense config at seeds 1 to 3 (each distinct argv once). Each tree runs
+sweep_dense config at seeds 1 to 3 (each distinct argv once), must exit 0;
+the refusals (a negative z in a memoryless and in a lattice sweep, fig4 --phi
+4, a chain past the site limit, a grid step too small for distinct points)
+must exit 1 on both trees with the same stderr, byte for byte. Each tree runs
 them in fresh interpreters whose PYTHONPATH is its src/: this checkout's as
 it is on disk, and the src/ of the baseline extracted with git archive, as
 scripts/bench.py --baseline does. Every CSV and every <command>_run.txt
 sidecar is compared byte for byte (both trees read the same config paths);
 one that differs, or that only one tree wrote, is listed, and so is a
-command that fails. A differing CSV names its differing columns, each with
-its largest absolute difference.
+command that fails or a refusal that differs. A differing CSV names its
+differing columns, each with its largest absolute difference.
 """
 
 from __future__ import annotations
@@ -58,16 +61,42 @@ def commands(configs: Path) -> dict[str, list[str]]:
     return runs
 
 
-def run_tree(src: Path, runs: dict[str, list[str]], out: Path) -> list[str]:
-    """Run every command with src on PYTHONPATH, outputs under out; the failures."""
-    failed = []
+def refusals(configs: Path) -> dict[str, list[str]]:
+    """Output directory name -> argv without --out of a command that must exit 1;
+    sweep configs are written under configs."""
+    runs = {}
+    for backend, axis in (("markovian", "gamma = 1"), ("lattice", "rho = 1\nsigma = 5")):
+        (configs / f"refuse_{backend}.cfg").write_text(f"backend = {backend}\n{axis}\nphi = 0\nz = 0, -1\n")
+        runs[f"refuse_{backend}_negative_z"] = ["sweep", "--config", str(configs / f"refuse_{backend}.cfg")]
+    runs["refuse_fig4_phi"] = ["fig4", "--phi", "4"]
+    runs["refuse_fig5_sites"] = ["fig5", "--sigma", "1e6", "--points", "2"]
+    runs["refuse_fig2_step"] = ["fig2", "--zmax", "8e-323", "--points", "10"]
+    return runs
+
+
+def run_tree(src: Path, runs: dict[str, list[str]], out: Path) -> dict[str, tuple[int, str]]:
+    """Run every command with src on PYTHONPATH, outputs under out: name -> (exit code, stderr)."""
+    results = {}
     for name, argv in runs.items():
         result = subprocess.run([sys.executable, "-m", "ptcoupler", *argv, "--out", str(out / name)],
                                 env=dict(os.environ, PYTHONPATH=str(src)),
                                 capture_output=True, text=True)
-        if result.returncode != 0:
-            failed.append(f"{name} exited {result.returncode}: {result.stderr.strip()[-300:]}")
-    return failed
+        results[name] = result.returncode, result.stderr
+    return results
+
+
+def failures(runs, refused, results: dict[str, dict[str, tuple[int, str]]]) -> list[str]:
+    """From each tree's run_tree results: every command of runs that did not exit 0,
+    and every refusal that did not exit 1 on all trees with the same stderr."""
+    found = [f"{tree}: {name} exited {code}: {err.strip()[-300:]}"
+             for tree, done in results.items() for name in runs
+             for code, err in [done[name]] if code != 0]
+    for name in refused:
+        outcomes = {tree: done[name] for tree, done in results.items()}
+        if len(set(outcomes.values())) > 1 or next(iter(outcomes.values()))[0] != 1:
+            found.append(f"{name}: refusals differ or do not exit 1: " + "; ".join(
+                f"{tree} exited {code}: {err.strip()[-300:]}" for tree, (code, err) in outcomes.items()))
+    return found
 
 
 def differing_columns(this: Path, baseline: Path) -> str:
@@ -94,11 +123,10 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        runs = commands(tmp)
+        runs, refused = commands(tmp), refusals(tmp)
         trees = {"this": REPO / "src", "baseline": extract_src(args.baseline, tmp / "baseline_src")}
-        problems = []
-        for tree, src in trees.items():
-            problems += [f"{tree}: {failure}" for failure in run_tree(src, runs, tmp / tree)]
+        problems = failures(runs, refused, {tree: run_tree(src, runs | refused, tmp / tree)
+                                            for tree, src in trees.items()})
         files = {tree: {p.relative_to(tmp / tree) for pattern in ("*.csv", "*_run.txt")
                         for p in (tmp / tree).rglob(pattern)} for tree in trees}
         same = []
@@ -115,8 +143,9 @@ def main() -> int:
         counts = [f"{sum(p.suffix == suffix for p in same)} of "
                   f"{sum(p.suffix == suffix for p in files['this'] | files['baseline'])} {kind}"
                   for suffix, kind in ((".csv", "CSVs"), (".txt", "sidecars"))]
-        print(f"{len(runs)} commands, {' and '.join(counts)} byte-identical to {args.baseline}:")
-        for name, argv in runs.items():
+        print(f"{len(runs)} commands and {len(refused)} refusals, {' and '.join(counts)} "
+              f"byte-identical to {args.baseline}:")
+        for name, argv in (runs | refused).items():
             print(f"  {name}: ptcoupler {' '.join(Path(a).name if '/' in a else a for a in argv)}")
         for problem in problems:
             print(f"DIFFERS {problem}")

@@ -147,7 +147,6 @@ def classical_power_curve(
     the two channels propagate independently and add in power:
     P = (P_arm1_launch + P_arm2_launch) / 2.
     """
-    _validate(params)
     if not isinstance(input_state, ClassicalInput):
         raise ValueError(f"unknown classical input {input_state!r}")
     zs = grid.points()

@@ -4,7 +4,8 @@ All records are immutable and validate their invariants at construction,
 so an instance in hand is always a legal one. Rates and distances are
 plain floats of dimension 1/length and length. The usual convention is to
 quote both in units of the coupling rate (set kappa = 1), but nothing
-enforces a unit system.
+enforces a unit system. A one-point propagator is the array call at one
+point, checked by the ScatteringMatrix record.
 """
 
 from __future__ import annotations
@@ -38,17 +39,10 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _all(mask) -> bool:
-    """Whether a boolean array, or one boolean, holds everywhere. A numpy
-    reduction costs microseconds even on one value, which the check of a
-    single ScatteringMatrix would pay several times over."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _require_all_finite(name: str, value, kind=complex) -> None:
     """_require_finite for a number or an array, naming the first bad value."""
     finite = np.isfinite(value)
-    if not _all(finite):
+    if not finite.all():
         raise ValueError(f"{name} must be finite, got {kind(np.ravel(value)[np.argmin(finite)])!r}")
 
 
@@ -119,37 +113,37 @@ def require_non_negative(name: str, values) -> np.ndarray:
     every one is finite and non-negative; errors name them as name."""
     values = np.asarray(values, dtype=float)
     _require_all_finite(name, values, float)
-    if not _all(values >= 0.0):
+    if not (values >= 0.0).all():
         raise ValueError(f"{name} must be non-negative")
     return values
 
 
-def check_propagators(entries, z, det=None) -> None:
+def check_propagators(entries, det=None) -> None:
     """Raise ValueError unless every matrix [[s11, s12], [s21, s22]] of
-    entries = (s11, s12, s21, s22), four numbers or four arrays of one
-    shape, is a legal propagator over its distance z.
+    entries = (s11, s12, s21, s22), four numpy arrays of one shape, is a
+    legal propagator.
 
-    z must be finite and non-negative, the entries finite, the largest
-    singular value at most 1 + PASSIVITY_TOL, and det, when given, finite
-    and within 1e-9 of the entrywise determinant. The one check behind
-    ScatteringMatrix and the array propagators of the scattering and
-    reservoir modules.
+    The entries must be finite, the largest singular value at most
+    1 + PASSIVITY_TOL, and det, when given, finite and within 1e-9 of the
+    entrywise determinant. The one check behind the array propagators of the
+    scattering and reservoir modules and the ScatteringMatrix record of one
+    of their points. Distances are checked where they enter, not here.
     """
-    require_non_negative("z", z)
-    smax = largest_singular_value(*entries)
-    # A non-finite entry makes smax NaN or inf, so the entries are searched
-    # only when this fails; "not <=" counts NaN as a failure.
-    if not _all(smax <= 1.0 + PASSIVITY_TOL):
+    # A non-finite entry makes smax NaN or inf, and so does an entry past about
+    # 1e154, whose |s|^2 overflows: the entries are searched only when this
+    # fails ("not <=" counts NaN as a failure), and finite ones are not passive.
+    with np.errstate(over="ignore", invalid="ignore"):
+        smax = largest_singular_value(*entries)
+    if not (smax <= 1.0 + PASSIVITY_TOL).all():
         for name, entry in zip(("m11", "m12", "m21", "m22"), entries):
             _require_all_finite(name, entry)
-        raise ValueError(
-            f"matrix is not passive: largest singular value {float(np.max(smax))!r} exceeds 1"
-        )
+        raise ValueError("matrix is not passive: largest singular value "
+                         f"{float(np.where(np.isnan(smax), np.inf, smax).max())!r} exceeds 1")
     if det is not None:
         s11, s12, s21, s22 = entries
         # Entrywise cancellation noise is bounded by ~1e-15, so any
         # disagreement past this guard is a wiring bug, not roundoff.
-        if not _all(abs(det - (s11 * s22 - s12 * s21)) <= 1e-9):
+        if not (abs(det - (s11 * s22 - s12 * s21)) <= 1e-9).all():
             _require_all_finite("det", det)
             raise ValueError("det disagrees with the matrix entries")
 
@@ -166,7 +160,9 @@ class ScatteringMatrix:
     entrywise product difference once the determinant is many orders of
     magnitude below the entries. Restrictions of a larger unitary have no
     such reduction and leave det unset. Records compare and hash by entries,
-    z and det.
+    z and det. A one-point propagator of the library (scattering_matrix,
+    LatticePropagator.scattering) is the array call at one point, checked by
+    this record.
     """
 
     s: np.ndarray
@@ -177,8 +173,8 @@ class ScatteringMatrix:
         s = np.array(self.s, dtype=complex)
         if s.shape != (2, 2):
             raise ValueError(f"expected a 2x2 array, got shape {s.shape}")
-        # Python complexes: one matrix is checked faster without numpy's loops.
-        check_propagators(s.ravel().tolist(), self.z, self.det)
+        require_non_negative("z", self.z)
+        check_propagators(s.reshape(4, 1), self.det)  # rows s11, s12, s21, s22
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 

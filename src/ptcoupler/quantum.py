@@ -36,7 +36,6 @@ from .core import (
     PropagationGrid,
     ScatteringMatrix,
     TwoPhotonInput,
-    _validate,
 )
 from .reservoir import LatticePropagator, LatticeReservoir
 # scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
@@ -102,9 +101,7 @@ def survival_entangled(s, phi, det=None) -> float | np.ndarray:
     sin^2(phi/2) P_F: exactly P_B at phi = 0 and P_F at phi = pi. det as for
     survival_fermionic; phi, in [0, pi], may be an array broadcast against
     the batch shape of s, one P_B and P_F serving every phase."""
-    if np.ndim(phi) == 0:
-        phi = PolarizationEntangled(phi).phi
-    elif not np.all(np.greater_equal(phi, 0.0) & np.less_equal(phi, math.pi)):  # NaN too
+    if not np.all(np.greater_equal(phi, 0.0) & np.less_equal(phi, math.pi)):  # NaN too
         raise ValueError("phi must lie in [0, pi]")
     c = np.cos(phi)
     p_boson, p_fermion = survival_indistinguishable(s), survival_fermionic(s, det)
@@ -141,7 +138,6 @@ def survival_curve(
 ) -> DecayCurve:
     """Pair survival along the grid: memoryless loss at params.gamma when
     reservoir is None, else the chain reservoir traced explicitly."""
-    _validate(params)
     fn, label = _survival_function(input_state)
     zs = grid.points()
     if reservoir is None:

@@ -209,10 +209,10 @@ class LatticePropagator:
     into real tables of the even and odd orders (_tables), and each distance's cos
     and sin samples against them give Re S and Im S, in row blocks of bounded size:
     a further distance of a known length costs O(M) time, and memory does not grow
-    with distances x terms. scattering(z) is the one-distance view of the same
-    call. A chain above _MAX_SITES sites, or a farthest distance whose series
-    passes _MAX_TERMS terms, is refused with ValueError before anything is
-    allocated.
+    with distances x terms. scattering(z) is that array call at one distance,
+    checked by the ScatteringMatrix record it returns. A chain above _MAX_SITES
+    sites, or a farthest distance whose series passes _MAX_TERMS terms, is refused
+    with ValueError before anything is allocated.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -338,9 +338,11 @@ class LatticePropagator:
             self._table_size, self._table = size, (fold.real.copy(), fold.imag.copy())
         return self._table
 
-    def _blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """S, shape z.shape + (2, 2), and its entrywise determinants at the
-        distances z; the matrices are not checked here."""
+    def scattering_array(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Propagators restricted to the two coupler arms at every distance
+        of the array z: S with shape z.shape + (2, 2) and the entrywise
+        determinants (no reduced form exists), shape z.shape. Every matrix
+        passes the checks of ScatteringMatrix (check_propagators)."""
         z = np.asarray(z, dtype=float)
         sizes = self._sizes(z).ravel()  # before anything of the chain's length
         flat = z.ravel()
@@ -357,22 +359,14 @@ class LatticePropagator:
                 blocks.imag[part[:, None], (0, 1, 3)] = np.einsum("rk,ek->re", sin, odd)
         blocks[:, 2] = blocks[:, 1]
         blocks *= np.exp(-1j * self._center * flat)[:, None]
+        check_propagators(blocks.T)  # rows s11, s12, s21, s22
         s = blocks.reshape(z.shape + (2, 2))
         return s, entrywise_determinants(s)
 
-    def scattering_array(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Propagators restricted to the two coupler arms at every distance
-        of the array z: S with shape z.shape + (2, 2) and the entrywise
-        determinants (no reduced form exists), shape z.shape. Every matrix
-        passes the checks of ScatteringMatrix (check_propagators)."""
-        s, det = self._blocks(z)
-        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z)
-        return s, det
-
     def scattering(self, z: float) -> ScatteringMatrix:
-        """Propagator restricted to the two coupler arms: the one-distance
-        view of scattering_array, checked by ScatteringMatrix."""
-        s, _ = self._blocks(np.array([z], dtype=float))
+        """Propagator restricted to the two coupler arms: scattering_array at
+        one distance, checked by the ScatteringMatrix record it returns."""
+        s, _ = self.scattering_array(np.array([z], dtype=float))
         return ScatteringMatrix(s[0], z=float(z))
 
 

@@ -38,8 +38,8 @@ returns S with shape B + (2, 2), complex, and the determinants with shape
 B. The determinant is carried separately in its reduced form
 exp(-i tr(M) z): the entrywise product difference underflows into
 cancellation noise as soon as gamma z is large, while the reduced value
-stays correct to a few ulp. scattering_matrix wraps the one-point array
-as a ScatteringMatrix record.
+stays correct to a few ulp. scattering_matrix is the array call at one
+point, checked by the ScatteringMatrix record it returns.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
     The loss enters as the imaginary part -i gamma of the second diagonal
     element, so every propagator is passive: both singular values stay at
     or below 1, and |det| = e^{-gamma z}. Every matrix passes the checks of
-    ScatteringMatrix (check_propagators); a phase or decay past the float
-    range is refused with ValueError naming z.
+    ScatteringMatrix (check_propagators); a phase or decay of S or det past
+    the float range is refused with ValueError naming the nearest such z.
     """
     _validate(params)
     if gamma is not None:
@@ -129,11 +129,12 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
     z = require_non_negative("z", z)
     s, det = _propagators(params, z, gamma)
     try:
-        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), z, det)
+        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), det)
     except ValueError:
-        if np.isfinite(s).all():
+        finite = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(det)
+        if finite.all():
             raise
-        near = np.broadcast_to(z, det.shape)[~np.isfinite(s).all(axis=(-2, -1))].min()
+        near = np.broadcast_to(z, det.shape)[~finite].min()
         raise ValueError(f"the propagator's phase or decay at z = {near:g} passes the float "
                          "range") from None
     return s, det
@@ -141,10 +142,9 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
 
 def scattering_matrix(params: CouplerParams, z: float) -> ScatteringMatrix:
     """Amplitude transfer matrix of the bare lossy coupler over distance z:
-    the one-point batch of the closed form of scattering_array, checked
-    once, by the record's construction."""
-    _validate(params)
+    the array call of scattering_array at one point, checked by the record
+    it is viewed as, so it refuses exactly what the array call refuses."""
     # Always an array: numpy's scalar and array loops may round differently.
-    z = np.atleast_1d(require_non_negative("z", z))
-    s, det = _propagators(params, z)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    s, det = scattering_array(params, z)
     return ScatteringMatrix(s[0], z=z.item(0), det=det.item(0))

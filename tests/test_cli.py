@@ -643,6 +643,18 @@ def test_closed_form_past_the_float_range_exits_1_with_one_line(tmp_path, argv, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_determinant_past_the_float_range_exits_1_naming_z(tmp_path, capsys):
+    # beta1 + beta2 = 2e308 overflows the determinant's phase tr(M) z at every z,
+    # z = 0 included (inf times 0), while S itself stays finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig2", "--beta1", "1e308", "--beta2", "1e308", "--zmax", "0.5",
+                     "--points", "3", "--gamma", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: the propagator's phase or decay at z = 0 passes "
+                                       "the float range\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_closed_form_just_inside_the_float_range_is_written(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -233,23 +233,32 @@ def test_closed_form_singular_value_matches_svd():
 
 
 def test_check_propagators_names_the_fault_in_an_array():
+    # Distances are refused where they enter (the record, scattering_array,
+    # LatticePropagator), not here.
     eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
-    z = np.array([0.0, 1.0, 2.0])
-    check_propagators(entries_of(eye), z, np.ones(3))
+    check_propagators(entries_of(eye), np.ones(3))
     bad = eye.copy()
     bad[2, 1, 0] = complex(math.nan, 1.0)
     with pytest.raises(ValueError, match=r"m21 must be finite, got \(nan\+1j\)"):
-        check_propagators(entries_of(bad), z)
+        check_propagators(entries_of(bad))
     gain = eye.copy()
     gain[1, 1, 1] = 1.5
     with pytest.raises(ValueError, match="largest singular value 1.5 exceeds 1"):
-        check_propagators(entries_of(gain), z)
+        check_propagators(entries_of(gain))
     with pytest.raises(ValueError, match="det disagrees"):
-        check_propagators(entries_of(eye), z, np.array([1.0, 1.0, 0.5]))
+        check_propagators(entries_of(eye), np.array([1.0, 1.0, 0.5]))
     with pytest.raises(ValueError, match="det must be finite"):
-        check_propagators(entries_of(eye), z, np.array([1.0, math.inf, 1.0]))
-    with pytest.raises(ValueError, match="z must be non-negative"):
-        check_propagators(entries_of(eye), -z)
+        check_propagators(entries_of(eye), np.array([1.0, math.inf, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries", [[[1e200, 0.0], [0.0, 0.0]], [[1e200j, 1e200], [1e200, 1e200j]]])
+def test_an_entry_past_the_square_root_of_the_float_range_is_not_passive(entries):
+    # |s|^2 overflows; the largest singular value reads inf, with no warning.
+    with pytest.raises(ValueError, match="matrix is not passive: largest singular value inf"):
+        ScatteringMatrix(entries, z=1.0)
+    with pytest.raises(ValueError, match="not passive"):
+        check_propagators(entries_of(np.array([entries], dtype=complex)))
 
 
 @pytest.mark.parametrize("z_max, num_points", [(5e-324, 3), (8e-323, 10), (2.2e-301, MAX_GRID_POINTS)])

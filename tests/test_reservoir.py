@@ -498,6 +498,28 @@ def test_scattering_matches_a_40_digit_eigensolution_far_along_the_series():
             assert np.abs(sz - exact).max() <= 7e-13
 
 
+@pytest.mark.parametrize("n, zs, per_z", [
+    (1, [100.0, 1000.0, 6000.0, 16000.0], 1e-15),
+    (3, [100.0, 1000.0], 5e-15),
+])
+def test_scattering_far_along_the_chain_matches_a_40_digit_eigensolution(n, zs, per_z):
+    # The moments' round-off grows linearly with the series length, so the bound
+    # is linear in z, about twice what was measured: for n = 1, 3.7e-14, 3.8e-13,
+    # 3.0e-12 and 8.3e-12 at z = 100, 1000, 6000 and 16000; for n = 3, 2.4e-13 and
+    # 2.7e-12 at z = 100 and 1000 (1.4e-11 at z = 6000 is left out for its time).
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=n)
+    s, _ = LatticePropagator(params, lat).scattering_array(np.array(zs))
+    with mpmath.workdps(40):
+        energies, vectors = mpmath.eigsy(mpmath.matrix(full_hamiltonian(params, lat).tolist()))
+        for z, sz in zip(zs, s):
+            phases = [mpmath.expj(-energy * z) for energy in energies]
+            exact = np.array([[complex(mpmath.fsum(vectors[i, k] * vectors[j, k] * phase
+                                                   for k, phase in enumerate(phases)))
+                               for j in range(2)] for i in range(2)])
+            assert np.abs(sz - exact).max() <= per_z * z
+
+
 def test_scattering_array_is_bit_for_bit_on_fig5_shapes(monkeypatch):
     # fig5's first chain and grid: one distance of each of the grid's 12
     # series lengths, read off the whole grid's array, against scattering(z).

@@ -248,3 +248,37 @@ def test_array_rejects_bad_distances_and_loss_rates():
         scattering_array(p, 1.0, gamma=[1.0, math.inf])
     with pytest.raises(ValueError, match="gamma must be non-negative"):
         scattering_array(p, 1.0, gamma=[1.0, -2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_point_past_the_float_range_is_refused_as_the_array_call_refuses_it():
+    # 2 |w z| passes the largest double: S at z = 1e308 is not finite.
+    p = CouplerParams(0.0, 0.0, 1.0, 1e-300)
+    message = r"the propagator's phase or decay at z = 1e\+308 passes the float range"
+    with pytest.raises(ValueError, match=message):
+        scattering_array(p, [0.0, 1e308])
+    with pytest.raises(ValueError, match=message):
+        scattering_matrix(p, 1e308)
+
+
+def test_closed_form_is_the_same_bits_in_any_slice_of_a_grid():
+    # numpy's scalar loop, SIMD body and tail may round differently; S of any
+    # slice of a grid, and of each single point, must be the rows of the whole.
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        kappa = rng.uniform(0.2, 5.0)
+        ratio = rng.choice([0.0, 2.0, rng.uniform(0.0, 10.0)])  # lossless, at the EP, any
+        p = CouplerParams(rng.uniform(-3.0, 3.0), rng.choice([0.0, rng.uniform(-3.0, 3.0)]),
+                          kappa, ratio * kappa)
+        # Both sides of SINC_SERIES_THRESHOLD: distances down to 1e-7 / kappa.
+        zs = np.sort(np.concatenate([rng.uniform(0.0, 20.0, 300), 10.0 ** rng.uniform(-7, 0, 100)]))
+        zs /= kappa
+        s, det = scattering_array(p, zs)
+        for length in [*range(1, 18), 257]:
+            for start in (0, int(rng.integers(0, zs.size - length + 1))):
+                part = slice(start, start + length)
+                s_part, det_part = scattering_array(p, zs[part])
+                assert np.array_equal(s_part, s[part]) and np.array_equal(det_part, det[part])
+        for i in rng.choice(zs.size, 111, replace=False):  # 2,220 one-point calls in all
+            record = scattering_matrix(p, zs[i])
+            assert np.array_equal(record.as_array(), s[i]) and record.det == det[i]

@@ -1,11 +1,14 @@
 """The benchmark and output-comparison scripts on this tree: every layer of
 scripts/bench.py runs, its ratios come from the minima over all runs, and
-scripts/compare_outputs.py names what differs between two CSVs."""
+scripts/compare_outputs.py names what differs between two CSVs, and which
+command or refusal of either tree does not exit as it must."""
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from ptcoupler.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -55,3 +58,34 @@ def test_compare_outputs_names_the_columns_that_differ(scripts, tmp_path):
     assert differ(write_csv(tmp_path / "h.csv", "z,q,label", ["0,1,a", "0.5,0.25,b"]),
                   base) == "header or row count"
     assert differ(write_csv(tmp_path / "r.csv", "z,p,label", ["0,1,a"]), base) == "header or row count"
+
+
+def test_compare_outputs_refusals_exit_1_with_their_messages(scripts, tmp_path, capsys):
+    _, compare = scripts
+    messages = {
+        "refuse_markovian_negative_z": "z must be non-negative",
+        "refuse_lattice_negative_z": "z must be finite and non-negative",
+        "refuse_fig4_phi": "phi must lie in [0, pi]",
+        "refuse_fig5_sites": "chain reservoir too large: sigma = 1e+06 and n_sites = 1.5e+07; "
+                             "the limit is 1e+07 sites",
+        "refuse_fig2_step": "z_max = 8e-323 is too small for 10 distinct points",
+    }
+    refused = compare.refusals(tmp_path)
+    assert set(refused) == set(messages) and not set(refused) & set(compare.commands(tmp_path))
+    for name, argv in refused.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err == f"error: {messages[name]}\n"
+
+
+def test_compare_outputs_fails_a_command_that_fails_and_a_refusal_that_differs(scripts):
+    _, compare = scripts
+    ok, refused = (0, ""), (1, "error: z must be non-negative\n")
+
+    def failures(this, baseline):
+        return compare.failures(["fig2"], ["refuse"], {
+            "this": {"fig2": ok, "refuse": this}, "baseline": {"fig2": ok, "refuse": baseline}})
+
+    assert failures(refused, refused) == []
+    assert failures(ok, ok) and failures(refused, ok) and failures(refused, (1, "error: other\n"))
+    assert compare.failures(["fig2"], [], {"this": {"fig2": (1, "error: x\n")}}) == [
+        "this: fig2 exited 1: error: x"]
