@@ -5,19 +5,22 @@
 
 Commands: fig2 to fig5 at their defaults and off them (grids that cross
 write_table's 1024-row blocks, a single --gamma and --phi, a short chain
-over a long distance), the sweep of scripts/sweep_example.cfg, a lattice
-sweep of 1200 rows, and every command of perfbench's workloads, the
-sweep_dense config at seeds 1 to 3 (each distinct argv once), must exit 0;
-the refusals (a negative z in a memoryless and in a lattice sweep, fig4 --phi
-4, a chain past the site limit, a grid step too small for distinct points)
-must exit 1 on both trees with the same stderr, byte for byte. Each tree runs
-them in fresh interpreters whose PYTHONPATH is its src/: this checkout's as
-it is on disk, and the src/ of the baseline extracted with git archive, as
-scripts/bench.py --baseline does. Every CSV and every <command>_run.txt
-sidecar is compared byte for byte (both trees read the same config paths);
-one that differs, or that only one tree wrote, is listed, and so is a
-command that fails or a refusal that differs. A differing CSV names its
-differing columns, each with its largest absolute difference.
+over a long distance), the sweep of scripts/sweep_example.cfg, the lattice
+sweeps of SWEEPS (1200 rows; every z = 0 on the 11-site default chain; no
+rho; no z) and a memoryless sweep with no phi, and every command of
+perfbench's workloads, the sweep_dense config at seeds 1 to 3 (each distinct
+argv once), must exit 0; the refusals (a negative z in a memoryless and in a
+lattice sweep, fig4 --phi 4, a chain past the site limit, a grid step too
+small for distinct points) must exit 1. Every command and refusal must write
+the same stderr on both trees, byte for byte (the short chain's warning
+among them). Each tree runs them in fresh interpreters whose PYTHONPATH is
+its src/: this checkout's as it is on disk, and the src/ of the baseline
+extracted with git archive, as scripts/bench.py --baseline does. Every CSV
+and every <command>_run.txt sidecar is compared byte for byte (both trees
+read the same config paths); one that differs, or that only one tree wrote,
+is listed, and so is a command that does not exit as it must or whose exit
+code or stderr differs. A differing CSV names its differing columns, each
+with its largest absolute difference.
 """
 
 from __future__ import annotations
@@ -36,8 +39,16 @@ from bench import extract_src  # noqa: E402
 from workloads import CONFIG, WORKLOADS, sweep_config  # noqa: E402
 
 SEEDS = (1, 2, 3)  # sweep_dense configs
-LATTICE_SWEEP = ("backend = lattice\nrho = 0.5, 1, 2.5\nsigma = 5\nphi = 0, 0.7, 1.9, 3.141592653589793\n"
-                 f"z = {', '.join(repr(0.05 * i) for i in range(100))}\n")
+# Output directory name -> config text of a sweep that must exit 0; the last three write no rows.
+SWEEPS = {
+    "sweep_lattice": ("backend = lattice\nrho = 0.5, 1, 2.5\nsigma = 5\n"
+                      "phi = 0, 0.7, 1.9, 3.141592653589793\n"
+                      f"z = {', '.join(repr(0.05 * i) for i in range(100))}\n"),
+    "sweep_lattice_z0": "backend = lattice\nrho = 1, 2.5\nsigma = 5\nphi = 0, 1.9\nz = 0, 0, 0\n",
+    "sweep_no_phi": "backend = markovian\ngamma = 0.5, 2\nz = 0, 1\n",
+    "sweep_no_rho": "backend = lattice\nsigma = 5\nphi = 0\nz = 0, 1\n",
+    "sweep_no_z": "backend = lattice\nrho = 1\nsigma = 5\nphi = 0\n",
+}
 
 
 def commands(configs: Path) -> dict[str, list[str]]:
@@ -47,8 +58,9 @@ def commands(configs: Path) -> dict[str, list[str]]:
     runs["fig4_2000"] = ["fig4", "--points", "2000", "--gamma", "10", "--phi", "1"]
     runs["fig5_short_chain"] = ["fig5", "--nsites", "41", "--zmax", "10", "--points", "501"]
     runs["sweep_example"] = ["sweep", "--config", str(REPO / "scripts" / "sweep_example.cfg")]
-    (configs / "sweep_lattice.cfg").write_text(LATTICE_SWEEP)
-    runs["sweep_lattice"] = ["sweep", "--config", str(configs / "sweep_lattice.cfg")]
+    for name, text in SWEEPS.items():
+        (configs / f"{name}.cfg").write_text(text)
+        runs[name] = ["sweep", "--config", str(configs / f"{name}.cfg")]
     for seed in SEEDS:
         (configs / f"sweep_seed{seed}.cfg").write_text(sweep_config(seed).text())
     for workload in WORKLOADS.values():
@@ -87,15 +99,18 @@ def run_tree(src: Path, runs: dict[str, list[str]], out: Path) -> dict[str, tupl
 
 def failures(runs, refused, results: dict[str, dict[str, tuple[int, str]]]) -> list[str]:
     """From each tree's run_tree results: every command of runs that did not exit 0,
-    and every refusal that did not exit 1 on all trees with the same stderr."""
-    found = [f"{tree}: {name} exited {code}: {err.strip()[-300:]}"
-             for tree, done in results.items() for name in runs
-             for code, err in [done[name]] if code != 0]
-    for name in refused:
-        outcomes = {tree: done[name] for tree, done in results.items()}
-        if len(set(outcomes.values())) > 1 or next(iter(outcomes.values()))[0] != 1:
-            found.append(f"{name}: refusals differ or do not exit 1: " + "; ".join(
-                f"{tree} exited {code}: {err.strip()[-300:]}" for tree, (code, err) in outcomes.items()))
+    every refusal that did not exit 1, and every one of either whose exit code or
+    stderr differs between the trees."""
+    found = []
+    for names, expected in ((runs, 0), (refused, 1)):
+        for name in names:
+            outcomes = {tree: done[name] for tree, done in results.items()}
+            found += [f"{tree}: {name} exited {code}: {err.strip()[-300:]}"
+                      for tree, (code, err) in outcomes.items() if code != expected]
+            if len(set(outcomes.values())) > 1:
+                found.append(f"{name}: exit code or stderr differs: " + "; ".join(
+                    f"{tree} exited {code}: {err.strip()[-300:]!r}"
+                    for tree, (code, err) in outcomes.items()))
     return found
 
 

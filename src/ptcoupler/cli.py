@@ -288,7 +288,9 @@ def cmd_fig4(args) -> int:
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
     # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
-    z0 = 3.0 / kappa
+    z0, gamma_max = 3.0 / kappa, 5.0 * kappa
+    if gamma_max == math.inf:  # before any file is written
+        raise ValueError(f"kappa = {kappa:g}: panel (b)'s loss rates up to 5 kappa pass the float range")
 
     def table(gamma, zs, s, det):
         return (head | _shared(args, grid, gamma=gamma) | {"phis": phis},
@@ -298,11 +300,11 @@ def cmd_fig4(args) -> int:
         # Panel (a): survival vs distance, one file per loss rate.
         yield from _per_rate(args, grid, "fig4a_gamma", gammas, _closed_form(args), table)
         # Panel (b): survival at the fixed distance z0 against the loss rate.
-        gamma_axis = np.linspace(0.0, 5.0 * kappa, 201)
+        gamma_axis = np.linspace(0.0, gamma_max, 201)
         s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
         yield "fig4b.csv", head | {
             "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
-            "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": 5.0 * kappa,
+            "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": gamma_max,
             "gamma_points": 201, "phis": phis,
         }, ["gamma"] + labels, [gamma_axis, *survival_entangled(s, phase_axis, det)]
 
@@ -320,6 +322,8 @@ def cmd_fig5(args) -> int:
 
     def table(rho, zs, s, det):
         gamma_eff = lattice_gamma(sigma, rho)
+        with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
+            exponential = np.exp(-2.0 * (gamma_eff * zs))  # 2 gamma_eff may overflow; inf times 0 is NaN
         return {
             "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
             "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
@@ -327,8 +331,7 @@ def cmd_fig5(args) -> int:
             "gamma_eff": gamma_eff, "zmax": grid.z_max, "points": grid.num_points,
             "dashed": "exp(-2*gamma_eff*z)",
         }, {"survival_lattice": survival_entangled(s, phi, det),
-            # gamma_eff z first: 2 gamma_eff may overflow, and inf times z = 0 is NaN.
-            "survival_markovian_exponential": np.exp(-2.0 * (gamma_eff * zs))}
+            "survival_markovian_exponential": exponential}
 
     settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
     _write_tables(args.out, "fig5", settings, _per_rate(args, grid, "fig5_rho", rhos, lambda rho, zs: (
@@ -486,8 +489,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tupl
     if cfg.backend == "lattice":
         values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
     meta = _metadata(values)
-    if not rows:
-        return meta, header, [np.empty(shape)] * len(header), shape
 
     bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
     axis_values, zs = np.array(axis), np.array(cfg.z)
@@ -496,17 +497,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tupl
         s, det = scattering_array(bare, zs[None, :], gamma=axis_values[:, None])
     else:
         rates = np.array([lattice_gamma(cfg.sigma, rho) for rho in axis])
-        nsites = cfg.nsites
+        far, nsites = max(cfg.z, default=0.0), cfg.nsites
         if nsites is None:
-            nsites = min_lattice_size(cfg.sigma, max(cfg.z)) if max(cfg.z) > 0.0 else 11
+            nsites = min_lattice_size(cfg.sigma, far) if far > 0.0 else 11
         beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
-        # Each propagator checks its work limit at the farthest z first.
-        s, det = map(np.stack, zip(*(
-            LatticePropagator(bare, LatticeReservoir(cfg.sigma, rho, nsites, beta_lattice))
-            .scattering_array(zs)
-            for rho in axis
-        )))
-        _warn_if_short(nsites, cfg.sigma, max(cfg.z))
+        s, det = np.empty((len(axis), len(zs), 2, 2), complex), np.empty((len(axis), len(zs)), complex)
+        for i, rho in enumerate(axis):  # each propagator checks its work limit at the farthest z first
+            lattice = LatticeReservoir(cfg.sigma, rho, nsites, beta_lattice)
+            s[i], det[i] = LatticePropagator(bare, lattice).scattering_array(zs)
+        _warn_if_short(nsites, cfg.sigma, far)
     s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
     keys = [axis_values[:, None, None], np.array(cfg.phi)[:, None], zs]
     columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, bare, rates) for name in cfg.observables]

@@ -27,8 +27,8 @@ closed-form Green's function gives with no pass over the chain: Re S sums
 the even orders against cos samples, Im S the odd ones against sin samples.
 scattering_array gives S for a whole array of distances in one call, the
 array form of the Markovian scattering.scattering_array, so both backends
-hand the observables one propagator array. Costs and limits: see
-LatticePropagator.
+hand the observables one propagator array; it computes the moments it needs
+and keeps nothing between calls. Costs and limits: see LatticePropagator.
 """
 
 from __future__ import annotations
@@ -201,18 +201,18 @@ class LatticePropagator:
     phase e^{-icz}, Re S sums the even orders (2 - delta_m0) (-1)^{m/2} J_m(rz) mu_m
     and Im S the odd ones -2 (-1)^{(m-1)/2} J_m(rz) mu_m. A distance z needs
     M ~ rz + O((rz)^{1/3}) terms, so S(z) costs O(M log M) time and O(M) memory
-    whatever the chain length; the moments are kept and extended on demand.
+    whatever the chain length.
 
-    scattering_array(z) evaluates a whole array of distances in one call: S with
-    shape z.shape + (2, 2) and the entrywise determinants, shape z.shape. The
-    distances are grouped by series length; each length's moments are folded once
-    into real tables of the even and odd orders (_tables), and each distance's cos
-    and sin samples against them give Re S and Im S, in row blocks of bounded size:
-    a further distance of a known length costs O(M) time, and memory does not grow
-    with distances x terms. scattering(z) is that array call at one distance,
-    checked by the ScatteringMatrix record it returns. A chain above _MAX_SITES
-    sites, or a farthest distance whose series passes _MAX_TERMS terms, is refused
-    with ValueError before anything is allocated.
+    A propagator holds nothing that a call computes. scattering_array(z) evaluates a whole
+    array of distances in one call: S with shape z.shape + (2, 2) and the entrywise
+    determinants, shape z.shape. It computes the moments of its longest series once
+    (_moments_upto) and groups the distances by series length; each length's moments are
+    folded into real tables of the even and odd orders (_tables), and each distance's cos
+    and sin samples against them give Re S and Im S, in row blocks of bounded size: memory
+    does not grow with distances x terms. scattering(z) is that array call at one distance,
+    checked by the ScatteringMatrix record it returns. A chain above _MAX_SITES sites, or a
+    farthest distance whose series passes _MAX_TERMS terms, is refused with ValueError
+    before anything is allocated.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -242,8 +242,6 @@ class LatticePropagator:
             (params.beta1 - c) / r, (params.beta2 - c) / r, (lattice.beta_lattice - c) / r,
             params.kappa / r, lattice.rho / r, lattice.sigma / r,
         )
-        self._moments = np.empty((0, 4))  # mu_m, row-major
-        self._table_size, self._table = 0, None
 
     def _sizes(self, z: np.ndarray) -> np.ndarray:
         """The series length N of each distance, an FFT length whose half
@@ -308,9 +306,10 @@ class LatticePropagator:
         blocks. Moments [hi / 2, hi) (the first block [0, _TERMS_STEP)) are one
         inverse FFT of N / 2 + 1 samples, N = 8 hi, of the generating function on
         |zeta| = e^{-delta}, delta = 40 / N: e^{-delta m} mu_m up to aliasing e^{-40} and
-        round-off eps e^{delta m} / delta, delta m < 5. So no result depends on call history."""
-        while len(self._moments) < count:
-            lo, hi = len(self._moments), max(2 * len(self._moments), _TERMS_STEP)
+        round-off eps e^{delta m} / delta, delta m < 5."""
+        blocks, hi = [np.empty((0, 4))], 0
+        while hi < count:
+            lo, hi = hi, max(2 * hi, _TERMS_STEP)
             size, delta, half = 8 * hi, 5.0 / hi, 4 * hi + 1
             samples = np.empty((3, half), dtype=complex)
             for start in range(0, half, _GENERATING_SAMPLES):
@@ -318,25 +317,24 @@ class LatticePropagator:
                 samples[:, start : start + theta.size] = self._generating(delta, theta)
             growth = np.exp(delta * np.arange(lo, hi))
             m00, m01, m11 = np.fft.irfft(samples, size)[:, lo:hi] * growth
-            self._moments = np.concatenate((self._moments, np.stack((m00, m01, m01, m11), axis=1)))
-        return self._moments[:count]
+            blocks.append(np.stack((m00, m01, m01, m11), axis=1))
+        return np.concatenate(blocks)[:count]
 
-    def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _tables(moments: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
         """C and D, shape (3, N / 4 + 1) for the entries 00, 01 and 11, with sum_m (2 - delta_m0)
         (-i)^m J_m(rz) mu_m = sum_k (cos_k C_k + i sin_k D_k) for the samples of _samples. With
-        a_m = (2 - delta_m0) (-1)^floor(m/2) mu_m, m < N / 2, C_k is (1 / N) sum_{m even} a_m
-        cos(m tau) and D_k -(1 / N) sum_{m odd} a_m sin(m tau), summed over the tau whose samples
-        are those at tau_k (four; two at k = 0, N / 4): one real FFT of a, folded at tau and
-        pi - tau. The tables of the last N are kept."""
-        if self._table_size != size:
-            half, q = size // 2, size // 4
-            signs = np.where(np.arange(half) & 2, -4.0, 4.0) / size
-            signs[0] *= 0.5
-            f = np.fft.rfft(signs * self._moments_upto(half)[:, (0, 1, 3)].T, size)
-            fold = f[:, : q + 1] + f[:, 2 * q : q - 1 : -1]
-            fold[:, (0, q)] *= 0.5
-            self._table_size, self._table = size, (fold.real.copy(), fold.imag.copy())
-        return self._table
+        a_m = (2 - delta_m0) (-1)^floor(m/2) mu_m for the first N / 2 moments, C_k is (1 / N)
+        sum_{m even} a_m cos(m tau) and D_k -(1 / N) sum_{m odd} a_m sin(m tau), summed over the
+        tau whose samples are those at tau_k (four; two at k = 0, N / 4): one real FFT of a, folded
+        at tau and pi - tau, copied contiguous (einsum's summing order, so S's bits, follow it)."""
+        half, q = size // 2, size // 4
+        signs = np.where(np.arange(half) & 2, -4.0, 4.0) / size
+        signs[0] *= 0.5
+        f = np.fft.rfft(signs * moments[:half, (0, 1, 3)].T, size)
+        fold = f[:, : q + 1] + f[:, 2 * q : q - 1 : -1]
+        fold[:, (0, q)] *= 0.5
+        return fold.real.copy(), fold.imag.copy()
 
     def scattering_array(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Propagators restricted to the two coupler arms at every distance
@@ -347,9 +345,10 @@ class LatticePropagator:
         sizes = self._sizes(z).ravel()  # before anything of the chain's length
         flat = z.ravel()
         blocks = np.empty((flat.size, 4), dtype=complex)  # row-major 2x2; S is symmetric
+        moments = self._moments_upto(int(sizes.max(initial=0)) // 2)  # the longest series' once
         for size in sorted(set(sizes.tolist())):
             group = np.flatnonzero(sizes == size)
-            even, odd = self._tables(size)
+            even, odd = self._tables(moments, size)
             rows = max(1, _BLOCK_SAMPLES // (size // 4 + 1))
             for start in range(0, group.size, rows):
                 part = group[start : start + rows]
@@ -375,7 +374,7 @@ def nonmarkovian_scattering(
 ) -> ScatteringMatrix:
     """Exact coupler-block propagator with the chain traced explicitly.
 
-    Convenience wrapper building the series moments per call; build a
-    LatticePropagator once when many distances are needed.
+    Convenience wrapper for one distance; pass every distance to one
+    LatticePropagator(params, lattice).scattering_array call instead.
     """
     return LatticePropagator(params, lattice).scattering(z)

@@ -1,15 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from ptcoupler.classical import EP_DISCRIMINANT_TOL, Regime, classify_ep, supermodes
@@ -546,13 +549,29 @@ def test_sweep_gap_closes_at_critical_loss(tmp_path):
     assert gaps[2] > 0.1
 
 
-def test_sweep_empty_axis_writes_header_only(tmp_path):
-    code, csv = run_sweep_cli(tmp_path, sweep_config_text(z=""))
-    assert code == 0
-    _, header, rows = read_table(csv)
-    assert header[:3] == ["gamma", "phi", "z"]
-    assert rows == []
-    assert "rows=0\n" in (csv.parent / "sweep_run.txt").read_text()
+def test_sweep_empty_axis_writes_header_only(tmp_path, capsys):
+    # Every axis empty in turn, on both backends: each config reaches the propagator calls.
+    lattice = dict(backend="lattice", gamma="", sigma="5", rho="1, 2")
+    for i, overrides in enumerate([dict(z=""), dict(phi=""), dict(gamma=""),
+                                   lattice | dict(rho=""), lattice | dict(z="")]):
+        (tmp_path / str(i)).mkdir()
+        code, csv = run_sweep_cli(tmp_path / str(i), sweep_config_text(**overrides))
+        assert code == 0 and capsys.readouterr().err == ""
+        _, header, rows = read_table(csv)
+        assert header[:3] == ["rho" if "rho" in overrides else "gamma", "phi", "z"]
+        assert rows == []
+        assert "rows=0\n" in (csv.parent / "sweep_run.txt").read_text()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(gamma="1", phi="", z="0, -1"), "z must be non-negative"),
+    (dict(backend="lattice", gamma="", sigma="20", rho="5", phi="", z="-1"),
+     "z must be finite and non-negative"),
+])
+def test_sweep_with_no_rows_still_checks_its_distances(tmp_path, capsys, overrides, message):
+    code, csv = run_sweep_cli(tmp_path, sweep_config_text(**overrides))
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not csv.exists()
 
 
 def test_sweep_lattice_backend(tmp_path):
@@ -653,6 +672,23 @@ def test_determinant_past_the_float_range_exits_1_naming_z(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: the propagator's phase or decay at z = 0 passes "
                                        "the float range\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_default_rates_past_the_float_range_raise_no_warning(tmp_path, capsys):
+    # fig4's panel (b) runs its loss rate to 5 kappa, past the floats above kappa
+    # = 3.6e307: refused before any file. fig5's gamma_eff z passes them at sigma
+    # = 2.2e-308: its exponential is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig4", "--kappa", "1e308", "--points", "2", "--gamma", "0",
+                     "--out", str(tmp_path / "fig4")]) == 1
+        assert capsys.readouterr().err == ("error: kappa = 1e+308: panel (b)'s loss rates up to "
+                                           "5 kappa pass the float range\n")
+        assert not (tmp_path / "fig4").exists()
+        assert main(["fig5", "--sigma", "2.2250738585072014e-308", "--rho", "2", "--points", "2",
+                     "--out", str(tmp_path / "fig5")]) == 0
+    _, header, rows = read_table(tmp_path / "fig5" / "fig5_rho2.csv")
+    assert [row[header.index("survival_markovian_exponential")] for row in rows] == ["1", "0"]
 
 
 def test_closed_form_just_inside_the_float_range_is_written(tmp_path):
@@ -1256,3 +1292,123 @@ def test_sweep_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, backe
         assert run_sweep_cli(tmp_path, text) == (0, csv)
         assert csv.read_bytes() == whole
     assert code == 0 and len(read_table(csv)[2]) == 5 * 3 * 4
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+# Flag and config values as text, two thirds of them ordinary numbers and one third the
+# float range's edges, subnormals, non-finite values, an empty value and one that is no number.
+FUZZ_ORDINARY = ("0", "0.5", "1", "2", "3", "20")
+FUZZ_EDGES = ("-0", "-1", "1e3", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+              "2.2250738585072014e-308", "1e-300", "1e300", "", "x")
+FUZZ_NUMBERS = st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(
+    FUZZ_EDGES)
+# Grid points and chain lengths: a million sites cost no more than 41, a million points would.
+FUZZ_POINTS = st.sampled_from(("2", "5", "41")) | st.sampled_from(
+    ("-1", "0", "1", "100000000000", "1.5", ""))
+FUZZ_COUNTS = FUZZ_POINTS | st.just("1000000")
+FUZZ_LISTS = st.lists(st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(FUZZ_EDGES[:-2]),
+                      max_size=3).map(", ".join)  # no list is empty-valued: that keeps the default
+FUZZ_FLAGS = {
+    "points": FUZZ_POINTS,
+    **{flag: FUZZ_NUMBERS for flag in ("zmax", "kappa", "beta1", "beta2", "gamma", "phi", "sigma", "rho")},
+    "nsites": FUZZ_COUNTS,
+}
+FUZZ_FIGURES = {"fig2": ("gamma",), "fig3": ("gamma",), "fig4": ("gamma", "phi"),
+                "fig5": ("phi", "sigma", "rho", "nsites")}
+FUZZ_SWEEP_KEYS = {
+    "phi": FUZZ_LISTS, "z": FUZZ_LISTS, "kappa": FUZZ_NUMBERS, "beta1": FUZZ_NUMBERS, "beta2": FUZZ_NUMBERS,
+    "observables": st.lists(st.sampled_from(SWEEP_OBSERVABLES), min_size=1, max_size=3).map(", ".join),
+}
+FUZZ_BACKENDS = {
+    "markovian": ({}, {"gamma": FUZZ_LISTS}),
+    "lattice": ({"sigma": FUZZ_NUMBERS},
+                {"rho": FUZZ_LISTS, "nsites": FUZZ_COUNTS, "beta_lattice": FUZZ_NUMBERS}),
+}
+# At most one fault per config: an unknown key or backend, a line with no '=', a
+# key of the other backend, a repeated key, an unknown observable, no backend line.
+FUZZ_CONFIG_FAULTS = (None,) * 7 + ("bogus = 1", "no equals sign", "backend = both", "gamma = 1",
+                                    "rho = 1", "phi = 0", "observables = bogus", "no backend")
+
+
+def _fuzz_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return -math.inf  # refused before any chain is built
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(command, argv or sweep config text, cost): a figure command with some of its
+    flags (now and then one it lacks), or a sweep config. cost holds the values that
+    set the series length of a chain (None without one): kappa, beta1, beta2,
+    beta_lattice, sigma, the largest rho, nsites and the farthest z."""
+    command = draw(st.sampled_from(sorted(FUZZ_FIGURES) + ["sweep"]))
+    if command == "sweep":
+        backend = draw(st.sampled_from(sorted(FUZZ_BACKENDS)))
+        required, optional = FUZZ_BACKENDS[backend]
+        values = draw(st.fixed_dictionaries(required, optional=FUZZ_SWEEP_KEYS | optional))
+        fault = draw(st.sampled_from(FUZZ_CONFIG_FAULTS))
+        lines = ([] if fault == "no backend" else [f"backend = {backend}"]
+                 ) + [f"{key} = {value}" for key, value in values.items()]
+        if fault not in (None, "no backend"):
+            lines.insert(draw(st.integers(0, len(lines))), fault)
+        if backend == "markovian":
+            return command, "\n".join(lines) + "\n", None
+        given = {key: value for key, value in values.items() if value}  # an empty value is the default
+        farthest = {key: max(given.get(key, "0").split(", "), key=_fuzz_float) for key in ("rho", "z")}
+        cost = {"kappa": "1", "beta1": "0", "beta2": "0", "sigma": "0", "nsites": "11"} | given | farthest
+        return command, "\n".join(lines) + "\n", {"beta_lattice": cost["beta2"]} | cost
+    flags = ("points", "zmax", "kappa", "beta1", "beta2") + FUZZ_FIGURES[command]
+    chosen = draw(st.fixed_dictionaries({}, optional={flag: FUZZ_FLAGS[flag] for flag in flags}))
+    if draw(st.integers(0, 9)) == 0:  # a flag of another command
+        chosen |= {"gamma" if command == "fig5" else "nsites": "1"}
+    argv = [command] + [text for flag, value in chosen.items() for text in (f"--{flag}", value)]
+    if command != "fig5":
+        return command, argv, None
+    kappa = _fuzz_float(chosen.get("kappa", "1"))
+    defaults = {"sigma": 20.0 * kappa, "rho": 10.0 * kappa, "zmax": 3.0 / kappa if kappa else 0.0}
+    cost = {"kappa": "1", "beta1": "0", "beta2": "0", "nsites": "11"} | {
+        key: repr(value) for key, value in defaults.items()} | chosen
+    return command, argv, {"beta_lattice": cost["beta2"], "z": cost["zmax"]} | cost
+
+
+def _fuzz_series_reach(cost) -> float:
+    """r z at the farthest distance, r the half-width of the Gershgorin discs of
+    arms and chain that LatticePropagator draws: its series has about r z terms."""
+    v = {key: _fuzz_float(text) for key, text in cost.items()}
+    chain = v["sigma"] * {"1": 0, "2": 1}.get(cost["nsites"], 2) + v["rho"]
+    discs = ((v["beta1"], v["kappa"]), (v["beta2"], v["kappa"] + v["rho"]), (v["beta_lattice"], chain))
+    with np.errstate(all="ignore"):
+        spread = np.float64(max(c + r for c, r in discs)) - min(c - r for c, r in discs)
+        return float(0.5 * spread * v["z"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_commands_exit_0_1_or_2_with_one_error_line(case):
+    # In-process main(): no traceback, no RuntimeWarning, one "error: " line on a
+    # refusal, and every file the sidecar lists once a command exits 0. Chains
+    # whose series would run between 2,000 and 600,000 terms (past the limit they
+    # are refused at once) are left out to bound the time.
+    command, argv, cost = case
+    assume(not (cost and 2e3 < _fuzz_series_reach(cost) < 6e5))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if command == "sweep":
+            (Path(tmp) / "sweep.cfg").write_text(argv)
+            argv = ["sweep", "--config", str(Path(tmp) / "sweep.cfg")]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            sidecar = (out / f"{command}_run.txt").read_text().splitlines()
+            files = next(line for line in sidecar if line.startswith("files=")).partition("=")[2]
+            assert files and all((out / name).is_file() for name in files.split(";"))

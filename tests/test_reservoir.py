@@ -196,13 +196,27 @@ def test_propagator_matches_dense_eigh(n):
         assert np.abs(prop.scattering(z).as_array() - sz).max() <= 1e-12
 
 
-def test_cached_moments_do_not_change_results():
+def test_propagator_is_a_value_and_computes_the_moments_once_per_call(monkeypatch):
     lat = LatticeReservoir(sigma=20.0, rho=5.0, n_sites=311, beta_lattice=0.25)
     used = LatticePropagator(ORACLE_PARAMS, lat)
+    before = dict(vars(used))
+    counts = []
+    moments_upto = LatticePropagator._moments_upto
+    monkeypatch.setattr(LatticePropagator, "_moments_upto",
+                        lambda self, count: counts.append(count) or moments_upto(self, count))
+    zs = np.array([1.0, 3.0, 0.0, 2.5, 0.3])
+    assert len(np.unique(used._sizes(zs))) >= 3
+    s, _ = used.scattering_array(zs)
+    assert counts == [used._sizes(zs).max() // 2]  # the longest series' moments, once
     used.scattering(3.0)
-    for z in (1.0, 0.0, 2.5, 3.0):
+    assert vars(used).keys() == before.keys() and all(vars(used)[k] is v for k, v in before.items())
+    # A used propagator gives what a fresh one gives.
+    for z, sz in zip(zs, s):
         fresh = LatticePropagator(ORACLE_PARAMS, lat).scattering(z).as_array()
-        assert np.array_equal(used.scattering(z).as_array(), fresh)
+        assert np.array_equal(used.scattering(z).as_array(), fresh) and np.array_equal(sz, fresh)
+    empty = used.scattering_array(np.array([]))
+    assert empty[0].shape == (0, 2, 2) and empty[1].shape == (0,)
+    assert counts[-1] == 0 and vars(used).keys() == before.keys()
 
 
 @pytest.mark.parametrize("params, lat, message", [

@@ -1,7 +1,8 @@
 """The benchmark and output-comparison scripts on this tree: every layer of
 scripts/bench.py runs, its ratios come from the minima over all runs, and
 scripts/compare_outputs.py names what differs between two CSVs, and which
-command or refusal of either tree does not exit as it must."""
+command or refusal of either tree does not exit as it must or writes
+another stderr."""
 
 import sys
 from pathlib import Path
@@ -89,3 +90,22 @@ def test_compare_outputs_fails_a_command_that_fails_and_a_refusal_that_differs(s
     assert failures(ok, ok) and failures(refused, ok) and failures(refused, (1, "error: other\n"))
     assert compare.failures(["fig2"], [], {"this": {"fig2": (1, "error: x\n")}}) == [
         "this: fig2 exited 1: error: x"]
+
+
+def test_compare_outputs_reports_a_command_whose_stderr_differs(scripts):
+    _, compare = scripts
+    warned = (0, "warning: end reflections can reach the coupler\n")
+    outcomes = {"this": {"fig5": warned}, "baseline": {"fig5": (0, "")}}
+    assert compare.failures(["fig5"], [], outcomes) == [
+        "fig5: exit code or stderr differs: this exited 0: 'warning: end reflections can reach "
+        "the coupler'; baseline exited 0: ''"]
+    assert compare.failures(["fig5"], [], {"this": {"fig5": warned}, "baseline": {"fig5": warned}}) == []
+
+
+def test_compare_outputs_runs_the_zero_row_and_zero_distance_sweeps(scripts, tmp_path, capsys):
+    _, compare = scripts
+    runs = compare.commands(tmp_path)
+    for name, rows in (("sweep_lattice_z0", 12), ("sweep_no_phi", 0), ("sweep_no_rho", 0), ("sweep_no_z", 0)):
+        assert main([*runs[name], "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().err == ""
+        assert f"rows={rows}\n" in (tmp_path / name / "sweep_run.txt").read_text()
