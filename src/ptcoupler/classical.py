@@ -15,7 +15,6 @@ the coalescence point itself the slow factor is algebraic, P ~ z^2 e^{-gamma z}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,9 +30,7 @@ from .core import (
 from .scattering import scaled_roots, scattering_array, scattering_matrix  # noqa: F401
 
 __all__ = [
-    "Regime",
     "SupermodePair",
-    "EpRegime",
     "supermodes",
     "classify_ep",
     "classical_power_curve",
@@ -42,12 +39,6 @@ __all__ = [
 # Relative width of the "at coalescence" band of the discriminant
 # kappa^2 - (gamma/2)^2, in units of kappa^2.
 EP_DISCRIMINANT_TOL = 1e-12
-
-
-class Regime(Enum):
-    BELOW = "below"
-    AT = "at"
-    ABOVE = "above"
 
 
 def _check_passive(**eigenvalues) -> None:
@@ -73,14 +64,6 @@ class SupermodePair:
         return abs(self.lambda1 - self.lambda2)
 
 
-@dataclass(frozen=True)
-class EpRegime:
-    """Classification of the symmetric coupler against its coalescence point."""
-
-    regime: Regime
-    discriminant: float
-
-
 def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda1, lambda2 of supermodes at each loss rate of the array gamma (replacing
     params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
@@ -91,8 +74,9 @@ def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, n
     first = (plus.imag > minus.imag) | ((plus.imag == minus.imag) & (plus.real <= minus.real))
     lambda1, lambda2 = np.where(first, plus, minus), np.where(first, minus, plus)
     _check_passive(lambda1=lambda1, lambda2=lambda2)
-    diff = lambda1 - lambda2
-    return lambda1, lambda2, np.hypot(diff.real, diff.imag)
+    with np.errstate(over="ignore"):  # a gap past the float range is inf, as in SupermodePair.gap
+        diff = lambda1 - lambda2
+        return lambda1, lambda2, np.hypot(diff.real, diff.imag)
 
 
 def supermodes(params: CouplerParams) -> SupermodePair:
@@ -109,22 +93,19 @@ def supermodes(params: CouplerParams) -> SupermodePair:
     return SupermodePair(complex(lambda1[0]), complex(lambda2[0]))
 
 
-def _regimes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """Regime values and discriminants of classify_ep at each loss rate of the array
-    gamma (replacing params.gamma): the code behind classify_ep and the sweep."""
+def _regimes(params: CouplerParams, gamma) -> np.ndarray:
+    """The regime of classify_ep at each loss rate of the array gamma (replacing
+    params.gamma): the code behind classify_ep and the sweep's ep_regime column."""
     if params.beta1 != params.beta2:
         raise ValueError("classify_ep requires beta1 == beta2; for a detuned coupler use supermodes")
-    _, e, kappa, d, _ = scaled_roots(params, require_non_negative("gamma", gamma))
+    _, _, kappa, d, _ = scaled_roots(params, require_non_negative("gamma", gamma))
     disc = kappa * kappa - d.imag * d.imag
     tol = EP_DISCRIMINANT_TOL * kappa * kappa
-    regimes = np.select([disc > tol, disc < -tol], [Regime.BELOW.value, Regime.ABOVE.value],
-                        Regime.AT.value)
-    with np.errstate(over="ignore"):  # the discriminant itself may pass the float range
-        return regimes, np.ldexp(disc, 2 * e)
+    return np.select([disc > tol, disc < -tol], ["below", "above"], "at")
 
 
-def classify_ep(params: CouplerParams) -> EpRegime:
-    """Place the symmetric coupler below, at, or above coalescence.
+def classify_ep(params: CouplerParams) -> str:
+    """Place the symmetric coupler "below", "at" or "above" coalescence.
 
     Only defined for beta1 = beta2, where the discriminant
     kappa^2 - (gamma/2)^2 is real and its sign decides the regime; the
@@ -133,8 +114,7 @@ def classify_ep(params: CouplerParams) -> EpRegime:
     structure never coalesces; inspect supermodes directly instead.
     """
     _validate(params)
-    regimes, discs = _regimes(params, np.array([params.gamma]))
-    return EpRegime(Regime(regimes.item()), discs.item())
+    return _regimes(params, np.array([params.gamma])).item()
 
 
 def classical_power_curve(

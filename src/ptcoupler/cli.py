@@ -18,6 +18,8 @@ import argparse
 import functools
 import itertools
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -197,23 +199,35 @@ def _metadata(values: dict) -> dict:
     return {"version": __version__} | {key: _format_value(v) for key, v in values.items()}
 
 
-def _write_sidecar(outdir: Path, command: str, settings: dict) -> None:
-    """<command>_run.txt: the command, then one key=value line per setting."""
+def _write_sidecar(path: Path, command: str, settings: dict) -> None:
+    """<command>_run.txt at path: the command, then one key=value line per setting."""
     lines = [f"{key}={_format_value(v)}" for key, v in ({"command": command} | settings).items()]
-    (outdir / f"{command}_run.txt").write_text("\n".join(lines) + "\n", newline="\n")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _write_tables(out, command: str, settings: dict, tables) -> None:
-    """Create the directory out, write each table (file, metadata values, header,
-    columns[, shape]) of the iterable tables as it is made, then <command>_run.txt:
-    the settings and the files."""
+    """Create the directory out and write each table (file, metadata values, header,
+    columns[, shape]) of the iterable tables as it is made, then <command>_run.txt: the
+    settings and the files. All or nothing: each file is written under a hidden name,
+    .<file>.part, and moved into place, the sidecar last, once every table is made; on
+    any error, an interrupt too, every file written is removed."""
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for file, values, header, *columns in tables:
-        write_table(outdir / file, _metadata(values), header, *columns)
-        files.append(file)
-    _write_sidecar(outdir, command, settings | {"files": files})
+    files, written = [], []
+    try:
+        for file, values, header, *columns in tables:
+            written.append(outdir / f".{file}.part")
+            write_table(written[-1], _metadata(values), header, *columns)
+            files.append(file)
+        written.append(outdir / f".{command}_run.txt.part")
+        _write_sidecar(written[-1], command, settings | {"files": files})
+        for i, file in enumerate(files + [f"{command}_run.txt"]):
+            os.replace(written[i], outdir / file)
+            written[i] = outdir / file
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _grid(args, zmax: float, points: int) -> PropagationGrid:
@@ -224,7 +238,10 @@ def _grid(args, zmax: float, points: int) -> PropagationGrid:
 
 
 def _rates(value, kappa: float, defaults: tuple[float, ...]) -> list[float]:
-    """The single rate given by a flag, else the defaults in units of kappa."""
+    """The single rate given by a flag, else the defaults in units of kappa, none past the floats."""
+    if value is None and max(defaults) * kappa == math.inf:
+        raise ValueError(f"kappa = {kappa:g}: the default rates up to {max(defaults):g} kappa "
+                         "pass the float range")
     return [value] if value is not None else [d * kappa for d in defaults]
 
 
@@ -287,10 +304,8 @@ def cmd_fig4(args) -> int:
     phase_axis = np.array(phis)[:, None]  # each phase's column: P_B and P_F mixed at once
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
-    # z0 is the dimensionless product kappa*z0 = 3 converted to a length.
-    z0, gamma_max = 3.0 / kappa, 5.0 * kappa
-    if gamma_max == math.inf:  # before any file is written
-        raise ValueError(f"kappa = {kappa:g}: panel (b)'s loss rates up to 5 kappa pass the float range")
+    # z0: the product kappa z0 = 3 as a length; panel (b)'s loss rates run up to 5 kappa.
+    z0, (gamma_max,) = 3.0 / kappa, _rates(None, kappa, (5.0,))
 
     def table(gamma, zs, s, det):
         return (head | _shared(args, grid, gamma=gamma) | {"phis": phis},
@@ -358,7 +373,7 @@ _SWEEP_COLUMNS = {
     "p_boson": lambda s, det, phis, bare, rates: survival_indistinguishable(s),
     "p_entangled": lambda s, det, phis, bare, rates: survival_entangled(s, np.array(phis)[:, None], det),
     "p_fermion": lambda s, det, phis, bare, rates: survival_fermionic(s, det),
-    "ep_regime": lambda s, det, phis, bare, rates: _regimes(bare, rates)[0][:, None, None],
+    "ep_regime": lambda s, det, phis, bare, rates: _regimes(bare, rates)[:, None, None],
     "eigenvalue_gap": lambda s, det, phis, bare, rates: _supermodes(bare, rates)[2][:, None, None],
 }
 
@@ -520,6 +535,12 @@ def cmd_sweep(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A flag's value may be any negative float, -1e308 and -inf among them, not
+        # only the plain decimals that argparse reads as numbers.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         # Bad flags are reported like a bad config: on stderr, exit code 1.
         raise ValueError(message)

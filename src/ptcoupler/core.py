@@ -80,9 +80,8 @@ def _validate(params: CouplerParams) -> CouplerParams:
     return params
 
 
-def largest_singular_value(s11, s12, s21, s22):
-    """Largest singular value of [[s11, s12], [s21, s22]]: of one matrix
-    given by four numbers, or of every matrix of four arrays of entries.
+def largest_singular_value(s):
+    """Largest singular value of each 2x2 matrix of the array s, shape (..., 2, 2).
 
     Closed form from the eigenvalues of H = S S^dagger:
     sigma^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2. The discriminant
@@ -90,6 +89,7 @@ def largest_singular_value(s11, s12, s21, s22):
     cancellation that would cost half its digits when the two singular
     values nearly coincide, as they do for any near-unitary S.
     """
+    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     h11 = abs(s11) ** 2 + abs(s12) ** 2
     h22 = abs(s21) ** 2 + abs(s22) ** 2
     h12 = s11 * s21.conjugate() + s12 * s22.conjugate()
@@ -118,34 +118,40 @@ def require_non_negative(name: str, values) -> np.ndarray:
     return values
 
 
-def check_propagators(entries, det=None) -> None:
-    """Raise ValueError unless every matrix [[s11, s12], [s21, s22]] of
-    entries = (s11, s12, s21, s22), four numpy arrays of one shape, is a
-    legal propagator.
+def check_propagators(s, det=None, z=None) -> None:
+    """Raise ValueError unless every matrix of the array s, shape (..., 2, 2),
+    is a legal propagator.
 
     The entries must be finite, the largest singular value at most
-    1 + PASSIVITY_TOL, and det, when given, finite and within 1e-9 of the
-    entrywise determinant. The one check behind the array propagators of the
-    scattering and reservoir modules and the ScatteringMatrix record of one
-    of their points. Distances are checked where they enter, not here.
+    1 + PASSIVITY_TOL, and det (shape (...)), when given, finite and within
+    1e-9 of the entrywise determinant; given the distances z, a matrix or det
+    that is not finite is refused naming the nearest such z. The one check
+    behind the array propagators of the scattering and reservoir modules and
+    the ScatteringMatrix record of one of their points. Distances are checked
+    where they enter, not here.
     """
     # A non-finite entry makes smax NaN or inf, and so does an entry past about
-    # 1e154, whose |s|^2 overflows: the entries are searched only when this
+    # 1e154, whose |s|^2 overflows: the entries are searched only when a check
     # fails ("not <=" counts NaN as a failure), and finite ones are not passive.
     with np.errstate(over="ignore", invalid="ignore"):
-        smax = largest_singular_value(*entries)
-    if not (smax <= 1.0 + PASSIVITY_TOL).all():
-        for name, entry in zip(("m11", "m12", "m21", "m22"), entries):
-            _require_all_finite(name, entry)
+        smax = largest_singular_value(s)
+    passive = (smax <= 1.0 + PASSIVITY_TOL).all()
+    # Entrywise cancellation noise is about 1e-15: past 1e-9 det is miswired, not rounded.
+    if passive and (det is None or (abs(det - (s[..., 0, 0] * s[..., 1, 1]
+                                              - s[..., 0, 1] * s[..., 1, 0])) <= 1e-9).all()):
+        return
+    finite = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(0.0 if det is None else det)
+    if z is not None and not finite.all():
+        near = np.broadcast_to(z, finite.shape)[~finite].min()
+        raise ValueError(f"the propagator's phase or decay at z = {near:g} passes the float range")
+    for k, name in enumerate(("m11", "m12", "m21", "m22")):
+        _require_all_finite(name, s[..., k // 2, k % 2])
+    if det is not None:
+        _require_all_finite("det", det)
+    if not passive:
         raise ValueError("matrix is not passive: largest singular value "
                          f"{float(np.where(np.isnan(smax), np.inf, smax).max())!r} exceeds 1")
-    if det is not None:
-        s11, s12, s21, s22 = entries
-        # Entrywise cancellation noise is bounded by ~1e-15, so any
-        # disagreement past this guard is a wiring bug, not roundoff.
-        if not (abs(det - (s11 * s22 - s12 * s21)) <= 1e-9).all():
-            _require_all_finite("det", det)
-            raise ValueError("det disagrees with the matrix entries")
+    raise ValueError("det disagrees with the matrix entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +180,7 @@ class ScatteringMatrix:
         if s.shape != (2, 2):
             raise ValueError(f"expected a 2x2 array, got shape {s.shape}")
         require_non_negative("z", self.z)
-        check_propagators(s.reshape(4, 1), self.det)  # rows s11, s12, s21, s22
+        check_propagators(s, self.det)
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 

@@ -50,18 +50,18 @@ __all__ = [
     "two_photon_oracle",
 ]
 
-# Probabilities may stray past [0, 1] by accumulated roundoff only; any
-# larger excursion is a formula bug and is raised, not clamped.
+# Probabilities may stray past [0, 1] by accumulated roundoff only; a larger
+# excursion (a formula bug, or a propagator's error) is raised, not clamped.
 _EXCURSION_TOL = 1e-12
 
 
 def _clamp_probability(p, what: str):
-    """p (a number or an array) clipped to [0, 1]; raises RuntimeError
+    """p (a number or an array) clipped to [0, 1]; raises ValueError
     naming the first value that strays beyond roundoff."""
     p = np.asarray(p, dtype=float)
     bad = (p < -_EXCURSION_TOL) | (p > 1.0 + _EXCURSION_TOL)
     if bad.any():
-        raise RuntimeError(f"{what} = {float(p[bad][0])!r} lies outside [0, 1] beyond roundoff")
+        raise ValueError(f"{what} = {float(p[bad][0])!r} lies outside [0, 1] beyond roundoff")
     return np.clip(p, 0.0, 1.0)
 
 

@@ -43,6 +43,7 @@ from .core import (
     ScatteringMatrix,
     check_propagators,
     entrywise_determinants,
+    _require_finite,
     _validate,
 )
 
@@ -101,9 +102,7 @@ class LatticeReservoir:
 
     def __post_init__(self):
         for name in ("sigma", "rho", "beta_lattice"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if self.rho < 0.0:
@@ -344,7 +343,8 @@ class LatticePropagator:
         z = np.asarray(z, dtype=float)
         sizes = self._sizes(z).ravel()  # before anything of the chain's length
         flat = z.ravel()
-        blocks = np.empty((flat.size, 4), dtype=complex)  # row-major 2x2; S is symmetric
+        s = np.empty(z.shape + (2, 2), dtype=complex)
+        blocks = s.reshape(-1, 2, 2)  # a view, one matrix per distance; S is symmetric
         moments = self._moments_upto(int(sizes.max(initial=0)) // 2)  # the longest series' once
         for size in sorted(set(sizes.tolist())):
             group = np.flatnonzero(sizes == size)
@@ -354,12 +354,11 @@ class LatticePropagator:
                 part = group[start : start + rows]
                 cos, sin = self._samples(flat[part], size)
                 # One reduction per distance and entry: S does not depend on the block.
-                blocks.real[part[:, None], (0, 1, 3)] = np.einsum("rk,ek->re", cos, even)
-                blocks.imag[part[:, None], (0, 1, 3)] = np.einsum("rk,ek->re", sin, odd)
-        blocks[:, 2] = blocks[:, 1]
-        blocks *= np.exp(-1j * self._center * flat)[:, None]
-        check_propagators(blocks.T)  # rows s11, s12, s21, s22
-        s = blocks.reshape(z.shape + (2, 2))
+                blocks.real[part[:, None], (0, 0, 1), (0, 1, 1)] = np.einsum("rk,ek->re", cos, even)
+                blocks.imag[part[:, None], (0, 0, 1), (0, 1, 1)] = np.einsum("rk,ek->re", sin, odd)
+        blocks[:, 1, 0] = blocks[:, 0, 1]
+        s *= np.exp(-1j * self._center * z)[..., None, None]
+        check_propagators(s, z=z)
         return s, entrywise_determinants(s)
 
     def scattering(self, z: float) -> ScatteringMatrix:

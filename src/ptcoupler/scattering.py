@@ -103,10 +103,11 @@ def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.n
     slow = np.exp(-1j * slow_phase)
     cos = slow * (1.0 + 0.5 * q)
     sin = slow * sinc
-    off = -1j * sin * kappa
-    s = np.array([[cos - 1j * sin * d, off], [off, cos + 1j * sin * d]])  # (2, 2) + x.shape
-    s = s.transpose(tuple(range(2, s.ndim)) + (0, 1)).reshape(shape + (2, 2))
-    return s, np.reshape(np.exp(-2j * half_trace * z), shape)
+    s = np.empty(x.shape + (2, 2), dtype=complex)
+    s[..., 0, 0] = cos - 1j * sin * d
+    s[..., 0, 1] = s[..., 1, 0] = -1j * sin * kappa
+    s[..., 1, 1] = cos + 1j * sin * d
+    return s.reshape(shape + (2, 2)), np.reshape(np.exp(-2j * half_trace * z), shape)
 
 
 def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, np.ndarray]:
@@ -128,15 +129,7 @@ def scattering_array(params: CouplerParams, z, gamma=None) -> tuple[np.ndarray, 
         gamma = require_non_negative("gamma", gamma)
     z = require_non_negative("z", z)
     s, det = _propagators(params, z, gamma)
-    try:
-        check_propagators((s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]), det)
-    except ValueError:
-        finite = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(det)
-        if finite.all():
-            raise
-        near = np.broadcast_to(z, det.shape)[~finite].min()
-        raise ValueError(f"the propagator's phase or decay at z = {near:g} passes the float "
-                         "range") from None
+    check_propagators(s, det, z)
     return s, det
 
 

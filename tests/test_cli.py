@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from ptcoupler.classical import EP_DISCRIMINANT_TOL, Regime, classify_ep, supermodes
+from ptcoupler.classical import EP_DISCRIMINANT_TOL, classify_ep, supermodes
 import ptcoupler
 from ptcoupler.cli import (
     SWEEP_OBSERVABLES,
@@ -507,9 +507,9 @@ def test_sweep_regime_columns_once_per_axis_value(tmp_path, monkeypatch):
         for _ in range(3):
             window = [np.nextafter(window[0], 0.0)] + window + [np.nextafter(window[-1], 4.0)]
         windows.append([float(g) for g in window])
-    for window, outside in zip(windows, (Regime.BELOW, Regime.ABOVE)):  # the band's edge is inside
-        regimes = {classify_ep(CouplerParams(0.0, 0.0, 1.0, g)).regime for g in window}
-        assert regimes == {outside, Regime.AT}
+    for window, outside in zip(windows, ("below", "above")):  # the band's edge is inside
+        regimes = {classify_ep(CouplerParams(0.0, 0.0, 1.0, g)) for g in window}
+        assert regimes == {outside, "at"}
     gammas = [0.0, 0.5, 2.0, 3.0] + windows[0] + windows[1]
     sigma = 5.0
     rhos = [math.sqrt(2.0 * sigma * g) for g in gammas]
@@ -531,9 +531,19 @@ def test_sweep_regime_columns_once_per_axis_value(tmp_path, monkeypatch):
         for i, rate in enumerate(rates):
             params = CouplerParams(0.0, 0.0, 1.0, rate)
             for row in rows[4 * i : 4 * i + 4]:
-                assert row[4] == classify_ep(params).regime.value
+                assert row[4] == classify_ep(params)
                 assert row[5] == format_float(supermodes(params).gap())
         assert {row[4] for row in rows} == {"below", "at", "above"}
+
+
+def test_sweep_gap_past_the_float_range_is_inf_without_warning(tmp_path):
+    # At kappa = 1e308 the supermodes +-kappa lie 2e308 apart: inf, as SupermodePair.gap gives it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, csv = run_sweep_cli(tmp_path, "backend = markovian\nkappa = 1e308\ngamma = 0\nphi = 0\n"
+                                            "z = 0\nobservables = eigenvalue_gap\n")
+        assert supermodes(CouplerParams(0.0, 0.0, 1e308, 0.0)).gap() == math.inf
+    assert code == 0 and read_table(csv)[2] == [["0", "0", "0", "inf"]]
 
 
 def test_sweep_gap_closes_at_critical_loss(tmp_path):
@@ -682,13 +692,80 @@ def test_default_rates_past_the_float_range_raise_no_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["fig4", "--kappa", "1e308", "--points", "2", "--gamma", "0",
                      "--out", str(tmp_path / "fig4")]) == 1
-        assert capsys.readouterr().err == ("error: kappa = 1e+308: panel (b)'s loss rates up to "
+        assert capsys.readouterr().err == ("error: kappa = 1e+308: the default rates up to "
                                            "5 kappa pass the float range\n")
         assert not (tmp_path / "fig4").exists()
         assert main(["fig5", "--sigma", "2.2250738585072014e-308", "--rho", "2", "--points", "2",
                      "--out", str(tmp_path / "fig5")]) == 0
     _, header, rows = read_table(tmp_path / "fig5" / "fig5_rho2.csv")
     assert [row[header.index("survival_markovian_exponential")] for row in rows] == ["1", "0"]
+
+
+def leftovers(out: Path) -> list[str]:
+    """Every name in the directory out, hidden ones too; none if it does not exist."""
+    return sorted(os.listdir(out)) if out.exists() else []
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fig5", "--rho", "0", "--zmax", "300"], None),
+    (["fig5", "--sigma", "5e-324", "--rho", "0", "--zmax", "1e3"], None),
+    (["sweep"], "backend = lattice\nsigma = 20\nrho = 0\nphi = 3.141592653589793\nz = 300\n"),
+], ids=["fig5", "fig5_decoupled_chain", "sweep"])
+def test_lossless_chain_past_the_roundoff_slack_exits_1_naming_the_survival(tmp_path, capsys, argv,
+                                                                             config):
+    # With rho = 0 the arms' block is unitary, so P_F = |det S|^2 = 1, and over
+    # thousands of series terms the chain's S errs by about 1e-12, past the slack
+    # of the probabilities: one error line names the observable, no traceback,
+    # and no file is left.
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "sweep.cfg")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: survival = 1.00000000000") and err.count("\n") == 1
+    assert err.endswith(" lies outside [0, 1] beyond roundoff\n")
+    assert leftovers(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--kappa", "1e308", "--points", "3"],
+     "kappa = 1e+308: the default rates up to 10 kappa pass the float range\n"),
+    (["fig3", "--kappa", "1e308", "--points", "3"],
+     "kappa = 1e+308: the default rates up to 10 kappa pass the float range\n"),
+    # The 5 kappa chain is made and its table written before the 10 kappa one is refused.
+    (["fig5", "--kappa", "1e307", "--sigma", "1e307", "--points", "3"],
+     "chain reservoir out of range: sigma = 1e+307 and rho = 1e+308 give a spectral centre 0 "
+     "and width inf\n"),
+], ids=["fig2", "fig3", "fig5"])
+def test_a_refused_command_leaves_no_file(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: " + message
+    assert leftovers(tmp_path / "out") == []
+
+
+def test_a_failed_move_takes_back_the_files_moved_before_it(tmp_path):
+    # The second table cannot replace a directory of its name: the first one,
+    # already in place, is removed again, and the sidecar never arrives.
+    (tmp_path / "fig2_gamma2.csv").mkdir()
+    assert main(["fig2", "--points", "3", "--out", str(tmp_path)]) == 2
+    assert leftovers(tmp_path) == ["fig2_gamma2.csv"]
+
+
+def test_negative_flag_values_need_no_equals_sign(tmp_path, capsys):
+    # Every float literal after a flag is its value, -1e308 and -inf too, so
+    # the value's own check names it.
+    for form, argv in (("space", ["--beta1", "-1e3"]), ("equals", ["--beta1=-1e3"])):
+        assert main(["fig2", *argv, "--points", "3", "--out", str(tmp_path / form)]) == 0
+    assert leftovers(tmp_path / "space") == leftovers(tmp_path / "equals") != []
+    for name in leftovers(tmp_path / "space"):
+        assert (tmp_path / "space" / name).read_bytes() == (tmp_path / "equals" / name).read_bytes()
+    for phi, message in (("-1e308", "phi must lie in [0, pi]"), ("-inf", "phi must be finite, got -inf")):
+        capsys.readouterr()
+        assert main(["fig4", "--phi", phi, "--out", str(tmp_path / "fig4")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert leftovers(tmp_path / "fig4") == []
 
 
 def test_closed_form_just_inside_the_float_range_is_written(tmp_path):
@@ -908,7 +985,7 @@ def test_sweep_multi_value_matches_library_bit_for_bit(tmp_path):
                     gamma, phi, z, 0.5 * mean_photon_number(s), mean_photon_number(s),
                     survival_indistinguishable(s), survival_entangled(s, phi),
                     survival_fermionic(s))]
-                    + [classify_ep(params).regime.value, format_float(supermodes(params).gap())])
+                    + [classify_ep(params), format_float(supermodes(params).gap())])
     assert header == ["gamma", "phi", "z"] + list(SWEEP_OBSERVABLES)
     assert rows == expected
 
@@ -1031,7 +1108,7 @@ def test_sweep_io_failure_exits_2(tmp_path):
     blocker.write_text("not a directory\n")
     assert main(["sweep", "--config", str(config), "--out", str(blocker)]) == 2
     (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "sweep.csv").mkdir()  # the table cannot be opened for writing
+    (tmp_path / "out" / "sweep.csv").mkdir()  # the table cannot be moved into its place
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
 
@@ -1240,8 +1317,8 @@ def test_every_file_of_the_sidecar_is_written_once_by_write_table(tmp_path, monk
 
     written = []
 
-    def counted(path, *args):
-        written.append(Path(path).name)
+    def counted(path, *args):  # each file is written as .<file>.part, then moved into place
+        written.append(Path(path).name.removeprefix(".").removesuffix(".part"))
         return write_table(path, *args)
 
     monkeypatch.setattr(cli, "write_table", counted)
@@ -1299,8 +1376,8 @@ def test_sweep_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, backe
 # Flag and config values as text, two thirds of them ordinary numbers and one third the
 # float range's edges, subnormals, non-finite values, an empty value and one that is no number.
 FUZZ_ORDINARY = ("0", "0.5", "1", "2", "3", "20")
-FUZZ_EDGES = ("-0", "-1", "1e3", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
-              "2.2250738585072014e-308", "1e-300", "1e300", "", "x")
+FUZZ_EDGES = ("-0", "-1", "1e3", "-1e3", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+              "-5e-324", "2.2250738585072014e-308", "1e-300", "1e300", "", "x")
 FUZZ_NUMBERS = st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(
     FUZZ_EDGES)
 # Grid points and chain lengths: a million sites cost no more than 41, a million points would.
@@ -1364,7 +1441,9 @@ def fuzz_argv(draw):
     chosen = draw(st.fixed_dictionaries({}, optional={flag: FUZZ_FLAGS[flag] for flag in flags}))
     if draw(st.integers(0, 9)) == 0:  # a flag of another command
         chosen |= {"gamma" if command == "fig5" else "nsites": "1"}
-    argv = [command] + [text for flag, value in chosen.items() for text in (f"--{flag}", value)]
+    argv = [command]
+    for flag, value in chosen.items():  # --flag value, now and then --flag=value
+        argv += [f"--{flag}", value] if draw(st.integers(0, 3)) else [f"--{flag}={value}"]
     if command != "fig5":
         return command, argv, None
     kappa = _fuzz_float(chosen.get("kappa", "1"))
@@ -1389,7 +1468,8 @@ def _fuzz_series_reach(cost) -> float:
 @given(fuzz_argv())
 def test_fuzzed_commands_exit_0_1_or_2_with_one_error_line(case):
     # In-process main(): no traceback, no RuntimeWarning, one "error: " line on a
-    # refusal, and every file the sidecar lists once a command exits 0. Chains
+    # refusal that leaves no file (and reads every negative number after a flag as
+    # its value), and every file the sidecar lists once a command exits 0. Chains
     # whose series would run between 2,000 and 600,000 terms (past the limit they
     # are refused at once) are left out to bound the time.
     command, argv, cost = case
@@ -1407,6 +1487,7 @@ def test_fuzzed_commands_exit_0_1_or_2_with_one_error_line(case):
         assert code in (0, 1, 2), err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert "expected one argument" not in err and leftovers(out) == [], err
         else:
             assert all(line.startswith("warning: ") for line in err.splitlines()), err
             sidecar = (out / f"{command}_run.txt").read_text().splitlines()

@@ -209,10 +209,6 @@ def test_indistinguishable_is_value_like():
 
 # -- array checks -----------------------------------------------------------
 
-def entries_of(mats):
-    return mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]
-
-
 def test_closed_form_singular_value_matches_svd():
     rng = np.random.default_rng(11)
     general = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
@@ -223,32 +219,31 @@ def test_closed_form_singular_value_matches_svd():
     eps = np.finfo(float).eps
     for mats in (general, unitary, rank_one, np.zeros((1, 2, 2))):
         svd = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        assert np.all(np.abs(largest_singular_value(*entries_of(mats)) - svd) <= 8 * eps * svd)
+        assert np.all(np.abs(largest_singular_value(mats) - svd) <= 8 * eps * svd)
     # Near-unitary matrices keep every digit, so the passivity slack holds.
-    assert np.abs(largest_singular_value(*entries_of(unitary)) - 1.0).max() < 8 * eps
-    # Four numbers give the same value as an array of one matrix.
-    one = [complex(x) for x in general[0].ravel()]
-    expected = largest_singular_value(*entries_of(general[:1]))[0]
-    assert largest_singular_value(*one) == pytest.approx(expected, rel=8 * eps)
+    assert np.abs(largest_singular_value(unitary) - 1.0).max() < 8 * eps
+    # One matrix gives the same value as an array of one matrix.
+    expected = largest_singular_value(general[:1])[0]
+    assert largest_singular_value(general[0]) == pytest.approx(expected, rel=8 * eps)
 
 
 def test_check_propagators_names_the_fault_in_an_array():
     # Distances are refused where they enter (the record, scattering_array,
     # LatticePropagator), not here.
     eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
-    check_propagators(entries_of(eye), np.ones(3))
+    check_propagators(eye, np.ones(3))
     bad = eye.copy()
     bad[2, 1, 0] = complex(math.nan, 1.0)
     with pytest.raises(ValueError, match=r"m21 must be finite, got \(nan\+1j\)"):
-        check_propagators(entries_of(bad))
+        check_propagators(bad)
     gain = eye.copy()
     gain[1, 1, 1] = 1.5
     with pytest.raises(ValueError, match="largest singular value 1.5 exceeds 1"):
-        check_propagators(entries_of(gain))
+        check_propagators(gain)
     with pytest.raises(ValueError, match="det disagrees"):
-        check_propagators(entries_of(eye), np.array([1.0, 1.0, 0.5]))
+        check_propagators(eye, np.array([1.0, 1.0, 0.5]))
     with pytest.raises(ValueError, match="det must be finite"):
-        check_propagators(entries_of(eye), np.array([1.0, math.inf, 1.0]))
+        check_propagators(eye, np.array([1.0, math.inf, 1.0]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -258,7 +253,7 @@ def test_an_entry_past_the_square_root_of_the_float_range_is_not_passive(entries
     with pytest.raises(ValueError, match="matrix is not passive: largest singular value inf"):
         ScatteringMatrix(entries, z=1.0)
     with pytest.raises(ValueError, match="not passive"):
-        check_propagators(entries_of(np.array([entries], dtype=complex)))
+        check_propagators(np.array([entries], dtype=complex))
 
 
 @pytest.mark.parametrize("z_max, num_points", [(5e-324, 3), (8e-323, 10), (2.2e-301, MAX_GRID_POINTS)])

@@ -9,7 +9,7 @@ import ptcoupler
 def test_public_surface():
     from ptcoupler import classical, core, scattering
 
-    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 28
+    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 26
     for name in ptcoupler.__all__:
         assert hasattr(ptcoupler, name), name
     # Tolerances are importable by module path but are not public names.

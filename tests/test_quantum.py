@@ -228,9 +228,9 @@ def test_clamp_accepts_roundoff_excursions():
 
 
 def test_clamp_raises_beyond_roundoff():
-    with pytest.raises(RuntimeError, match=r"outside \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         _clamp_probability(1.0 + 2e-12, "p")
-    with pytest.raises(RuntimeError, match="survival"):
+    with pytest.raises(ValueError, match="survival"):
         _clamp_probability(-1e-6, "survival")
 
 
@@ -417,5 +417,5 @@ def test_fermionic_survival_of_an_array_needs_its_determinants():
 def test_clamp_on_arrays():
     clipped = _clamp_probability(np.array([-0.5e-12, 0.25, 1.0 + 0.5e-12]), "p")
     assert clipped.tolist() == [0.0, 0.25, 1.0]
-    with pytest.raises(RuntimeError, match=r"p_lost = -1e-06 lies outside \[0, 1\] beyond roundoff"):
+    with pytest.raises(ValueError, match=r"p_lost = -1e-06 lies outside \[0, 1\] beyond roundoff"):
         _clamp_probability(np.array([0.5, -1e-6, 2.0]), "p_lost")
