@@ -40,6 +40,8 @@ that lacks one of them fails instead of being timed on other code. Layers:
   cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
   cli.sweep                     figures_markovian and sweep_dense (seed 1)
                                 commands, each call into a new directory
+  cli.fig2_1e5                  main() with fig2 --points 100000: three
+                                loss rates over a grid of many blocks
 
 Only numpy, the standard library and perfbench/workloads.py are used.
 """
@@ -106,9 +108,9 @@ def layers(tmp: Path) -> dict:
     config = parse_sweep_config((tmp / "sweep.cfg").read_text())
     outs = itertools.count()
 
-    def command(workload, name):
+    def command(workload, name, *flags):
         argv, = (argv for argv in WORKLOADS[workload].commands if argv[0] == name)
-        argv = [str(tmp / "sweep.cfg") if a == CONFIG else a for a in argv]
+        argv = [str(tmp / "sweep.cfg") if a == CONFIG else a for a in (*argv, *flags)]
 
         def run():
             if main([*argv, "--out", str(tmp / f"out{next(outs)}")]) != 0:
@@ -129,6 +131,7 @@ def layers(tmp: Path) -> dict:
         "cli.fig3": command("figures_markovian", "fig3"),
         "cli.fig4": command("figures_markovian", "fig4"),
         "cli.sweep": command("sweep_dense", "sweep"),
+        "cli.fig2_1e5": command("figures_markovian", "fig2", "--points", "100000"),
     }
 
 

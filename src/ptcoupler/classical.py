@@ -69,12 +69,13 @@ def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, n
     params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
     them (hypot, as Python's abs): the code behind supermodes and the sweep."""
     half_trace, e, _, _, omega = scaled_roots(params, require_non_negative("gamma", gamma))
-    omega = omega * np.ldexp(1.0, e)
-    plus, minus = half_trace + omega, half_trace - omega
-    first = (plus.imag > minus.imag) | ((plus.imag == minus.imag) & (plus.real <= minus.real))
-    lambda1, lambda2 = np.where(first, plus, minus), np.where(first, minus, plus)
-    _check_passive(lambda1=lambda1, lambda2=lambda2)
-    with np.errstate(over="ignore"):  # a gap past the float range is inf, as in SupermodePair.gap
+    # An eigenvalue or a gap past the float range is inf, as in SupermodePair.gap.
+    with np.errstate(over="ignore"):
+        omega = omega * np.ldexp(1.0, e)
+        plus, minus = half_trace + omega, half_trace - omega
+        first = (plus.imag > minus.imag) | ((plus.imag == minus.imag) & (plus.real <= minus.real))
+        lambda1, lambda2 = np.where(first, plus, minus), np.where(first, minus, plus)
+        _check_passive(lambda1=lambda1, lambda2=lambda2)
         diff = lambda1 - lambda2
         return lambda1, lambda2, np.hypot(diff.real, diff.imag)
 

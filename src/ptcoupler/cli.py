@@ -3,24 +3,28 @@
 _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
 from _FLAGS); main() builds the parser once per process and runs <name> as the
 module-level cmd_<name>, looked up at dispatch. Each command lazily makes its
-tables, fig2 to fig5 one per rate from one propagator call each (_per_rate), and
-_write_tables writes them and the <command>_run.txt sidecar. CSV layout, sweep
+tables, and _write_tables writes them and the <command>_run.txt sidecar. A
+figure is one table over (rate, z), one file per rate (_per_rate): fig2 to fig4
+make it in pieces of _FIGURE_POINTS (rate, z) points, one propagator call with
+a loss-rate axis each; fig5 in one piece, one chain per rho. CSV layout, sweep
 keys, exit codes: README.md.
 
-write_table writes every CSV, one block of rows at a time, as bytes: a float
-cell's bytes are format_float's, spelled for the block at once in numpy
-(_spell); near-ties, non-finite values and |exponent| > 100 go to
-format_float itself. Text is encoded once per column, at its own shape."""
+write_table writes every CSV, one block of rows of all a table's files at a
+time, as bytes: a float cell's bytes are format_float's, spelled for the block
+at once in numpy (_spell); near-ties, non-finite values and |exponent| > 100 go
+to format_float itself. Text is encoded once per column, at its own shape."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,7 +53,8 @@ __all__ = [
     "main",
 ]
 
-_WRITE_LINES = 1024  # rows that write_table writes at a time
+_WRITE_LINES = 1536  # rows that write_table writes at a time, over all of a table's files
+_FIGURE_POINTS = 2**14  # (rate, z) points that fig2 to fig4 evaluate at a time
 
 
 def format_float(x: float) -> str:
@@ -73,6 +78,7 @@ def _format_value(value) -> str:
 # 32. So n = p + rint(s) unless s is within _TIE_WINDOW of a half-integer: those cells (exact
 # ties among them), non-finite ones and those past _E_MAX are spelled by format_float.
 _E_MAX, _TIE_WINDOW, _SPLIT = 100, 1e-14, 2.0**27 + 1.0
+_GATHER = 512  # cells that _spell gathers at a time
 
 
 def _powers_of_ten() -> tuple[np.ndarray, ...]:
@@ -128,24 +134,32 @@ def _spell(columns: list[np.ndarray]) -> list[np.ndarray]:
     bottom, hi_top, hi_bottom = a - top, _HI_TOP.take(k), _HI_BOTTOM.take(k)
     p = a * _HI.take(k)
     s = ((top * hi_top - p) + top * hi_bottom + bottom * hi_top) + bottom * hi_bottom  # a hi - p
-    r = np.rint(s := s + a * _LO.take(k))
+    del split, top, bottom, hi_top, hi_bottom  # each array as soon as it is used up
+    s += a * _LO.take(k)
+    del a, k
+    r = np.rint(s)
     fallback = np.flatnonzero(~normal & (x != 0) | (abs(s - r) > 0.5 - _TIE_WINDOW))
     n = (p.astype(np.int64) + r.astype(np.int64)) * (x != 0)  # 0 spells zero
+    del p, s, r
     n -= (carry := n >= 10**17) * 9 * 10**16  # rounded up to 10^(E + 1)
     e += carry
     groups = np.array(np.unravel_index(n, (10,) + (10**4,) * 4))  # 000d, then 4 digits each
+    del n
     scratch = np.empty((x.size, 4), np.uint64)
     scratch.view(np.uint32)[:, :5] = _QUADS.take(groups).T
     scratch.view(np.uint8)[:, 20] = 45 * np.signbit(x)
     scratch[:, 3] = _TAIL.take(e)
     last = (_LAST.take(groups) + np.array([[-3], [1], [5], [9], [13]], np.int8)).max(0)
     key = _FORM.take(e) + np.maximum(last, 0)  # n's last nonzero digit
-    del a, split, top, bottom, hi_top, hi_bottom, p, s, r, groups, last  # before the widest arrays
+    del groups, last  # before the widest arrays
     ends = _END.take(key)
     ends[fallback] = 24  # the longest cell
-    index = _LAYOUT[:, : ends.max() + 1].take(key, axis=0)
-    index += np.arange(0, 32 * x.size, 32)[:, None]
-    cells = scratch.view(np.uint8).ravel().take(index)
+    layout, rows = _LAYOUT[:, : ends.max() + 1], scratch.view(np.uint8)
+    cells, row = np.empty((x.size, layout.shape[1]), np.uint8), np.arange(0, 32 * _GATHER, 32)[:, None]
+    for i in range(0, x.size, _GATHER):  # the index takes 8 bytes per byte of its cells
+        index = layout.take(key[i : i + _GATHER], axis=0)
+        index += row[: len(index)]  # where each cell's scratch row starts
+        rows[i : i + _GATHER].ravel().take(index, out=cells[i : i + _GATHER])
     spelled = np.array([format_float(v) for v in x[fallback].tolist()], "S24").view(np.uint8)
     cells[fallback, :24] = spelled.reshape(-1, 24)[:, : cells.shape[1]]
     starts = np.cumsum([0] + [c.size for c in columns[:-1]])
@@ -153,45 +167,88 @@ def _spell(columns: list[np.ndarray]) -> list[np.ndarray]:
             zip(columns, starts.tolist(), np.maximum.reduceat(ends, starts).tolist())]
 
 
-def write_table(path, metadata: dict, header: list[str], columns, shape=None) -> int:
-    """'# key=value' metadata lines, the header, then one row per element of
-    shape (default: the first column's length) in C order; columns holds one
-    array per header name, each broadcasting against shape. Floats are
-    written as by format_float, anything else by str. Returns the row count."""
+def _cells(header: list[str], columns, shape: tuple) -> list[np.ndarray]:
+    """columns checked against shape and given all of its axes, text as UTF-8 bytes
+    along a new last axis, NUL-padded to one byte past the longest cell."""
     columns = [np.asarray(c) for c in columns]
     if not columns or len(columns) != len(header):
         raise ValueError(f"need one column per header name, got {len(columns)} for {len(header)}")
-    shape = (len(columns[0]),) if shape is None else tuple(shape)
     for name, c in zip(header, columns):
         if c.ndim > len(shape) or any(n not in (1, m) for n, m in zip(c.shape[::-1], shape[::-1])):
             raise ValueError(f"column {name!r} of shape {c.shape} does not broadcast to {shape}")
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]  # all axes
     for i, (name, c) in enumerate(zip(header, columns)):
-        if c.dtype.kind != "f":  # text by str in UTF-8, NUL-padded to one byte past the longest
+        if c.dtype.kind != "f":  # text by str, once per cell of the column's own shape
             cells = [str(v).encode() for v in c.ravel().tolist()]
             if b"\0" in b"".join(cells):
                 raise ValueError(f"column {name!r}: a text cell holds NUL, which pads the cells")
             cells = np.array(cells, dtype=f"S{max(map(len, cells), default=0) + 1}")
             columns[i] = cells.view(np.uint8).reshape(c.shape + (cells.itemsize,))
-    # Blocks: slices of the first axis past which one index holds at most _WRITE_LINES rows.
-    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _WRITE_LINES)
-    step = max(1, _WRITE_LINES // max(math.prod(shape[axis + 1 :]), 1))
-    with open(path, "wb") as out:
-        out.write(("".join(f"# {key}={value}\n" for key, value in metadata.items())
-                   + ",".join(header) + "\n").encode())
-        for *lead, start in itertools.product(*map(range, shape[:axis]),
-                                              range(0, shape[axis] if math.prod(shape) else 0, step)):
-            block = [c[tuple(i if n > 1 else 0 for i, n in zip(lead, c.shape))] for c in columns]
-            block = [b[start : start + step] if len(b) > 1 else b for b in block]
-            # One byte matrix of the block's rows, cells NUL-padded; written without the NULs.
-            spelled = iter(_spell(fs) if (fs := [b for b in block if b.dtype.kind == "f"]) else [])
-            block = [next(spelled) if b.dtype.kind == "f" else b for b in block]
-            here = (min(step, shape[axis] - start),) + shape[axis + 1 :]
-            rows = np.concatenate([np.broadcast_to(b, here + b.shape[-1:]) for b in block], axis=-1)
-            rows[..., np.cumsum([b.shape[-1] for b in block]) - 1] = ord(",")  # after each cell
-            rows[..., -1] = ord("\n")
-            out.write(rows.tobytes().translate(None, b"\0"))
-    return math.prod(shape)
+    return columns
+
+
+def _write_rows(outs: list, columns: list[np.ndarray], shape: tuple) -> None:
+    """The rows of _cells' columns of shape (files, rows...), each file's to its out."""
+    # Blocks: slices of the first row axis past which one index holds at most _WRITE_LINES
+    # rows of all the files together: each block is spelled once for every file.
+    lines = max(1, _WRITE_LINES // max(shape[0], 1))
+    axis = next(k for k in range(1, len(shape)) if math.prod(shape[k + 1 :]) <= lines)
+    step = max(1, lines // max(math.prod(shape[axis + 1 :]), 1))
+    for *lead, start in itertools.product(*map(range, shape[1:axis]),
+                                          range(0, shape[axis] if math.prod(shape) else 0, step)):
+        block = [c[(slice(None),) + tuple(i if n > 1 else 0 for i, n in zip(lead, c.shape[1:]))]
+                 for c in columns]
+        block = [b[:, start : start + step] if b.shape[1] > 1 else b for b in block]
+        # One byte matrix of the block's rows, cells NUL-padded; written without the NULs.
+        spelled = iter(_spell(fs) if (fs := [b for b in block if b.dtype.kind == "f"]) else [])
+        block = [next(spelled) if b.dtype.kind == "f" else b for b in block]
+        here = (shape[0], min(step, shape[axis] - start)) + shape[axis + 1 :]
+        rows = np.concatenate([np.broadcast_to(b, here + b.shape[-1:]) for b in block], axis=-1)
+        rows[..., np.cumsum([b.shape[-1] for b in block]) - 1] = ord(",")  # after each cell
+        rows[..., -1] = ord("\n")
+        for out, text in zip(outs, rows):
+            out.write(text.tobytes().translate(None, b"\0"))
+        del block, spelled, rows, text  # before the next block is spelled
+
+
+def write_table(path, metadata: dict, header: list[str], columns, shape=None) -> int:
+    """'# key=value' metadata lines, the header, then one row per element of
+    shape (default: the first column's length) in C order; columns holds one
+    array per header name, each broadcasting against shape. Floats are
+    written as by format_float, anything else by str. Returns the row count.
+
+    path may be a list of paths and metadata a list of dicts, one file per
+    index of shape's first axis: each file holds the rows of its index, and
+    each block of rows is spelled once for all of them. columns may be an
+    iterator of such lists, each the next piece of the rows' first axis, as
+    long as its first column: a table is then made while it is written."""
+    many, streamed = isinstance(path, list), isinstance(columns, Iterator)
+    paths, metadata = (path, metadata) if many else ([path], [metadata])
+    pieces = columns if streamed else iter([columns])
+    first = list(next(pieces, []))
+    shape = (len(first[0]) if first else 0,) if shape is None else tuple(shape)
+    if many and (len(shape) < 2 or not len(paths) == len(metadata) == shape[0]):
+        raise ValueError(f"need one path and one metadata dict per index of the first axis of {shape}")
+    whole = shape if many else (1,) + shape  # the files' axis first
+
+    def checked(piece):
+        piece, here = list(piece), whole
+        if streamed:  # as long as its first column
+            here = whole[:1] + (len(np.atleast_1d(piece[0])) if piece else 0,) + whole[2:]
+        return _cells(header, piece, here), here
+
+    first, rows = checked(first), 0  # the first piece is refused before any file is opened
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(file, "wb")) for file in paths]
+        for out, values in zip(outs, metadata):
+            out.write(("".join(f"# {key}={value}\n" for key, value in values.items())
+                       + ",".join(header) + "\n").encode())
+        for piece, here in itertools.chain([first], map(checked, pieces)):
+            _write_rows(outs, piece, here)
+            rows += math.prod(here)
+    if rows != math.prod(shape):
+        raise ValueError(f"the pieces hold {rows} rows, where shape {shape} holds {math.prod(shape)}")
+    return rows
 
 
 def _metadata(values: dict) -> dict:
@@ -206,19 +263,23 @@ def _write_sidecar(path: Path, command: str, settings: dict) -> None:
 
 
 def _write_tables(out, command: str, settings: dict, tables) -> None:
-    """Create the directory out and write each table (file, metadata values, header,
-    columns[, shape]) of the iterable tables as it is made, then <command>_run.txt: the
-    settings and the files. All or nothing: each file is written under a hidden name,
-    .<file>.part, and moved into place, the sidecar last, once every table is made; on
-    any error, an interrupt too, every file written is removed."""
+    """Create the directory out and write each table (file, metadata, header,
+    columns[, shape]) of the iterable tables as it is made, then <command>_run.txt:
+    the settings and the files. A table of one file per index of its first axis
+    gives a list of files and one of metadata (see write_table). All or nothing:
+    each file is written under a hidden name, .<file>.part, and moved into place,
+    the sidecar last, once every table is made; on any error, an interrupt too,
+    every file written is removed."""
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     files, written = [], []
     try:
-        for file, values, header, *columns in tables:
-            written.append(outdir / f".{file}.part")
-            write_table(written[-1], _metadata(values), header, *columns)
-            files.append(file)
+        for file, *table in tables:
+            many = isinstance(file, list)
+            parts = [outdir / f".{name}.part" for name in (file if many else [file])]
+            written += parts
+            write_table(parts if many else parts[0], *table)
+            files += file if many else [file]
         written.append(outdir / f".{command}_run.txt.part")
         _write_sidecar(written[-1], command, settings | {"files": files})
         for i, file in enumerate(files + [f"{command}_run.txt"]):
@@ -251,47 +312,49 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
             "zmax": grid.z_max, "points": grid.num_points}
 
 
-def _per_rate(args, grid, name: str, rates, propagate, table):
-    """The tables of fig2 to fig5, one per rate (a loss rate, or fig5's rho), made
-    lazily: <name><rate/kappa>.csv holds z and the curves of table(rate, zs, s, det),
-    which returns (metadata values, {label: values}), s and det from propagate(rate, zs)."""
-    zs = grid.points()
-    for rate in rates:
-        # S lives only until its curves are made, not while they are written.
-        values, curves = table(rate, zs, *propagate(rate, zs))
-        yield f"{name}{rate / args.kappa:g}.csv", values, ["z", *curves], [zs, *curves.values()]
+def _per_rate(args, grid, name: str, rates, values, labels, curves, step: int):
+    """The table over (rate, z) of fig2 to fig5, a rate being a loss rate or fig5's
+    rho, made lazily: one file <name><rate/kappa>.csv per rate, with the metadata
+    values(rate), z and the curves labels. curves(zs) gives each of them at every
+    rate over step points of the z grid, shape (rate, z); each such piece is made
+    as it is written, the first one before the metadata, so that fig5 refuses a
+    chain before the rate of its rho."""
+    pieces = ([zs, *curves(zs)] for start in range(0, grid.num_points, step)
+              for zs in [grid.points(start, min(start + step, grid.num_points))])
+    first = next(pieces)
+    yield ([f"{name}{rate / args.kappa:g}.csv" for rate in rates], [_metadata(values(rate)) for rate in rates],
+           ["z", *labels], itertools.chain([first], pieces), (len(rates), grid.num_points))
 
 
-def _closed_form(args):
-    """propagate(gamma, zs) of fig2 to fig4: the memoryless coupler at the loss rate gamma."""
-    return lambda gamma, zs: scattering_array(CouplerParams(args.beta1, args.beta2, args.kappa, gamma), zs)
+def _closed_form(args, grid, name: str, gammas, values, labels, curves):
+    """_per_rate for fig2 to fig4: curves(s, det) from S and the reduced determinants at
+    every loss rate over a piece of the grid, shape (rate, z); one propagator call per
+    piece of about _FIGURE_POINTS (rate, z) points, its S freed once its curves are made."""
+    params, axis = CouplerParams(args.beta1, args.beta2, args.kappa), np.array(gammas)[:, None]
+    return _per_rate(args, grid, name, gammas, values, labels,
+                     lambda zs: curves(*scattering_array(params, zs, gamma=axis)),
+                     max(1, _FIGURE_POINTS // len(gammas)))
 
 
 def cmd_fig2(args) -> int:
     grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
-
-    def table(gamma, zs, s, det):
-        values = {"command": "fig2", "backend": "markovian"} | _shared(args, grid, gamma=gamma)
-        # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
-        return values | {"solid": "power_balanced_orthogonal", "dashed": "power_single_waveguide"}, {
-            "power_balanced_orthogonal": 0.5 * mean_photon_number(s),
-            "power_single_waveguide": np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2}
-
-    _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas),
-                  _per_rate(args, grid, "fig2_gamma", gammas, _closed_form(args), table))
+    labels = ["power_balanced_orthogonal", "power_single_waveguide"]
+    head = {"command": "fig2", "backend": "markovian"}
+    # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
+    _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas), _closed_form(
+        args, grid, "fig2_gamma", gammas,
+        lambda gamma: head | _shared(args, grid, gamma=gamma) | {"solid": labels[0], "dashed": labels[1]},
+        labels, lambda s, det: (0.5 * mean_photon_number(s),
+                                np.abs(s[..., 0, 0]) ** 2 + np.abs(s[..., 1, 0]) ** 2)))
     return 0
 
 
 def cmd_fig3(args) -> int:
     grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
-
-    def table(gamma, zs, s, det):
-        values = {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"}
-        return values | _shared(args, grid, gamma=gamma), {
-            "survival_indistinguishable": survival_indistinguishable(s)}
-
-    _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas),
-                  _per_rate(args, grid, "fig3_gamma", gammas, _closed_form(args), table))
+    head = {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"}
+    _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas), _closed_form(
+        args, grid, "fig3_gamma", gammas, lambda gamma: head | _shared(args, grid, gamma=gamma),
+        ["survival_indistinguishable"], lambda s, det: [survival_indistinguishable(s)]))
     return 0
 
 
@@ -307,21 +370,19 @@ def cmd_fig4(args) -> int:
     # z0: the product kappa z0 = 3 as a length; panel (b)'s loss rates run up to 5 kappa.
     z0, (gamma_max,) = 3.0 / kappa, _rates(None, kappa, (5.0,))
 
-    def table(gamma, zs, s, det):
-        return (head | _shared(args, grid, gamma=gamma) | {"phis": phis},
-                dict(zip(labels, survival_entangled(s, phase_axis, det))))
-
     def tables():
         # Panel (a): survival vs distance, one file per loss rate.
-        yield from _per_rate(args, grid, "fig4a_gamma", gammas, _closed_form(args), table)
+        yield from _closed_form(args, grid, "fig4a_gamma", gammas,
+                                lambda gamma: head | _shared(args, grid, gamma=gamma) | {"phis": phis},
+                                labels, lambda s, det: survival_entangled(s, phase_axis[..., None], det))
         # Panel (b): survival at the fixed distance z0 against the loss rate.
         gamma_axis = np.linspace(0.0, gamma_max, 201)
         s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
-        yield "fig4b.csv", head | {
+        yield "fig4b.csv", _metadata(head | {
             "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
             "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": gamma_max,
             "gamma_points": 201, "phis": phis,
-        }, ["gamma"] + labels, [gamma_axis, *survival_entangled(s, phase_axis, det)]
+        }), ["gamma"] + labels, [gamma_axis, *survival_entangled(s, phase_axis, det)]
 
     _write_tables(args.out, "fig4", _shared(args, grid, gammas=gammas, phis=phis) | {"z0": z0}, tables())
     return 0
@@ -335,23 +396,29 @@ def cmd_fig5(args) -> int:
     nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, grid.z_max)
     params = CouplerParams(args.beta1, args.beta2, kappa, 0.0)
 
-    def table(rho, zs, s, det):
-        gamma_eff = lattice_gamma(sigma, rho)
-        with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
-            exponential = np.exp(-2.0 * (gamma_eff * zs))  # 2 gamma_eff may overflow; inf times 0 is NaN
+    def curves(zs):
+        lattice, markovian = np.empty((2, len(rhos), len(zs)))
+        for i, rho in enumerate(rhos):  # one chain per rho, each checked before the next is built
+            s, det = LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, args.beta2)).scattering_array(zs)
+            lattice[i] = survival_entangled(s, phi, det)
+            with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
+                # 2 gamma_eff may overflow; inf times 0 is NaN
+                markovian[i] = np.exp(-2.0 * (lattice_gamma(sigma, rho) * zs))
+        return lattice, markovian
+
+    def values(rho):
         return {
             "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
             "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
             "sigma": sigma, "rho": rho, "nsites": nsites, "beta_lattice": args.beta2,
-            "gamma_eff": gamma_eff, "zmax": grid.z_max, "points": grid.num_points,
+            "gamma_eff": lattice_gamma(sigma, rho), "zmax": grid.z_max, "points": grid.num_points,
             "dashed": "exp(-2*gamma_eff*z)",
-        }, {"survival_lattice": survival_entangled(s, phi, det),
-            "survival_markovian_exponential": exponential}
+        }
 
     settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
-    _write_tables(args.out, "fig5", settings, _per_rate(args, grid, "fig5_rho", rhos, lambda rho, zs: (
-        LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, args.beta2)).scattering_array(zs)),
-        table))
+    _write_tables(args.out, "fig5", settings, _per_rate(
+        args, grid, "fig5_rho", rhos, values, ["survival_lattice", "survival_markovian_exponential"],
+        curves, grid.num_points))  # the whole grid in one piece: one chain call per rho
     _warn_if_short(nsites, sigma, grid.z_max)
     return 0
 

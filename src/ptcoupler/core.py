@@ -229,11 +229,12 @@ class ScatteringMatrix:
 
 
 # Largest accepted grid, and largest sweep (rows), checked before anything
-# of its size is allocated. A fig3 curve peaks at about 0.25 GB resident per
-# 10**6 points (the grid's propagators and their temporaries; the CSV text is
-# streamed). A sweep's peak follows its axis x z propagators, not its rows:
-# 1000 x 1 x 1000 rows peaked at 283 MB, 100 x 100 x 100 at 48 MB. So this
-# refuses only sizes that need several GB.
+# of its size is allocated. fig2 to fig4 make and write a grid in blocks, so
+# their peak does not grow with it (about 36 MB resident at 3 * 10**6 points);
+# fig5 holds its chain's S for the whole grid, 64 bytes a point. A sweep's
+# peak follows its axis x z propagators, not its rows: 1000 x 1 x 1000 rows
+# peaked at 283 MB, 100 x 100 x 100 at 48 MB. So this refuses only sizes that
+# need several GB (fig5, the sweep) or half a minute to write (fig2, 3 s per 10**6).
 MAX_GRID_POINTS = 10**7
 
 
@@ -260,9 +261,14 @@ class PropagationGrid:
         if self.z_max / (self.num_points - 1) < sys.float_info.min:
             raise ValueError(f"z_max = {self.z_max!r} is too small for {self.num_points} distinct points")
 
-    def points(self) -> np.ndarray:
-        # linspace pins the first point to exactly 0.0 and the last to z_max
-        return np.linspace(0.0, self.z_max, self.num_points)
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The grid's points, or those of index start to stop - 1: the same doubles
+        either way, k times the step as np.linspace forms them, and z_max last."""
+        stop = self.num_points if stop is None else stop
+        z = np.arange(start, stop, dtype=float) * (self.z_max / (self.num_points - 1))
+        if start < stop == self.num_points:
+            z[-1] = self.z_max
+        return z
 
 
 @dataclass(frozen=True, eq=False)

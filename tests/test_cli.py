@@ -546,6 +546,18 @@ def test_sweep_gap_past_the_float_range_is_inf_without_warning(tmp_path):
     assert code == 0 and read_table(csv)[2] == [["0", "0", "0", "inf"]]
 
 
+def test_sweep_half_trace_past_the_float_range_raises_no_warning(tmp_path):
+    # beta1 + beta2 = 2e308 passes the float range, the half trace 1e308 does not: the
+    # supermodes are 1e308 -+ kappa, that is 0 and inf, and the gap inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, csv = run_sweep_cli(tmp_path, "backend = markovian\nbeta1 = 1e308\nbeta2 = 1e308\ngamma = 0\n"
+                                            "kappa = 1e308\nobservables = eigenvalue_gap, ep_regime\n")
+        pair = supermodes(CouplerParams(1e308, 1e308, 1e308, 0.0))
+    assert code == 0 and read_table(csv)[2] == []
+    assert (pair.lambda1, pair.lambda2) == (0.0, math.inf) and pair.gap() == math.inf
+
+
 def test_sweep_gap_closes_at_critical_loss(tmp_path):
     code, csv = run_sweep_cli(
         tmp_path, sweep_config_text(gamma="1.9, 2, 2.1", phi="0", z="1",
@@ -1181,6 +1193,26 @@ def test_write_table_builds_no_block_sized_text(tmp_path, monkeypatch):
     assert read_table(path)[2][-1] == [format_float(599 / 7.0), "x"]
 
 
+def test_write_table_writes_a_file_per_index_of_the_first_axis_piece_by_piece(tmp_path, monkeypatch):
+    # Each file holds the rows of its index, as a table of its own would: any
+    # pieces, any block size.
+    import ptcoupler.cli as cli
+
+    z, curves = np.arange(10) / 7.0, np.arange(30.0).reshape(3, 10) / 3.0
+    paths, metadata = [tmp_path / f"{i}.csv" for i in range(3)], [{"i": str(i)} for i in range(3)]
+    for lines in (1, 4, 1024):
+        monkeypatch.setattr(cli, "_WRITE_LINES", lines)
+        pieces = iter([[z[:4], curves[:, :4]], [z[4:5], curves[:, 4:5]], [z[5:], curves[:, 5:]]])
+        assert write_table(paths, metadata, ["z", "c"], pieces, (3, 10)) == 30
+        for i, path in enumerate(paths):
+            write_table(tmp_path / "one.csv", {"i": str(i)}, ["z", "c"], [z, curves[i]])
+            assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+    with pytest.raises(ValueError, match=r"one path and one metadata dict per index of the first axis of \(3, 10\)"):
+        write_table(paths[:2], metadata[:2], ["z", "c"], [z, curves], (3, 10))
+    with pytest.raises(ValueError, match=r"the pieces hold 12 rows, where shape \(3, 10\) holds 30"):
+        write_table(paths, metadata, ["z", "c"], iter([[z[:4], curves[:, :4]]]), (3, 10))
+
+
 def test_write_table_refuses_nul_in_a_text_cell_before_opening(tmp_path):
     # NUL pads the cells, so a text cell holding one could not be written as it is.
     path = tmp_path / "t.csv"
@@ -1281,21 +1313,67 @@ def test_parser_is_built_once_and_commands_are_looked_up_at_dispatch(tmp_path, m
     assert calls == ["fig3"]
 
 
-@pytest.mark.parametrize("command, batched", [
-    ("fig2", [False] * 3), ("fig3", [False] * 3), ("fig4", [False, False, True])])
-def test_figures_evaluate_s_once_per_loss_rate(tmp_path, monkeypatch, command, batched):
+@pytest.mark.parametrize("command, argv, points, grid, calls", [
+    ("fig2", [], 2**14, np.linspace(0.0, 10.0, 501), [((3, 1), (501,))]),
+    ("fig3", [], 2**14, np.linspace(0.0, 10.0, 501), [((3, 1), (501,))]),
+    ("fig4", [], 2**14, np.linspace(0.0, 3.0, 301), [((2, 1), (301,)), ((201,), ())]),
+    # Blocks of 12 (rate, z) points: 4 distances at each of the 3 loss rates.
+    ("fig3", ["--points", "11"], 12, np.linspace(0.0, 10.0, 11),
+     [((3, 1), (4,)), ((3, 1), (4,)), ((3, 1), (3,))]),
+], ids=["fig2", "fig3", "fig4", "fig3-blocks"])
+def test_figures_evaluate_s_once_per_panel_block(tmp_path, monkeypatch, command, argv, points, grid, calls):
+    # One propagator call per block of a panel, with every loss rate on a gamma
+    # axis: at the defaults each panel is one block (panel (b) a single distance).
     import ptcoupler.cli as cli
     from ptcoupler.scattering import scattering_array
 
-    calls = []
+    made, zs = [], []
 
     def counted(params, z, gamma=None):
-        calls.append(gamma is not None)  # a loss-rate axis: fig4 panel (b)
+        made.append((np.shape(gamma), np.shape(z)))
+        if np.ndim(gamma) == 2:
+            assert np.array_equal(gamma[:, 0], [0.5, 2.0, 10.0] if command != "fig4" else [0.625, 2.5])
+            zs.append(z)
         return scattering_array(params, z, gamma=gamma)
 
     monkeypatch.setattr(cli, "scattering_array", counted)
-    assert main([command, "--out", str(tmp_path)]) == 0
-    assert calls == batched
+    monkeypatch.setattr(cli, "_FIGURE_POINTS", points)
+    assert main([command, *argv, "--out", str(tmp_path)]) == 0
+    assert made == calls
+    assert np.concatenate(zs).tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("fig2", []), ("fig3", []), ("fig4", []), ("fig5", ["--sigma", "5"])])
+def test_figure_files_do_not_depend_on_the_block_sizes(tmp_path, monkeypatch, command, argv):
+    import ptcoupler.cli as cli
+
+    def files(out):
+        assert main([command, "--points", "61", "--zmax", "2", *argv, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    whole = files(tmp_path / "whole")
+    for size in (1, 7, 300):  # one row or distance at a time, then a few, then every one
+        monkeypatch.setattr(cli, "_FIGURE_POINTS", size)
+        monkeypatch.setattr(cli, "_WRITE_LINES", size)
+        assert files(tmp_path / str(size)) == whole
+
+
+def test_a_figure_of_many_blocks_holds_a_few_blocks_not_the_grid(tmp_path):
+    # fig2 over 3 x 300,000 (rate, z) points: S of the whole grid would take 57.6 MB.
+    # A block of _FIGURE_POINTS points holds 1 MB of S (64 bytes a point), and the
+    # propagator's temporaries a few times that: the bound is S of 8 blocks.
+    import ptcoupler.cli as cli
+
+    tracemalloc.start()
+    try:
+        code = main(["fig2", "--points", "300000", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 64 * cli._FIGURE_POINTS
+    assert len(read_table(tmp_path / "fig2_gamma10.csv")[2]) == 300_000
 
 
 def test_fig5_evaluates_s_once_per_rho(tmp_path, monkeypatch):
@@ -1318,7 +1396,8 @@ def test_every_file_of_the_sidecar_is_written_once_by_write_table(tmp_path, monk
     written = []
 
     def counted(path, *args):  # each file is written as .<file>.part, then moved into place
-        written.append(Path(path).name.removeprefix(".").removesuffix(".part"))
+        written.extend(Path(p).name.removeprefix(".").removesuffix(".part")
+                       for p in (path if isinstance(path, list) else [path]))
         return write_table(path, *args)
 
     monkeypatch.setattr(cli, "write_table", counted)

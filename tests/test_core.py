@@ -269,6 +269,18 @@ def test_grid_points_of_a_normal_step_are_distinct(z_max, num_points):
     assert z[0] == 0.0 and z[-1] == z_max and (np.diff(z) > 0.0).all()
 
 
+@pytest.mark.parametrize("z_max, num_points", [(7.0, 11), (10.0, 501), (3.0 / 1.1, 301), (1e-300, 10**4),
+                                               (1e300, 12345)])
+def test_grid_points_of_any_slice_are_those_of_the_whole_grid(z_max, num_points):
+    # fig2 to fig4 make their grid a piece at a time: the same doubles as linspace's.
+    g = PropagationGrid(z_max, num_points)
+    whole = g.points()
+    assert whole.tobytes() == np.linspace(0.0, z_max, num_points).tobytes()
+    for start, stop in [(0, 1), (0, num_points), (3, 9), (num_points - 5, num_points), (4, 4),
+                        (num_points, num_points)]:
+        assert g.points(start, stop).tobytes() == whole[start:stop].tobytes()
+
+
 def test_grid_size_limit():
     PropagationGrid(1.0, MAX_GRID_POINTS)  # allocates nothing until points()
     with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}, got 1000000000000"):

@@ -214,6 +214,22 @@ def test_a_loss_rate_array_gives_the_scalar_rate_bit_for_bit():
         assert np.array_equal(s, s_array) and np.array_equal(det, det_array)
 
 
+def test_a_loss_axis_against_a_grid_gives_each_rate_bit_for_bit():
+    # fig2 to fig4 evaluate all their loss rates in one call, gamma[:, None]
+    # against a piece of the z grid: each row must be that rate's own call, bit
+    # for bit (signed zeros too), on both sides of SINC_SERIES_THRESHOLD.
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        kappa = rng.uniform(0.2, 5.0)
+        p = CouplerParams(rng.uniform(-3.0, 3.0), rng.choice([0.0, rng.uniform(-3.0, 3.0)]), kappa)
+        gammas = kappa * np.array([0.0, 0.5, 2.0, 2.0 * (1.0 + 1e-12), rng.uniform(0.0, 10.0), 10.0])
+        zs = np.sort(np.concatenate([rng.uniform(0.0, 20.0, 50), 10.0 ** rng.uniform(-7, 0, 20)])) / kappa
+        s, det = scattering_array(p, zs, gamma=gammas[:, None])
+        for i, gamma in enumerate(gammas.tolist()):
+            s_one, det_one = scattering_array(replace(p, gamma=gamma), zs)
+            assert s_one.tobytes() == s[i].tobytes() and det_one.tobytes() == det[i].tobytes()
+
+
 def far_from_subnormal(values):
     """Zero, or large enough that 2^-560 times it is still a normal double."""
     return values.filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
