@@ -26,10 +26,10 @@ that lacks one of them fails instead of being timed on other code. Layers:
                                 over its 201 loss rates at kappa z0 = 3, as
                                 fig4 makes them: one survival_entangled call
                                 on the array of phases
-  sweep.run_sweep               run_sweep on the config cli.sweep reads: its
-                                columns, none of them formatted, so that
-                                cli.sweep - sweep.run_sweep is the formatting
-                                and writing
+  sweep.run_sweep               run_sweep on the config cli.sweep reads, its
+                                pieces of columns consumed, none of them
+                                formatted, so that cli.sweep - sweep.run_sweep
+                                is the formatting and writing
   reservoir.fig5_chain_rho5     S on fig5's 301-point grid (z <= 3) from a
   reservoir.fig5_chain_rho10    fresh LatticePropagator, sigma = 100:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
@@ -42,6 +42,8 @@ that lacks one of them fails instead of being timed on other code. Layers:
                                 commands, each call into a new directory
   cli.fig2_1e5                  main() with fig2 --points 100000: three
                                 loss rates over a grid of many blocks
+  cli.fig5_1e5                  main() with fig5 --points 100000: the two
+                                default chains over a grid of many blocks
 
 Only numpy, the standard library and perfbench/workloads.py are used.
 """
@@ -109,7 +111,8 @@ def layers(tmp: Path) -> dict:
     outs = itertools.count()
 
     def command(workload, name, *flags):
-        argv, = (argv for argv in WORKLOADS[workload].commands if argv[0] == name)
+        """main() with the argv of workload's command name (name alone if workload is None)."""
+        argv, = [(name,)] if workload is None else (a for a in WORKLOADS[workload].commands if a[0] == name)
         argv = [str(tmp / "sweep.cfg") if a == CONFIG else a for a in (*argv, *flags)]
 
         def run():
@@ -122,7 +125,7 @@ def layers(tmp: Path) -> dict:
         "scattering.matrix_1pt": lambda: scattering_matrix(markov, 2.0),
         "quantum.observables_1pt": observables,
         "quantum.pairs_fig4b": lambda: survival_entangled(fig4b, phis, fig4b_det),
-        "sweep.run_sweep": lambda: run_sweep(config),
+        "sweep.run_sweep": lambda: list(run_sweep(config)[2]),
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
@@ -132,6 +135,7 @@ def layers(tmp: Path) -> dict:
         "cli.fig4": command("figures_markovian", "fig4"),
         "cli.sweep": command("sweep_dense", "sweep"),
         "cli.fig2_1e5": command("figures_markovian", "fig2", "--points", "100000"),
+        "cli.fig5_1e5": command(None, "fig5", "--points", "100000"),
     }
 
 

@@ -5,12 +5,14 @@
 
 Commands: fig2 to fig5 at their defaults and off them (grids that cross
 write_table's 1024-row blocks, a single --gamma and --phi, a short chain
-over a long distance), the sweep of scripts/sweep_example.cfg, the lattice
-sweeps of SWEEPS (1200 rows; every z = 0 on the 11-site default chain; no
-rho; no z) and a memoryless sweep with no phi, and every command of
+over a long distance, a fig5 grid of several pieces), the sweep of
+scripts/sweep_example.cfg, the lattice sweeps of SWEEPS (1200 rows; every
+z = 0 on the 11-site default chain; no rho; no z), a memoryless sweep with
+no phi, a sweep of several pieces on each backend, and every command of
 perfbench's workloads, the sweep_dense config at seeds 1 to 3 (each distinct
 argv once), must exit 0; the refusals (a negative z in a memoryless and in a
-lattice sweep, fig4 --phi 4, a chain past the site limit, a grid step too
+lattice sweep, fig4 --phi 4, a chain past the site limit, a chain's series
+past its limit at the far end of a grid of several pieces, a grid step too
 small for distinct points) must exit 1. Every command and refusal must write
 the same stderr on both trees, byte for byte (the short chain's warning
 among them). Each tree runs them in fresh interpreters whose PYTHONPATH is
@@ -39,7 +41,8 @@ from bench import extract_src  # noqa: E402
 from workloads import CONFIG, WORKLOADS, sweep_config  # noqa: E402
 
 SEEDS = (1, 2, 3)  # sweep_dense configs
-# Output directory name -> config text of a sweep that must exit 0; the last three write no rows.
+# Output directory name -> config text of a sweep that must exit 0; the middle three write no
+# rows, the last two are made in several pieces of their axis (16 and 8 of its values).
 SWEEPS = {
     "sweep_lattice": ("backend = lattice\nrho = 0.5, 1, 2.5\nsigma = 5\n"
                       "phi = 0, 0.7, 1.9, 3.141592653589793\n"
@@ -48,6 +51,12 @@ SWEEPS = {
     "sweep_no_phi": "backend = markovian\ngamma = 0.5, 2\nz = 0, 1\n",
     "sweep_no_rho": "backend = lattice\nsigma = 5\nphi = 0\nz = 0, 1\n",
     "sweep_no_z": "backend = lattice\nrho = 1\nsigma = 5\nphi = 0\n",
+    "sweep_pieces": ("backend = markovian\nphi = 0, 1.9\n"
+                     f"gamma = {', '.join(repr(0.1 * i) for i in range(40))}\n"
+                     f"z = {', '.join(repr(0.01 * i) for i in range(1000))}\n"),
+    "sweep_lattice_pieces": ("backend = lattice\nsigma = 5\nnsites = 31\nphi = 3.141592653589793\n"
+                             f"rho = {', '.join(repr(0.25 * i) for i in range(20))}\n"
+                             f"z = {', '.join(repr(0.002 * i) for i in range(2000))}\n"),
 }
 
 
@@ -57,6 +66,7 @@ def commands(configs: Path) -> dict[str, list[str]]:
     runs["fig2_5000"] = ["fig2", "--points", "5000", "--gamma", "2"]
     runs["fig4_2000"] = ["fig4", "--points", "2000", "--gamma", "10", "--phi", "1"]
     runs["fig5_short_chain"] = ["fig5", "--nsites", "41", "--zmax", "10", "--points", "501"]
+    runs["fig5_pieces"] = ["fig5", "--points", "20000"]
     runs["sweep_example"] = ["sweep", "--config", str(REPO / "scripts" / "sweep_example.cfg")]
     for name, text in SWEEPS.items():
         (configs / f"{name}.cfg").write_text(text)
@@ -82,6 +92,7 @@ def refusals(configs: Path) -> dict[str, list[str]]:
         runs[f"refuse_{backend}_negative_z"] = ["sweep", "--config", str(configs / f"refuse_{backend}.cfg")]
     runs["refuse_fig4_phi"] = ["fig4", "--phi", "4"]
     runs["refuse_fig5_sites"] = ["fig5", "--sigma", "1e6", "--points", "2"]
+    runs["refuse_fig5_series"] = ["fig5", "--points", "100000", "--zmax", "12000"]
     runs["refuse_fig2_step"] = ["fig2", "--zmax", "8e-323", "--points", "10"]
     return runs
 

@@ -3,11 +3,13 @@
 _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
 from _FLAGS); main() builds the parser once per process and runs <name> as the
 module-level cmd_<name>, looked up at dispatch. Each command lazily makes its
-tables, and _write_tables writes them and the <command>_run.txt sidecar. A
-figure is one table over (rate, z), one file per rate (_per_rate): fig2 to fig4
-make it in pieces of _FIGURE_POINTS (rate, z) points, one propagator call with
-a loss-rate axis each; fig5 in one piece, one chain per rho. CSV layout, sweep
-keys, exit codes: README.md.
+tables, and _write_tables writes them and the <command>_run.txt sidecar, each
+in pieces of about _FIGURE_POINTS (rate, z) propagators from one call (_chains:
+one chain per rho): a figure over (rate, z), one file per rate, in pieces of the
+z grid (_per_rate); the sweep in pieces of consecutive axis values, each with
+all of their (phi, z) rows. So a command's peak follows one piece; a sweep holds
+one axis value's (phi, z) rows whole, and its config's z tuple (32 B a value).
+CSV layout, sweep keys, exit codes: README.md.
 
 write_table writes every CSV, one block of rows of all a table's files at a
 time, as bytes: a float cell's bytes are format_float's, spelled for the block
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .classical import _regimes, _supermodes
-from .core import MAX_GRID_POINTS, CouplerParams, PolarizationEntangled, PropagationGrid
+from .core import MAX_GRID_POINTS, CouplerParams, PolarizationEntangled, PropagationGrid, require_non_negative
 from .quantum import (
     _survival_function,
     mean_photon_number,
@@ -312,28 +314,20 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
             "zmax": grid.z_max, "points": grid.num_points}
 
 
-def _per_rate(args, grid, name: str, rates, values, labels, curves, step: int):
-    """The table over (rate, z) of fig2 to fig5, a rate being a loss rate or fig5's
-    rho, made lazily: one file <name><rate/kappa>.csv per rate, with the metadata
-    values(rate), z and the curves labels. curves(zs) gives each of them at every
-    rate over step points of the z grid, shape (rate, z); each such piece is made
-    as it is written, the first one before the metadata, so that fig5 refuses a
-    chain before the rate of its rho."""
-    pieces = ([zs, *curves(zs)] for start in range(0, grid.num_points, step)
-              for zs in [grid.points(start, min(start + step, grid.num_points))])
-    first = next(pieces)
-    yield ([f"{name}{rate / args.kappa:g}.csv" for rate in rates], [_metadata(values(rate)) for rate in rates],
-           ["z", *labels], itertools.chain([first], pieces), (len(rates), grid.num_points))
-
-
-def _closed_form(args, grid, name: str, gammas, values, labels, curves):
-    """_per_rate for fig2 to fig4: curves(s, det) from S and the reduced determinants at
-    every loss rate over a piece of the grid, shape (rate, z); one propagator call per
-    piece of about _FIGURE_POINTS (rate, z) points, its S freed once its curves are made."""
-    params, axis = CouplerParams(args.beta1, args.beta2, args.kappa), np.array(gammas)[:, None]
-    return _per_rate(args, grid, name, gammas, values, labels,
-                     lambda zs: curves(*scattering_array(params, zs, gamma=axis)),
-                     max(1, _FIGURE_POINTS // len(gammas)))
+def _per_rate(args, grid, name: str, rates, values, labels, curves, propagators=None) -> list:
+    """The table over (rate, z) of fig2 to fig5, a rate being a loss rate or fig5's rho: one file
+    <name><rate/kappa>.csv per rate, with the metadata values(rate), z and the curves labels. Its
+    pieces of about _FIGURE_POINTS (rate, z) points are made as they are written: curves(s, det, zs)
+    gives each label's values, shape (rate, z), from one propagators(zs) call, S and determinants at
+    every rate over a piece zs of the grid (by default the closed form, the rates loss rates)."""
+    if propagators is None:
+        params, axis = CouplerParams(args.beta1, args.beta2, args.kappa), np.array(rates)[:, None]
+        propagators = lambda zs: scattering_array(params, zs, gamma=axis)  # noqa: E731
+    step = max(1, _FIGURE_POINTS // len(rates))
+    return [([f"{name}{rate / args.kappa:g}.csv" for rate in rates], [_metadata(values(rate)) for rate in rates],
+             ["z", *labels], ([zs, *curves(*propagators(zs), zs)] for start in range(0, grid.num_points, step)
+                              for zs in [grid.points(start, min(start + step, grid.num_points))]),
+             (len(rates), grid.num_points))]
 
 
 def cmd_fig2(args) -> int:
@@ -341,20 +335,20 @@ def cmd_fig2(args) -> int:
     labels = ["power_balanced_orthogonal", "power_single_waveguide"]
     head = {"command": "fig2", "backend": "markovian"}
     # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
-    _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas), _closed_form(
+    _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas), _per_rate(
         args, grid, "fig2_gamma", gammas,
         lambda gamma: head | _shared(args, grid, gamma=gamma) | {"solid": labels[0], "dashed": labels[1]},
-        labels, lambda s, det: (0.5 * mean_photon_number(s),
-                                np.abs(s[..., 0, 0]) ** 2 + np.abs(s[..., 1, 0]) ** 2)))
+        labels, lambda s, det, zs: (0.5 * mean_photon_number(s),
+                                    np.abs(s[..., 0, 0]) ** 2 + np.abs(s[..., 1, 0]) ** 2)))
     return 0
 
 
 def cmd_fig3(args) -> int:
     grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
     head = {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"}
-    _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas), _closed_form(
+    _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas), _per_rate(
         args, grid, "fig3_gamma", gammas, lambda gamma: head | _shared(args, grid, gamma=gamma),
-        ["survival_indistinguishable"], lambda s, det: [survival_indistinguishable(s)]))
+        ["survival_indistinguishable"], lambda s, det, zs: [survival_indistinguishable(s)]))
     return 0
 
 
@@ -372,9 +366,9 @@ def cmd_fig4(args) -> int:
 
     def tables():
         # Panel (a): survival vs distance, one file per loss rate.
-        yield from _closed_form(args, grid, "fig4a_gamma", gammas,
-                                lambda gamma: head | _shared(args, grid, gamma=gamma) | {"phis": phis},
-                                labels, lambda s, det: survival_entangled(s, phase_axis[..., None], det))
+        yield from _per_rate(args, grid, "fig4a_gamma", gammas,
+                             lambda gamma: head | _shared(args, grid, gamma=gamma) | {"phis": phis},
+                             labels, lambda s, det, zs: survival_entangled(s, phase_axis[..., None], det))
         # Panel (b): survival at the fixed distance z0 against the loss rate.
         gamma_axis = np.linspace(0.0, gamma_max, 201)
         s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
@@ -393,32 +387,24 @@ def cmd_fig5(args) -> int:
     sigma = args.sigma if args.sigma is not None else 20.0 * kappa
     rhos = _rates(args.rho, kappa, (5.0, 10.0))
     phi = PolarizationEntangled(args.phi if args.phi is not None else math.pi).phi
-    nsites = args.nsites if args.nsites is not None else min_lattice_size(sigma, grid.z_max)
-    params = CouplerParams(args.beta1, args.beta2, kappa, 0.0)
+    nsites, chains = _chains(args, sigma, rhos, args.beta2, np.array([grid.z_max]))
+    rates = np.array([lattice_gamma(sigma, rho) for rho in rhos])[:, None]
 
-    def curves(zs):
-        lattice, markovian = np.empty((2, len(rhos), len(zs)))
-        for i, rho in enumerate(rhos):  # one chain per rho, each checked before the next is built
-            s, det = LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, args.beta2)).scattering_array(zs)
-            lattice[i] = survival_entangled(s, phi, det)
-            with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
-                # 2 gamma_eff may overflow; inf times 0 is NaN
-                markovian[i] = np.exp(-2.0 * (lattice_gamma(sigma, rho) * zs))
-        return lattice, markovian
+    def curves(s, det, zs):
+        with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
+            markovian = np.exp(-2.0 * (rates * zs))  # 2 gamma_eff may overflow; inf times 0 is NaN
+        return survival_entangled(s, phi, det), markovian
 
     def values(rho):
-        return {
-            "command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
-            "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
-            "sigma": sigma, "rho": rho, "nsites": nsites, "beta_lattice": args.beta2,
-            "gamma_eff": lattice_gamma(sigma, rho), "zmax": grid.z_max, "points": grid.num_points,
-            "dashed": "exp(-2*gamma_eff*z)",
-        }
+        return {"command": "fig5", "backend": "lattice", "input": "polarization_entangled_pair",
+                "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2, "phi": phi,
+                "sigma": sigma, "rho": rho, "nsites": nsites, "beta_lattice": args.beta2,
+                "gamma_eff": lattice_gamma(sigma, rho), "zmax": grid.z_max, "points": grid.num_points,
+                "dashed": "exp(-2*gamma_eff*z)"}
 
-    settings = _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites)
-    _write_tables(args.out, "fig5", settings, _per_rate(
-        args, grid, "fig5_rho", rhos, values, ["survival_lattice", "survival_markovian_exponential"],
-        curves, grid.num_points))  # the whole grid in one piece: one chain call per rho
+    _write_tables(args.out, "fig5", _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites),
+                  _per_rate(args, grid, "fig5_rho", rhos, values,
+                            ["survival_lattice", "survival_markovian_exponential"], curves, chains))
     _warn_if_short(nsites, sigma, grid.z_max)
     return 0
 
@@ -428,6 +414,27 @@ def _warn_if_short(nsites: int, sigma: float, z_max: float) -> None:
     if z_max > 0.0 and nsites < (needed := min_lattice_size(sigma, z_max)):
         print(f"warning: nsites = {nsites} < min_lattice_size(sigma = {sigma:g}, zmax = {z_max:g}) "
               f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
+
+
+def _chains(source, sigma: float, rhos, beta_lattice: float, zs: np.ndarray):
+    """nsites, source.nsites or else min_lattice_size(sigma, far) at the farthest distance of zs
+    (11 sites at far = 0), and propagators(z, part): S and the entrywise determinants on the chain
+    of each rho of rhos[part], shape (rho,) + z.shape. source, the flags or the sweep config, gives
+    beta1, beta2, kappa and nsites. Every chain is checked at zs, rho by rho, before any S is made."""
+    far = float(zs.max(initial=0.0))
+    nsites = source.nsites if source.nsites is not None else min_lattice_size(sigma, far) if far > 0.0 else 11
+    params, chains = CouplerParams(source.beta1, source.beta2, source.kappa), []
+    for rho in rhos:
+        chains.append(LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, beta_lattice)))
+        chains[-1]._sizes(zs)  # the propagator's own refusal, before the first piece
+
+    def propagators(z: np.ndarray, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        s, det = np.empty((n := len(chains[part]),) + z.shape + (2, 2), complex), np.empty((n,) + z.shape, complex)
+        for i, chain in enumerate(chains[part]):
+            s[i], det[i] = chain.scattering_array(z)
+        return s, det
+
+    return nsites, propagators
 
 
 # One sweep column: observable name -> f(s, det, phis, bare, rates), its values
@@ -536,8 +543,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     })
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tuple[int, int, int]]:
-    """The sweep's metadata, header, columns and row shape (axis, phi, z) for write_table."""
+def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[list[np.ndarray]], tuple[int, int, int]]:
+    """The sweep's metadata, header, columns and row shape (axis, phi, z) for write_table, the columns
+    made as they are written: every (phi, z) row of about _FIGURE_POINTS / len(z) axis values at a time."""
     if cfg.backend == "markovian":
         for key in ("rho", "sigma", "nsites", "beta_lattice"):
             if getattr(cfg, key) not in (None, ()):
@@ -545,10 +553,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tupl
         axis_name, axis = "gamma", cfg.gamma
     else:
         if any(g != 0.0 for g in cfg.gamma):
-            raise ValueError(
-                "config: gamma: explicit loss cannot be combined with the lattice "
-                "backend; sweep rho instead"
-            )
+            raise ValueError("config: gamma: explicit loss cannot be combined with the lattice "
+                             "backend; sweep rho instead")
         if cfg.sigma is None:
             raise ValueError("config: sigma: required for backend=lattice")
         axis_name, axis = "rho", cfg.rho
@@ -560,38 +566,32 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], list[np.ndarray], tupl
     shape = (len(axis), len(cfg.phi), len(cfg.z))
     rows = math.prod(shape)
     if rows > MAX_GRID_POINTS:
-        raise ValueError(
-            f"config: the sweep has {rows} rows ({axis_name} x phi x z = "
-            f"{' x '.join(map(str, shape))}); the limit is {MAX_GRID_POINTS}"
-        )
+        raise ValueError(f"config: the sweep has {rows} rows ({axis_name} x phi x z = "
+                         f"{' x '.join(map(str, shape))}); the limit is {MAX_GRID_POINTS}")
 
     header = [axis_name, "phi", "z"] + list(cfg.observables)
     values = {"command": "sweep", "backend": cfg.backend, "kappa": cfg.kappa,
               "beta1": cfg.beta1, "beta2": cfg.beta2}
     if cfg.backend == "lattice":
         values |= {"sigma": cfg.sigma, "regime_columns_use": "effective_gamma=rho^2/(2*sigma)"}
-    meta = _metadata(values)
 
     bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
-    axis_values, zs = np.array(axis), np.array(cfg.z)
+    axis_values, phis, zs = np.array(axis), np.array(cfg.phi), np.array(cfg.z)
     if cfg.backend == "markovian":
-        rates = axis_values
-        s, det = scattering_array(bare, zs[None, :], gamma=axis_values[:, None])
+        rates = require_non_negative("gamma", axis_values)
+        require_non_negative("z", zs)  # scattering_array's checks, for every piece before the first
+        propagators = lambda z, part: scattering_array(bare, z, gamma=rates[part, None, None])  # noqa: E731
     else:
         rates = np.array([lattice_gamma(cfg.sigma, rho) for rho in axis])
-        far, nsites = max(cfg.z, default=0.0), cfg.nsites
-        if nsites is None:
-            nsites = min_lattice_size(cfg.sigma, far) if far > 0.0 else 11
         beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
-        s, det = np.empty((len(axis), len(zs), 2, 2), complex), np.empty((len(axis), len(zs)), complex)
-        for i, rho in enumerate(axis):  # each propagator checks its work limit at the farthest z first
-            lattice = LatticeReservoir(cfg.sigma, rho, nsites, beta_lattice)
-            s[i], det[i] = LatticePropagator(bare, lattice).scattering_array(zs)
-        _warn_if_short(nsites, cfg.sigma, far)
-    s, det = s[:, None], det[:, None]  # (axis, 1, z): phi broadcasts in between
-    keys = [axis_values[:, None, None], np.array(cfg.phi)[:, None], zs]
-    columns = keys + [_SWEEP_COLUMNS[name](s, det, cfg.phi, bare, rates) for name in cfg.observables]
-    return meta, header, columns, shape
+        nsites, propagators = _chains(cfg, cfg.sigma, axis, beta_lattice, zs)
+        _warn_if_short(nsites, cfg.sigma, max(cfg.z, default=0.0))
+    # One propagator call per piece (one, empty, if the axis is), S of shape (axis, 1, z): phi broadcasts.
+    step = max(1, _FIGURE_POINTS // max(len(zs), 1))
+    parts = [slice(start, start + step) for start in range(0, len(axis) or 1, step)]
+    return _metadata(values), header, ([axis_values[part, None, None], phis[:, None], zs] + [
+        _SWEEP_COLUMNS[name](s, det, cfg.phi, bare, rates[part]) for name in cfg.observables]
+        for part in parts for s, det in [propagators(zs[None], part)]), shape
 
 
 def cmd_sweep(args) -> int:

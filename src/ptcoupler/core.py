@@ -229,12 +229,12 @@ class ScatteringMatrix:
 
 
 # Largest accepted grid, and largest sweep (rows), checked before anything
-# of its size is allocated. fig2 to fig4 make and write a grid in blocks, so
-# their peak does not grow with it (about 36 MB resident at 3 * 10**6 points);
-# fig5 holds its chain's S for the whole grid, 64 bytes a point. A sweep's
-# peak follows its axis x z propagators, not its rows: 1000 x 1 x 1000 rows
-# peaked at 283 MB, 100 x 100 x 100 at 48 MB. So this refuses only sizes that
-# need several GB (fig5, the sweep) or half a minute to write (fig2, 3 s per 10**6).
+# of its size is allocated. Every command makes and writes its table in pieces,
+# so its peak follows one piece: fig2 and fig5 at 3 * 10**6 points peak at about
+# 36 MB resident, a 2000 x 1 x 1000 sweep at 38 MB. A sweep's piece holds one
+# axis value's (phi, z) rows whole, and its config the z list (32 bytes a value):
+# 1 x 1 x 10**6 rows peak at 296 MB. So this refuses only sizes that take
+# several GB (a sweep of one long z list) or minutes (fig5, 5 to 6 s per 10**6).
 MAX_GRID_POINTS = 10**7
 
 

@@ -1450,6 +1450,67 @@ def test_sweep_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, backe
     assert code == 0 and len(read_table(csv)[2]) == 5 * 3 * 4
 
 
+@pytest.mark.parametrize("backend", ["markovian", "lattice"])
+def test_sweep_files_do_not_depend_on_the_block_sizes(tmp_path, monkeypatch, backend):
+    # 6 axis values x 3 distances: pieces of 1, 2 and 6 axis values, blocks of 1, 7 and every row.
+    import ptcoupler.cli as cli
+
+    axis = {"gamma": "0, 0.5, 2, 2.5, 7, 9"} if backend == "markovian" else {
+        "gamma": "", "rho": "1, 2, 3, 4, 5, 6", "sigma": "20"}
+    config = tmp_path / "sweep.cfg"
+    config.write_text(sweep_config_text(backend=backend, phi="0, 1, 3", z="1.3, 0, 0.4", **axis))
+
+    def files(out):
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    whole = files(tmp_path / "whole")
+    for size in (1, 7, 300):
+        monkeypatch.setattr(cli, "_FIGURE_POINTS", size)
+        monkeypatch.setattr(cli, "_WRITE_LINES", size)
+        assert files(tmp_path / str(size)) == whole
+    assert len(read_table(tmp_path / "whole" / "sweep.csv")[2]) == 6 * 3 * 3
+
+
+def test_a_sweep_of_many_pieces_holds_a_few_pieces_not_its_propagators(tmp_path):
+    # 200 x 1 x 1000 rows: S at every (gamma, z) would take 12.8 MB. A piece of about
+    # _FIGURE_POINTS propagators holds 1 MB of S (64 bytes each), and its temporaries
+    # and columns a few times that: the bound is S of 8 pieces.
+    import ptcoupler.cli as cli
+
+    config = tmp_path / "sweep.cfg"
+    config.write_text(sweep_config_text(gamma=", ".join(str(0.02 * i) for i in range(200)), phi="1",
+                                        z=", ".join(str(0.005 * i) for i in range(1000))))
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 64 * cli._FIGURE_POINTS
+    assert len(read_table(tmp_path / "out" / "sweep.csv")[2]) == 200_000
+
+
+def test_fig5_refuses_a_chain_past_its_limits_before_any_piece(tmp_path, monkeypatch, capsys):
+    # The first pieces of 100,000 points stay within the series limit; z_max = 12000 does
+    # not, and is refused before any S is made, whatever the piece that reaches it.
+    import ptcoupler.cli as cli
+
+    calls, array = [], cli.LatticePropagator.scattering_array
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return array(self, z)
+
+    monkeypatch.setattr(cli.LatticePropagator, "scattering_array", counted)
+    assert main(["fig5", "--points", "100000", "--zmax", "12000", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: chain reservoir too large: sigma = 20 and z = 12000 "
+                                       "need a longer series; the limit is 5e+05 terms\n")
+    assert calls == []
+    assert leftovers(tmp_path / "out") == []
+
+
 # -- fuzzing ----------------------------------------------------------------
 
 # Flag and config values as text, two thirds of them ordinary numbers and one third the

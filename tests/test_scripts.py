@@ -69,6 +69,8 @@ def test_compare_outputs_refusals_exit_1_with_their_messages(scripts, tmp_path, 
         "refuse_fig4_phi": "phi must lie in [0, pi]",
         "refuse_fig5_sites": "chain reservoir too large: sigma = 1e+06 and n_sites = 1.5e+07; "
                              "the limit is 1e+07 sites",
+        "refuse_fig5_series": "chain reservoir too large: sigma = 20 and z = 12000 need a longer series; "
+                              "the limit is 5e+05 terms",
         "refuse_fig2_step": "z_max = 8e-323 is too small for 10 distinct points",
     }
     refused = compare.refusals(tmp_path)
