@@ -35,6 +35,9 @@ that lacks one of them fails instead of being timed on other code. Layers:
                                 n = 1510, rho = 5 and n = 1511, rho = 10
   reservoir.short_chain_far     the same for n = 41, sigma = 20, rho = 5,
                                 301 points up to z = 100
+  reservoir.long_chain          the same for n = 100010, sigma = 20, rho = 5,
+                                301 points up to z = 1000 (fig5 --zmax 1000):
+                                many series lengths
   cli.write_table_1e5           write_table of three float columns of 10^5
                                 rows
   cli.fig2, cli.fig3, cli.fig4  main() with the argv of perfbench's
@@ -129,6 +132,7 @@ def layers(tmp: Path) -> dict:
         "reservoir.fig5_chain_rho5": chain(100.0, 5.0, 1510, 3.0),
         "reservoir.fig5_chain_rho10": chain(100.0, 10.0, 1511, 3.0),
         "reservoir.short_chain_far": chain(20.0, 5.0, 41, 100.0),
+        "reservoir.long_chain": chain(20.0, 5.0, 100010, 1000.0),
         "cli.write_table_1e5": lambda: write_table(tmp / "t.csv", {"v": "1"}, ["a", "b", "c"], table),
         "cli.fig2": command("figures_markovian", "fig2"),
         "cli.fig3": command("figures_markovian", "fig3"),

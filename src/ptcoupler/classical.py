@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClassicalInput,
-    CouplerParams,
-    DecayCurve,
-    PropagationGrid,
-    require_non_negative,
-    _validate,
-)
+from .core import ClassicalInput, CouplerParams, DecayCurve, PropagationGrid, _validate
+from .quantum import mean_photon_number
 # scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
 from .scattering import scaled_roots, scattering_array, scattering_matrix  # noqa: F401
 
@@ -64,11 +58,11 @@ class SupermodePair:
         return abs(self.lambda1 - self.lambda2)
 
 
-def _supermodes(params: CouplerParams, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lambda1, lambda2 of supermodes at each loss rate of the array gamma (replacing
-    params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap gives
-    them (hypot, as Python's abs): the code behind supermodes and the sweep."""
-    half_trace, e, _, _, omega = scaled_roots(params, require_non_negative("gamma", gamma))
+def _supermodes(params: CouplerParams, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda1, lambda2 of supermodes at each loss rate of the checked float array gamma
+    (replacing params.gamma), ordered and checked alike, and their gaps as SupermodePair.gap
+    gives them (hypot, as Python's abs): the code behind supermodes and the sweep."""
+    half_trace, e, _, _, omega = scaled_roots(params, gamma)
     # An eigenvalue or a gap past the float range is inf, as in SupermodePair.gap.
     with np.errstate(over="ignore"):
         omega = omega * np.ldexp(1.0, e)
@@ -94,12 +88,12 @@ def supermodes(params: CouplerParams) -> SupermodePair:
     return SupermodePair(complex(lambda1[0]), complex(lambda2[0]))
 
 
-def _regimes(params: CouplerParams, gamma) -> np.ndarray:
-    """The regime of classify_ep at each loss rate of the array gamma (replacing
-    params.gamma): the code behind classify_ep and the sweep's ep_regime column."""
+def _regimes(params: CouplerParams, gamma: np.ndarray) -> np.ndarray:
+    """The regime of classify_ep at each loss rate of the checked float array gamma
+    (replacing params.gamma): the code behind classify_ep and the sweep's ep_regime column."""
     if params.beta1 != params.beta2:
         raise ValueError("classify_ep requires beta1 == beta2; for a detuned coupler use supermodes")
-    _, _, kappa, d, _ = scaled_roots(params, require_non_negative("gamma", gamma))
+    _, _, kappa, d, _ = scaled_roots(params, gamma)
     disc = kappa * kappa - d.imag * d.imag
     tol = EP_DISCRIMINANT_TOL * kappa * kappa
     return np.select([disc > tol, disc < -tol], ["below", "above"], "at")
@@ -118,6 +112,16 @@ def classify_ep(params: CouplerParams) -> str:
     return _regimes(params, np.array([params.gamma])).item()
 
 
+def _power(s: np.ndarray, launch: ClassicalInput) -> np.ndarray:
+    """Guided power P = |c1|^2 + |c2|^2 of the launch behind each propagator of the array s,
+    shape (..., 2, 2): arm 1's column norm for SINGLE_WAVEGUIDE, and for BALANCED_ORTHOGONAL
+    the mean of both arms' column norms, half the pair's mean photon number. The one formula
+    behind classical_power_curve, fig2 and the sweep's classical_power column."""
+    if launch is ClassicalInput.SINGLE_WAVEGUIDE:
+        return np.abs(s[..., 0, 0]) ** 2 + np.abs(s[..., 1, 0]) ** 2
+    return 0.5 * mean_photon_number(s)
+
+
 def classical_power_curve(
     params: CouplerParams, input_state: ClassicalInput, grid: PropagationGrid
 ) -> DecayCurve:
@@ -132,11 +136,4 @@ def classical_power_curve(
         raise ValueError(f"unknown classical input {input_state!r}")
     zs = grid.points()
     s, _ = scattering_array(params, zs)
-    power = np.abs(s) ** 2
-    p_from_arm1 = power[:, 0, 0] + power[:, 1, 0]
-    if input_state is ClassicalInput.SINGLE_WAVEGUIDE:
-        values = p_from_arm1
-    else:
-        p_from_arm2 = power[:, 0, 1] + power[:, 1, 1]
-        values = 0.5 * (p_from_arm1 + p_from_arm2)
-    return DecayCurve.from_arrays(f"power_{input_state.value}", zs, values)
+    return DecayCurve.from_arrays(f"power_{input_state.value}", zs, _power(s, input_state))

@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import _regimes, _supermodes
-from .core import MAX_GRID_POINTS, CouplerParams, PolarizationEntangled, PropagationGrid, require_non_negative
+from .classical import _power, _regimes, _supermodes
+from .core import (MAX_GRID_POINTS, ClassicalInput, CouplerParams, PolarizationEntangled, PropagationGrid,
+                   require_non_negative)
 from .quantum import (
     _survival_function,
     mean_photon_number,
@@ -162,8 +163,9 @@ def _spell(columns: list[np.ndarray]) -> list[np.ndarray]:
         index = layout.take(key[i : i + _GATHER], axis=0)
         index += row[: len(index)]  # where each cell's scratch row starts
         rows[i : i + _GATHER].ravel().take(index, out=cells[i : i + _GATHER])
-    spelled = np.array([format_float(v) for v in x[fallback].tolist()], "S24").view(np.uint8)
-    cells[fallback, :24] = spelled.reshape(-1, 24)[:, : cells.shape[1]]
+    if fallback.size:  # building the bytes of no cell costs about 11 us
+        spelled = np.array([format_float(v) for v in x[fallback].tolist()], "S24").view(np.uint8)
+        cells[fallback, :24] = spelled.reshape(-1, 24)[:, : cells.shape[1]]
     starts = np.cumsum([0] + [c.size for c in columns[:-1]])
     return [cells[i : i + c.size, : w + 1].reshape(c.shape + (w + 1,)) for c, i, w in
             zip(columns, starts.tolist(), np.maximum.reduceat(ends, starts).tolist())]
@@ -332,14 +334,13 @@ def _per_rate(args, grid, name: str, rates, values, labels, curves, propagators=
 
 def cmd_fig2(args) -> int:
     grid, gammas = _grid(args, 10.0, 501), _rates(args.gamma, args.kappa, (0.5, 2.0, 10.0))
-    labels = ["power_balanced_orthogonal", "power_single_waveguide"]
+    launches = (ClassicalInput.BALANCED_ORTHOGONAL, ClassicalInput.SINGLE_WAVEGUIDE)
+    labels = [f"power_{launch.value}" for launch in launches]
     head = {"command": "fig2", "backend": "markovian"}
-    # Power: both arms' column norms (balanced-orthogonal launch), arm 1's.
     _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas), _per_rate(
         args, grid, "fig2_gamma", gammas,
         lambda gamma: head | _shared(args, grid, gamma=gamma) | {"solid": labels[0], "dashed": labels[1]},
-        labels, lambda s, det, zs: (0.5 * mean_photon_number(s),
-                                    np.abs(s[..., 0, 0]) ** 2 + np.abs(s[..., 1, 0]) ** 2)))
+        labels, lambda s, det, zs: [_power(s, launch) for launch in launches]))
     return 0
 
 
@@ -442,7 +443,7 @@ def _chains(source, sigma: float, rhos, beta_lattice: float, zs: np.ndarray):
 # det their determinants (reduced for the memoryless coupler, entrywise for the
 # lattice), bare the lossless coupler, rates the axis's (effective) loss rates.
 _SWEEP_COLUMNS = {
-    "classical_power": lambda s, det, phis, bare, rates: 0.5 * mean_photon_number(s),
+    "classical_power": lambda s, det, phis, bare, rates: _power(s, ClassicalInput.BALANCED_ORTHOGONAL),
     "mean_photon_number": lambda s, det, phis, bare, rates: mean_photon_number(s),
     "p_boson": lambda s, det, phis, bare, rates: survival_indistinguishable(s),
     "p_entangled": lambda s, det, phis, bare, rates: survival_entangled(s, np.array(phis)[:, None], det),

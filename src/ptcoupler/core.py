@@ -137,8 +137,7 @@ def check_propagators(s, det=None, z=None) -> None:
         smax = largest_singular_value(s)
     passive = (smax <= 1.0 + PASSIVITY_TOL).all()
     # Entrywise cancellation noise is about 1e-15: past 1e-9 det is miswired, not rounded.
-    if passive and (det is None or (abs(det - (s[..., 0, 0] * s[..., 1, 1]
-                                              - s[..., 0, 1] * s[..., 1, 0])) <= 1e-9).all()):
+    if passive and (det is None or (abs(det - entrywise_determinants(s)) <= 1e-9).all()):
         return
     finite = np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(0.0 if det is None else det)
     if z is not None and not finite.all():
@@ -273,21 +272,18 @@ class PropagationGrid:
 
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
-    """A sampled z-series of a non-negative observable, starting at z = 0.
+    """A sampled z-series of a non-negative observable, starting at z = 0,
+    named by label.
 
     points takes any sequence of (z, value) pairs and is kept as a
-    read-only (N, 2) float array. Curves compare and hash by label and
-    point values.
+    read-only (N, 2) float array; a point that is not finite, a negative
+    value or a z that does not increase is refused, naming the first.
     """
 
     label: str
     points: np.ndarray
 
     def __post_init__(self):
-        if not self.label:
-            raise ValueError("label must be non-empty")
-        if "," in self.label or "\n" in self.label:
-            raise ValueError("label must not contain commas or newlines")
         points = np.array(self.points, dtype=float)
         if points.size == 0:
             raise ValueError("points must be non-empty")
@@ -316,15 +312,6 @@ class DecayCurve:
         if z.shape != values.shape or z.ndim != 1:
             raise ValueError("z and values must be 1-d arrays of equal length")
         return cls(label, np.stack([z, values], axis=1))
-
-    def __eq__(self, other):
-        if not isinstance(other, DecayCurve):
-            return NotImplemented
-        return self.label == other.label and np.array_equal(self.points, other.points)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
-        return hash((self.label, (self.points + 0.0).tobytes()))
 
     def z_values(self) -> np.ndarray:
         return self.points[:, 0]

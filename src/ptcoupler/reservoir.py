@@ -60,7 +60,7 @@ __all__ = [
 # Limits of one request, checked before anything is allocated. A distance z
 # needs M = _chebyshev_terms(r z) terms, and S costs O(M log M) time and O(M)
 # memory whatever the chain length: _MAX_TERMS caps M at the farthest distance
-# (about 2.5 s and 0.37 GB at the cap on a 2-vCPU x86 machine). The chain's
+# (about 1.3 s and 0.36 GB resident at the cap on a 2-vCPU x86 machine). The chain's
 # length enters S only through lam^{2n}, by squaring; but within M terms the
 # front (group velocity 2 sigma <= r) runs at most M sites from the middle one,
 # so a chain above _MAX_SITES sites gives the S of a shorter one up to the
@@ -68,8 +68,9 @@ __all__ = [
 _MAX_TERMS = 500_000
 _MAX_SITES = 10**7
 
-# Series lengths are rounded up to a multiple of this, so that nearby
-# distances share one transform of the moments.
+# Series lengths are rounded up to a multiple of this or, past 1024 terms, of an eighth of
+# the power of two below them: eight lengths per octave, none past the next power of two,
+# so that nearby distances share one transform of the moments.
 _TERMS_STEP = 64
 # Samples per block: of distances, bounding their temporaries; of the moments' generating
 # function, keeping its complex temporaries in cache and fig5's longest series (4097) in one call.
@@ -205,13 +206,14 @@ class LatticePropagator:
     A propagator holds nothing that a call computes. scattering_array(z) evaluates a whole
     array of distances in one call: S with shape z.shape + (2, 2) and the entrywise
     determinants, shape z.shape. It computes the moments of its longest series once
-    (_moments_upto) and groups the distances by series length; each length's moments are
-    folded into real tables of the even and odd orders (_tables), and each distance's cos
-    and sin samples against them give Re S and Im S, in row blocks of bounded size: memory
-    does not grow with distances x terms. scattering(z) is that array call at one distance,
-    checked by the ScatteringMatrix record it returns. A chain above _MAX_SITES sites, or a
-    farthest distance whose series passes _MAX_TERMS terms, is refused with ValueError
-    before anything is allocated.
+    (_moments_upto) and groups the distances by series length, rounded up to one of eight
+    per octave past 1024 terms (_sizes): fewer than 90 lengths serve any grid. Each length's
+    moments are folded into real tables of the even and odd orders (_tables), and each
+    distance's cos and sin samples against them give Re S and Im S, in row blocks of bounded
+    size: memory does not grow with distances x terms. scattering(z) is that array call at
+    one distance, checked by the ScatteringMatrix record it returns. A chain above _MAX_SITES
+    sites, or a farthest distance whose series passes _MAX_TERMS terms, is refused with
+    ValueError before anything is allocated.
     """
 
     def __init__(self, params: CouplerParams, lattice: LatticeReservoir):
@@ -244,9 +246,9 @@ class LatticePropagator:
 
     def _sizes(self, z: np.ndarray) -> np.ndarray:
         """The series length N of each distance, an FFT length whose half
-        N / 2 >= M is the number of terms, once every distance is finite and
-        non-negative, the chain within _MAX_SITES sites and the farthest
-        distance's series within _MAX_TERMS terms."""
+        N / 2 >= M is the number of terms rounded up to its class (_TERMS_STEP),
+        once every distance is finite and non-negative, the chain within _MAX_SITES
+        sites and the farthest distance's series within _MAX_TERMS terms."""
         if not (np.isfinite(z).all() and (z >= 0.0).all()):
             raise ValueError("z must be finite and non-negative")
         sigma, n = self.lattice.sigma, self.lattice.n_sites
@@ -264,7 +266,8 @@ class LatticePropagator:
             raise ValueError(f"chain reservoir too large: {width} and z = {far:g} "
                              f"need a longer series; the limit is {_MAX_TERMS:.0e} terms")
         terms = _chebyshev_terms(self._radius * z)
-        return 2 * _TERMS_STEP * np.ceil(terms / _TERMS_STEP).astype(int)
+        step = np.maximum(_TERMS_STEP, 2.0 ** (np.floor(np.log2(terms)) - 3))
+        return 2 * (step * np.ceil(terms / step)).astype(int)
 
     def _samples(self, z, size: int) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of rz sin(tau_k), tau_k = 2 pi k / N, k = 0 .. N / 4, for each distance z

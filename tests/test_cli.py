@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from ptcoupler.classical import EP_DISCRIMINANT_TOL, classify_ep, supermodes
+from ptcoupler.classical import EP_DISCRIMINANT_TOL, classical_power_curve, classify_ep, supermodes
 import ptcoupler
 from ptcoupler.cli import (
     SWEEP_OBSERVABLES,
@@ -26,7 +26,7 @@ from ptcoupler.cli import (
     run_sweep,
     write_table,
 )
-from ptcoupler.core import MAX_GRID_POINTS, CouplerParams, DecayCurve
+from ptcoupler.core import MAX_GRID_POINTS, ClassicalInput, CouplerParams, DecayCurve, PropagationGrid
 from ptcoupler.quantum import (
     mean_photon_number,
     survival_entangled,
@@ -139,6 +139,20 @@ def test_fig2_flag_overrides(tmp_path):
     assert len(curves[0].z_values()) == 11
     assert curves[0].z_values()[-1] == 2.0
     assert metadata["gamma"] == "1"
+
+
+def test_fig2_columns_are_the_power_curves_bit_for_bit(tmp_path):
+    # At the exceptional point, over three of fig2's blocks of the grid (5461 points at each
+    # of its three rates): the same doubles as one classical_power_curve call per launch.
+    assert main(["fig2", "--out", str(tmp_path), "--kappa", "1.3", "--points", "12001",
+                 "--zmax", "7"]) == 0
+    _, curves = read_decay_curves(tmp_path / "fig2_gamma2.csv")
+    params, grid = CouplerParams(0.0, 0.0, 1.3, 2.0 * 1.3), PropagationGrid(7.0, 12001)
+    for launch in (ClassicalInput.BALANCED_ORTHOGONAL, ClassicalInput.SINGLE_WAVEGUIDE):
+        expected = classical_power_curve(params, launch, grid)
+        got = curve_by_label(curves, expected.label)
+        assert np.array_equal(got.z_values(), expected.z_values())
+        assert np.array_equal(got.values(), expected.values())
 
 
 def test_fig2_strong_loss_stays_finite(tmp_path):

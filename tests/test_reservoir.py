@@ -555,6 +555,35 @@ def test_scattering_array_is_bit_for_bit_on_fig5_shapes(monkeypatch):
     assert np.array_equal(split[0], s) and np.array_equal(split[1], det)
 
 
+class EveryMultipleOfTheStep(LatticePropagator):
+    """Series lengths rounded up to a multiple of _TERMS_STEP at every length."""
+
+    def _sizes(self, z):
+        super()._sizes(z)  # the refusals
+        terms = reservoir._chebyshev_terms(self._radius * z)
+        return 2 * reservoir._TERMS_STEP * np.ceil(terms / reservoir._TERMS_STEP).astype(int)
+
+
+def test_long_chains_share_a_few_tables_and_keep_their_s(monkeypatch):
+    # fig5 --zmax 1000's second chain: 301 distances of up to 5e4 terms. Rounded up to
+    # eight lengths per octave, they need at most 64 tables (301 at every multiple of the
+    # step) and no longer moment series; S moves by round-off only. Measured: 5.5e-14.
+    params = CouplerParams(0.0, 0.0, 1.0, 0.0)
+    lat, zs = LatticeReservoir(20.0, 10.0, min_lattice_size(20.0, 1000.0)), np.linspace(0.0, 1000.0, 301)
+    sizes, tables = [], LatticePropagator._tables
+    monkeypatch.setattr(LatticePropagator, "_tables",
+                        staticmethod(lambda moments, size: sizes.append(size) or tables(moments, size)))
+    s, det = LatticePropagator(params, lat).scattering_array(zs)
+    assert len(sizes) <= 64
+    prop = EveryMultipleOfTheStep(params, lat)
+    terms = reservoir._chebyshev_terms(prop._radius * zs[-1])
+    assert max(sizes) // 2 <= 2 ** math.ceil(math.log2(terms))
+    sizes.clear()
+    s_every, det_every = prop.scattering_array(zs)
+    assert len(sizes) == 301
+    assert np.abs(s - s_every).max() <= 1e-13 and np.abs(det - det_every).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", [1, 2, 10**6])
 @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e-9, 1e6])
 @pytest.mark.parametrize("rho_per_sigma", [0.0, 1e3])
