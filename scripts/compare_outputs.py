@@ -4,7 +4,7 @@
     python scripts/compare_outputs.py --baseline HEAD
 
 Commands: fig2 to fig5 at their defaults and off them (grids that cross
-write_table's 1024-row blocks, a single --gamma and --phi, a short chain
+write_table's 1536-row blocks, a single --gamma and --phi, a short chain
 over a long distance, a fig5 grid of several pieces), the sweep of
 scripts/sweep_example.cfg, the lattice sweeps of SWEEPS (1200 rows; every
 z = 0 on the 11-site default chain; no rho; no z), a memoryless sweep with

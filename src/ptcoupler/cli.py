@@ -37,7 +37,7 @@ from .classical import _power, _regimes, _supermodes
 from .core import (MAX_GRID_POINTS, ClassicalInput, CouplerParams, PolarizationEntangled, PropagationGrid,
                    require_non_negative)
 from .quantum import (
-    _survival_function,
+    _survival_label,
     mean_photon_number,
     survival_entangled,
     survival_fermionic,
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _WRITE_LINES = 1536  # rows that write_table writes at a time, over all of a table's files
-_FIGURE_POINTS = 2**14  # (rate, z) points that fig2 to fig4 evaluate at a time
+_FIGURE_POINTS = 2**14  # propagators that fig2 to fig5 and the sweep evaluate at a time
 
 
 def format_float(x: float) -> str:
@@ -295,11 +295,18 @@ def _write_tables(out, command: str, settings: dict, tables) -> None:
         raise
 
 
+def _length(kappa: float, units: float, name: str) -> float:
+    """units / kappa, the length name, refused naming kappa where it passes the float range."""
+    if units / kappa == math.inf:
+        raise ValueError(f"kappa = {kappa:g}: {name} = {units:g}/kappa passes the float range")
+    return units / kappa
+
+
 def _grid(args, zmax: float, points: int) -> PropagationGrid:
     """The z grid from --zmax/--points, else from the command's defaults
     (zmax in units of 1/kappa)."""
-    return PropagationGrid(args.zmax if args.zmax is not None else zmax / args.kappa,
-                           args.points if args.points is not None else points)
+    zmax = args.zmax if args.zmax is not None else _length(args.kappa, zmax, "the default zmax")
+    return PropagationGrid(zmax, args.points if args.points is not None else points)
 
 
 def _rates(value, kappa: float, defaults: tuple[float, ...]) -> list[float]:
@@ -358,12 +365,12 @@ def cmd_fig4(args) -> int:
     gammas = _rates(args.gamma, kappa, (0.625, 2.5))
     phis = [args.phi] if args.phi is not None else [0.0, 2.0 * math.pi / 3.0, math.pi]
     # PolarizationEntangled refuses a bad --phi before anything is computed.
-    labels = [_survival_function(PolarizationEntangled(phi))[1] for phi in phis]
+    labels = [_survival_label(PolarizationEntangled(phi)) for phi in phis]
     phase_axis = np.array(phis)[:, None]  # each phase's column: P_B and P_F mixed at once
     head = {"command": "fig4", "panel": "a", "backend": "markovian",
             "input": "polarization_entangled_pair"}
     # z0: the product kappa z0 = 3 as a length; panel (b)'s loss rates run up to 5 kappa.
-    z0, (gamma_max,) = 3.0 / kappa, _rates(None, kappa, (5.0,))
+    z0, (gamma_max,) = _length(kappa, 3.0, "z0"), _rates(None, kappa, (5.0,))
 
     def tables():
         # Panel (a): survival vs distance, one file per loss rate.
@@ -385,7 +392,7 @@ def cmd_fig4(args) -> int:
 
 def cmd_fig5(args) -> int:
     grid, kappa = _grid(args, 3.0, 301), args.kappa
-    sigma = args.sigma if args.sigma is not None else 20.0 * kappa
+    (sigma,) = _rates(args.sigma, kappa, (20.0,))
     rhos = _rates(args.rho, kappa, (5.0, 10.0))
     phi = PolarizationEntangled(args.phi if args.phi is not None else math.pi).phi
     nsites, chains = _chains(args, sigma, rhos, args.beta2, np.array([grid.z_max]))

@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
@@ -24,9 +23,7 @@ __all__ = [
     "PropagationGrid",
     "DecayCurve",
     "ClassicalInput",
-    "Indistinguishable",
     "PolarizationEntangled",
-    "TwoPhotonInput",
 ]
 
 # Slack on the singular values of a passive propagator: wide enough to
@@ -164,8 +161,8 @@ class ScatteringMatrix:
     as exp(-i tr(M) z), which evades the catastrophic cancellation of the
     entrywise product difference once the determinant is many orders of
     magnitude below the entries. Restrictions of a larger unitary have no
-    such reduction and leave det unset. Records compare and hash by entries,
-    z and det. A one-point propagator of the library (scattering_matrix,
+    such reduction and leave det unset. Records compare by identity. A
+    one-point propagator of the library (scattering_matrix,
     LatticePropagator.scattering) is the array call at one point, checked by
     this record.
     """
@@ -182,15 +179,6 @@ class ScatteringMatrix:
         check_propagators(s, self.det)
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScatteringMatrix):
-            return NotImplemented
-        return self.z == other.z and self.det == other.det and np.array_equal(self.s, other.s)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
-        return hash((self.z, self.det, (self.s + 0.0).tobytes()))
 
     def __array__(self, dtype=None, copy=None):
         # copy is not forwarded: numpy 1.x calls this without it and refuses
@@ -334,14 +322,10 @@ class ClassicalInput(Enum):
 
 
 @dataclass(frozen=True)
-class Indistinguishable:
-    """One photon in each arm, same polarization: the bosonic pair input."""
-
-
-@dataclass(frozen=True)
 class PolarizationEntangled:
     """One photon per arm in the polarization-entangled superposition with
-    exchange phase phi: phi = 0 behaves bosonic, phi = pi fermionic."""
+    exchange phase phi, the one two-photon input: phi = 0 is the bosonic
+    pair (two indistinguishable photons), phi = pi the fermionic one."""
 
     phi: float
 
@@ -349,6 +333,3 @@ class PolarizationEntangled:
         _require_finite("phi", self.phi)
         if not 0.0 <= self.phi <= math.pi:
             raise ValueError("phi must lie in [0, pi]")
-
-
-TwoPhotonInput = Union[Indistinguishable, PolarizationEntangled]

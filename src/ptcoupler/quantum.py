@@ -15,9 +15,10 @@ sum: sum_nm A_nm B_nm* = 0 for A symmetric, B antisymmetric. For the bare
 coupler P_F = e^{-2 gamma z} in every regime, so the coalescence enters P
 only through P_B, whose weight vanishes at phi = pi.
 
-survival_curve evaluates any of these along a grid against either the
-closed-form coupler propagator (memoryless loss, no reservoir) or the exact
-propagator of a LatticeReservoir. two_photon_oracle is an independent check:
+survival_curve evaluates P at an input's exchange phase (P_B at phi = 0,
+P_F at phi = pi) along a grid against either the closed-form coupler
+propagator (memoryless loss, no reservoir) or the exact propagator of a
+LatticeReservoir. two_photon_oracle is an independent check:
 it evolves the two-photon amplitude matrix A(z) = U A(0) U^T with a dense
 matrix exponential and takes norms, never touching the formulas above.
 """
@@ -28,15 +29,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    CouplerParams,
-    DecayCurve,
-    Indistinguishable,
-    PolarizationEntangled,
-    PropagationGrid,
-    ScatteringMatrix,
-    TwoPhotonInput,
-)
+from .core import CouplerParams, DecayCurve, PolarizationEntangled, PropagationGrid, ScatteringMatrix
 from .reservoir import LatticePropagator, LatticeReservoir
 # scattering_matrix stays bound: perfbench/tracing.py wraps it where it is bound.
 from .scattering import scattering_array, scattering_matrix  # noqa: F401
@@ -120,25 +113,24 @@ def mean_photon_number(s) -> float | np.ndarray:
     return p_from_arm1 + p_from_arm2
 
 
-def _survival_function(input_state: TwoPhotonInput):
-    """An input's survival observable f(s, det) and curve label, formatted here only."""
-    if isinstance(input_state, Indistinguishable):
-        return (lambda s, det: survival_indistinguishable(s)), "survival_indistinguishable"
-    if isinstance(input_state, PolarizationEntangled):
-        phi = input_state.phi
-        return (lambda s, det: survival_entangled(s, phi, det)), f"survival_phi_{phi:.12g}"
-    raise ValueError(f"unknown two-photon input {input_state!r}")
+def _survival_label(input_state: PolarizationEntangled) -> str:
+    """The curve label of an input's survival, formatted here only; any other
+    input is refused."""
+    if not isinstance(input_state, PolarizationEntangled):
+        raise ValueError(f"unknown two-photon input {input_state!r}")
+    return f"survival_phi_{input_state.phi:.12g}"
 
 
 def survival_curve(
     params: CouplerParams,
-    input_state: TwoPhotonInput,
+    input_state: PolarizationEntangled,
     grid: PropagationGrid,
     reservoir: LatticeReservoir | None = None,
 ) -> DecayCurve:
     """Pair survival along the grid: memoryless loss at params.gamma when
-    reservoir is None, else the chain reservoir traced explicitly."""
-    fn, label = _survival_function(input_state)
+    reservoir is None, else the chain reservoir traced explicitly. At
+    phi = 0 these are survival_indistinguishable's values, bit for bit."""
+    label = _survival_label(input_state)
     zs = grid.points()
     if reservoir is None:
         s, det = scattering_array(params, zs)
@@ -146,30 +138,24 @@ def survival_curve(
         s, det = LatticePropagator(params, reservoir).scattering_array(zs)
     else:
         raise ValueError(f"unknown reservoir {reservoir!r}")
-    return DecayCurve.from_arrays(label, zs, fn(s, det))
+    return DecayCurve.from_arrays(label, zs, survival_entangled(s, input_state.phi, det))
 
 
-def _pair_amplitudes(u: np.ndarray, input_state: TwoPhotonInput) -> np.ndarray:
-    """Two-photon amplitude matrix A(z) = U A(0) U^T for the given input.
-
-    For the indistinguishable pair A is symmetric with the normalization
-    sum 2|A_nm|^2 = 1; for the entangled pair the two polarization sectors
-    are distinguishable and the plain squared sum is the norm.
-    """
+def _pair_amplitudes(u: np.ndarray, input_state: PolarizationEntangled) -> np.ndarray:
+    """Two-photon amplitude matrix A(z) = U A(0) U^T of the entangled pair,
+    A(0) = (|01> + e^{i phi} |10>)/sqrt(2): the two polarization sectors are
+    distinguishable, so the plain squared sum of A is the norm."""
+    if not isinstance(input_state, PolarizationEntangled):
+        raise ValueError(f"unknown two-photon input {input_state!r}")
     n = u.shape[0]
     a0 = np.zeros((n, n), dtype=complex)
-    if isinstance(input_state, Indistinguishable):
-        a0[0, 1] = a0[1, 0] = 0.5
-    elif isinstance(input_state, PolarizationEntangled):
-        rt = 1.0 / math.sqrt(2.0)
-        a0[0, 1] = rt
-        a0[1, 0] = rt * np.exp(1j * input_state.phi)
-    else:
-        raise ValueError(f"unknown two-photon input {input_state!r}")
+    rt = 1.0 / math.sqrt(2.0)
+    a0[0, 1] = rt
+    a0[1, 0] = rt * np.exp(1j * input_state.phi)
     return u @ a0 @ u.T
 
 
-def two_photon_oracle(h, input_state: TwoPhotonInput, z: float) -> float:
+def two_photon_oracle(h, input_state: PolarizationEntangled, z: float) -> float:
     """Brute-force pair survival from the full single-photon matrix h.
 
     Exponentiates h densely (scaling and squaring), evolves the two-photon
@@ -189,6 +175,5 @@ def two_photon_oracle(h, input_state: TwoPhotonInput, z: float) -> float:
 
     u = scipy.linalg.expm(-1j * z * h)
     a = _pair_amplitudes(u, input_state)
-    weight = 2.0 if isinstance(input_state, Indistinguishable) else 1.0
-    p = weight * float(np.sum(np.abs(a[:2, :2]) ** 2))
+    p = float(np.sum(np.abs(a[:2, :2]) ** 2))
     return _clamp_probability(p, "oracle survival")

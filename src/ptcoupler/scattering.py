@@ -107,7 +107,9 @@ def _propagators(params: CouplerParams, z: np.ndarray, gamma=None) -> tuple[np.n
         t_small = np.broadcast_to(t, x.shape)[small]
         sinc[small] = t_small * (1.0 + y / 2.0 * (1.0 + y / 3.0 * (1.0 + y / 4.0 * (1.0 + y / 5.0))))
     slow = np.exp(-1j * slow_phase)
-    cos = slow * (1.0 + 0.5 * q)
+    # Not slow * (...): numpy reuses a temporary of 16384 or more values in place, with the
+    # operands swapped, which rounds differently, so S's bits would follow the array's size.
+    cos = np.multiply(slow, 1.0 + 0.5 * q)
     sin = slow * sinc
     s = np.empty(x.shape + (2, 2), dtype=complex)
     s[..., 0, 0] = cos - 1j * sin * d

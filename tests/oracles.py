@@ -5,7 +5,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ptcoupler.core import CouplerParams, Indistinguishable, PolarizationEntangled, TwoPhotonInput
+from ptcoupler.core import CouplerParams, PolarizationEntangled
 from ptcoupler.quantum import _clamp_probability
 from ptcoupler.reservoir import full_hamiltonian
 
@@ -18,7 +18,7 @@ def coupler_matrix(params: CouplerParams) -> np.ndarray:
                      [params.kappa, complex(params.beta2, -params.gamma)]], dtype=complex)
 
 
-def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
+def two_photon_oracle_kron(h, input_state: PolarizationEntangled, z: float) -> float:
     """Pair survival, as ptcoupler.quantum.two_photon_oracle gives it, from
     the literal two-particle Hamiltonian h (x) 1 + 1 (x) h on the
     tensor-product space. Dimension squares, so keep it to small systems;
@@ -33,16 +33,12 @@ def two_photon_oracle_kron(h, input_state: TwoPhotonInput, z: float) -> float:
         raise ValueError("z must be finite and non-negative")
     eye = np.eye(n)
     h2 = np.kron(h, eye) + np.kron(eye, h)
-    psi0 = np.zeros((n, n), dtype=complex)
-    if isinstance(input_state, Indistinguishable):
-        rt = 1.0 / math.sqrt(2.0)
-        psi0[0, 1] = psi0[1, 0] = rt
-    elif isinstance(input_state, PolarizationEntangled):
-        rt = 1.0 / math.sqrt(2.0)
-        psi0[0, 1] = rt
-        psi0[1, 0] = rt * np.exp(1j * input_state.phi)
-    else:
+    if not isinstance(input_state, PolarizationEntangled):
         raise ValueError(f"unknown two-photon input {input_state!r}")
+    psi0 = np.zeros((n, n), dtype=complex)
+    rt = 1.0 / math.sqrt(2.0)
+    psi0[0, 1] = rt
+    psi0[1, 0] = rt * np.exp(1j * input_state.phi)
     psi = scipy.linalg.expm(-1j * z * h2) @ psi0.reshape(-1)
     psi = psi.reshape(n, n)
     p = float(np.sum(np.abs(psi[:2, :2]) ** 2))

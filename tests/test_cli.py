@@ -764,11 +764,26 @@ def test_lossless_chain_past_the_roundoff_slack_exits_1_naming_the_survival(tmp_
     (["fig5", "--kappa", "1e307", "--sigma", "1e307", "--points", "3"],
      "chain reservoir out of range: sigma = 1e+307 and rho = 1e+308 give a spectral centre 0 "
      "and width inf\n"),
-], ids=["fig2", "fig3", "fig5"])
+    # Lengths in units of 1/kappa and fig5's sigma = 20 kappa: refused before the directory
+    # is made, so fig4's z0 before its panel (a) is evaluated.
+    (["fig2", "--kappa", "1e-310", "--points", "3"],
+     "kappa = 1e-310: the default zmax = 10/kappa passes the float range\n"),
+    (["fig4", "--kappa", "1e-310", "--zmax", "1", "--points", "5"],
+     "kappa = 1e-310: z0 = 3/kappa passes the float range\n"),
+    (["fig5", "--kappa", "1e307", "--points", "3"],
+     "kappa = 1e+307: the default rates up to 20 kappa pass the float range\n"),
+], ids=["fig2", "fig3", "fig5", "fig2_zmax", "fig4_z0", "fig5_sigma"])
 def test_a_refused_command_leaves_no_file(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: " + message
     assert leftovers(tmp_path / "out") == []
+
+
+def test_a_given_zmax_needs_no_default_length_of_kappa(tmp_path):
+    # 10/kappa passes the floats at kappa = 1e-310, but --zmax replaces it.
+    assert main(["fig2", "--kappa", "1e-310", "--zmax", "1", "--points", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("fig2_gamma*.csv"))) == 3
 
 
 def test_a_failed_move_takes_back_the_files_moved_before_it(tmp_path):

@@ -12,7 +12,6 @@ from ptcoupler.core import (
     ClassicalInput,
     CouplerParams,
     DecayCurve,
-    Indistinguishable,
     PolarizationEntangled,
     PropagationGrid,
     ScatteringMatrix,
@@ -69,7 +68,7 @@ def test_matrix2_roundtrip_and_reductions():
     m = ScatteringMatrix(rows, z=1.0)
     a = m.as_array()
     assert a.dtype == complex and np.array_equal(a, np.array(rows))
-    assert ScatteringMatrix(a, z=1.0) == m
+    assert np.array_equal(ScatteringMatrix(a, z=1.0), a)
     assert np.trace(a) == (0.5 + 0.1j) + (0.2 - 0.1j)
     assert m.determinant == (0.5 + 0.1j) * (0.2 - 0.1j) - 0.3j * (-0.1)
 
@@ -119,16 +118,12 @@ def test_scattering_matrix_entry_shorthands():
     assert np.array_equal(s.as_array(), m)
 
 
-def test_scattering_matrix_is_a_read_only_array_view_with_value_semantics():
+def test_scattering_matrix_is_a_read_only_array_view_compared_by_identity():
     m = np.array([[0.5, -0.1j], [0.2j, 0.5]])
     a = ScatteringMatrix(m, z=1.0)
     b = ScatteringMatrix(m.tolist(), z=1.0)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != ScatteringMatrix(m, z=2.0)
-    assert a != ScatteringMatrix(m, z=1.0, det=a.determinant)
-    assert a != ScatteringMatrix(m.T, z=1.0)
-    assert a != m.tolist()
+    assert np.array_equal(a, b) and (a.z, a.det) == (b.z, b.det)
+    assert a == a and a != b and len({a, b}) == 2  # records of equal entries stay two
     m[0, 0] = 0.0  # the record keeps its own copy
     assert a.s11 == 0.5
     view = np.asarray(a)
@@ -192,10 +187,6 @@ def test_entangled_phi_range():
         PolarizationEntangled(math.pi + 0.1)
     with pytest.raises(ValueError, match="phi"):
         PolarizationEntangled(math.nan)
-
-
-def test_indistinguishable_is_value_like():
-    assert Indistinguishable() == Indistinguishable()
 
 
 # -- array checks -----------------------------------------------------------

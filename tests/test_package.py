@@ -9,7 +9,18 @@ import ptcoupler
 def test_public_surface():
     from ptcoupler import classical, core, scattering
 
-    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 26
+    assert len(ptcoupler.__all__) == len(set(ptcoupler.__all__)) == 24
+    assert set(ptcoupler.__all__) == {
+        "__version__",
+        "CouplerParams", "ScatteringMatrix", "PropagationGrid", "DecayCurve", "ClassicalInput",
+        "PolarizationEntangled",
+        "SupermodePair", "supermodes", "classify_ep", "classical_power_curve",
+        "scattering_matrix",
+        "LatticeReservoir", "lattice_gamma", "min_lattice_size", "full_hamiltonian",
+        "LatticePropagator", "nonmarkovian_scattering",
+        "survival_indistinguishable", "survival_entangled", "survival_fermionic",
+        "mean_photon_number", "survival_curve", "two_photon_oracle",
+    }
     for name in ptcoupler.__all__:
         assert hasattr(ptcoupler, name), name
     # Tolerances are importable by module path but are not public names.

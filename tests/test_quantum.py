@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from ptcoupler.classical import ClassicalInput, classical_power_curve
 from ptcoupler.core import (
     CouplerParams,
-    Indistinguishable,
     PolarizationEntangled,
     PropagationGrid,
 )
@@ -239,8 +238,8 @@ def test_clamp_raises_beyond_roundoff():
 def test_survival_curve_labels():
     params = CouplerParams(0.0, 0.0, 1.0, 0.5)
     grid = PropagationGrid(z_max=2.0, num_points=5)
-    c1 = survival_curve(params, Indistinguishable(), grid)
-    assert c1.label == "survival_indistinguishable"
+    c1 = survival_curve(params, PolarizationEntangled(phi=0.0), grid)
+    assert c1.label == "survival_phi_0"
     c2 = survival_curve(params, PolarizationEntangled(phi=math.pi / 2.0), grid)
     assert c2.label == "survival_phi_1.57079632679"
     assert c1.z_values()[0] == 0.0
@@ -249,7 +248,7 @@ def test_survival_curve_labels():
 
 def test_survival_curve_lossless_is_flat():
     grid = PropagationGrid(z_max=5.0, num_points=11)
-    curve = survival_curve(lossless(), Indistinguishable(), grid)
+    curve = survival_curve(lossless(), PolarizationEntangled(phi=0.0), grid)
     assert np.abs(np.asarray(curve.values()) - 1.0).max() < 1e-12
 
 
@@ -257,10 +256,27 @@ def test_survival_curve_lattice_backend_matches_propagator():
     params = lossless()
     lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=41)
     grid = PropagationGrid(z_max=1.5, num_points=7)
-    curve = survival_curve(params, Indistinguishable(), grid, reservoir=lat)
+    curve = survival_curve(params, PolarizationEntangled(phi=0.0), grid, reservoir=lat)
     prop = LatticePropagator(params, lat)
     for z, value in zip(curve.z_values(), curve.values()):
         assert abs(value - survival_indistinguishable(prop.scattering(z))) < 1e-14
+
+
+def test_survival_curve_at_phi_0_is_the_indistinguishable_pair_bit_for_bit():
+    # phi = 0 is the bosonic pair: its weights cos^2(phi/2) = 1, sin^2(phi/2) = 0 are exact.
+    rng = np.random.default_rng(28)
+    grid = PropagationGrid(z_max=12.0, num_points=2001)
+    zs = grid.points()
+    for _ in range(12):
+        kappa = rng.uniform(0.2, 3.0)
+        ratio = rng.choice([0.0, 2.0, rng.uniform(0.0, 10.0)])  # lossless, at the EP, any
+        params = CouplerParams(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), kappa, ratio * kappa)
+        curve = survival_curve(params, PolarizationEntangled(phi=0.0), grid)
+        assert np.array_equal(curve.values(), survival_indistinguishable(scattering_array(params, zs)[0]))
+    lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=700)
+    curve = survival_curve(lossless(), PolarizationEntangled(phi=0.0), grid, reservoir=lat)
+    s, _ = LatticePropagator(lossless(), lat).scattering_array(zs)
+    assert np.array_equal(curve.values(), survival_indistinguishable(s))
 
 
 def test_survival_curve_rejects_loss_with_lattice():
@@ -268,13 +284,13 @@ def test_survival_curve_rejects_loss_with_lattice():
     lat = LatticeReservoir(sigma=5.0, rho=2.0, n_sites=11)
     grid = PropagationGrid(z_max=1.0, num_points=3)
     with pytest.raises(ValueError, match="mutually exclusive"):
-        survival_curve(params, Indistinguishable(), grid, reservoir=lat)
+        survival_curve(params, PolarizationEntangled(phi=0.0), grid, reservoir=lat)
 
 
 def test_survival_curve_rejects_unknown_backend_and_input():
     grid = PropagationGrid(z_max=1.0, num_points=3)
     with pytest.raises(ValueError, match="unknown reservoir 'markov'"):
-        survival_curve(lossless(), Indistinguishable(), grid, reservoir="markov")
+        survival_curve(lossless(), PolarizationEntangled(phi=0.0), grid, reservoir="markov")
     with pytest.raises(ValueError, match="unknown two-photon input"):
         survival_curve(lossless(), "bosons", grid)
 
@@ -293,7 +309,7 @@ def test_oracle_matches_memoryless_formulas():
         z = rng.uniform(0.0, 3.0)
         h = coupler_matrix(params)
         s = scattering_matrix(params, z)
-        assert abs(two_photon_oracle(h, Indistinguishable(), z)
+        assert abs(two_photon_oracle(h, PolarizationEntangled(phi=0.0), z)
                    - survival_indistinguishable(s)) < 1e-12
         for phi in (0.0, 2.0 * math.pi / 3.0, math.pi):
             assert abs(two_photon_oracle(h, PolarizationEntangled(phi=phi), z)
@@ -307,7 +323,7 @@ def test_oracle_matches_lattice_formulas():
     prop = LatticePropagator(params, lat)
     for z in (0.0, 0.7, 1.9):
         s = prop.scattering(z)
-        assert abs(two_photon_oracle(h, Indistinguishable(), z)
+        assert abs(two_photon_oracle(h, PolarizationEntangled(phi=0.0), z)
                    - survival_indistinguishable(s)) < 1e-10
         assert abs(two_photon_oracle(h, PolarizationEntangled(phi=math.pi), z)
                    - survival_entangled(s, math.pi)) < 1e-10
@@ -315,17 +331,17 @@ def test_oracle_matches_lattice_formulas():
 
 def test_oracle_unit_at_zero_distance():
     h = coupler_matrix(CouplerParams(0.3, -0.4, 1.0, 2.0))
-    assert abs(two_photon_oracle(h, Indistinguishable(), 0.0) - 1.0) < 1e-14
+    assert abs(two_photon_oracle(h, PolarizationEntangled(phi=0.0), 0.0) - 1.0) < 1e-14
     assert abs(two_photon_oracle(h, PolarizationEntangled(phi=1.0), 0.0) - 1.0) < 1e-14
 
 
 def test_oracle_validation():
     with pytest.raises(ValueError, match="square"):
-        two_photon_oracle(np.zeros((2, 3)), Indistinguishable(), 1.0)
+        two_photon_oracle(np.zeros((2, 3)), PolarizationEntangled(phi=0.0), 1.0)
     with pytest.raises(ValueError, match="square"):
-        two_photon_oracle(np.zeros((1, 1)), Indistinguishable(), 1.0)
+        two_photon_oracle(np.zeros((1, 1)), PolarizationEntangled(phi=0.0), 1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        two_photon_oracle(np.zeros((2, 2)), Indistinguishable(), -1.0)
+        two_photon_oracle(np.zeros((2, 2)), PolarizationEntangled(phi=0.0), -1.0)
     with pytest.raises(ValueError, match="unknown two-photon input"):
         two_photon_oracle(np.zeros((2, 2)), object(), 1.0)
 
@@ -335,7 +351,7 @@ def test_oracle_without_scipy_names_the_test_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     with pytest.raises(ImportError, match=r"needs scipy: install the test extra, ptcoupler\[test\]"):
-        two_photon_oracle(np.eye(2), Indistinguishable(), 1.0)
+        two_photon_oracle(np.eye(2), PolarizationEntangled(phi=0.0), 1.0)
 
 
 def test_kron_oracle_agrees_with_congruence():
@@ -344,7 +360,7 @@ def test_kron_oracle_agrees_with_congruence():
     h = full_hamiltonian(params, lat)
     m = coupler_matrix(CouplerParams(0.1, -0.2, 0.9, 1.7))
     for z in (0.4, 1.6):
-        for state in (Indistinguishable(), PolarizationEntangled(phi=2.2)):
+        for state in (PolarizationEntangled(phi=0.0), PolarizationEntangled(phi=2.2)):
             assert abs(two_photon_oracle_kron(h, state, z)
                        - two_photon_oracle(h, state, z)) < 1e-10
             assert abs(two_photon_oracle_kron(m, state, z)
@@ -353,7 +369,7 @@ def test_kron_oracle_agrees_with_congruence():
 
 def test_kron_oracle_rejects_large_systems():
     with pytest.raises(ValueError, match="small systems"):
-        two_photon_oracle_kron(np.eye(13), Indistinguishable(), 1.0)
+        two_photon_oracle_kron(np.eye(13), PolarizationEntangled(phi=0.0), 1.0)
 
 
 # -- array observables -----------------------------------------------------

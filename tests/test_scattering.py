@@ -298,3 +298,11 @@ def test_closed_form_is_the_same_bits_in_any_slice_of_a_grid():
         for i in rng.choice(zs.size, 111, replace=False):  # 2,220 one-point calls in all
             record = scattering_matrix(p, zs[i])
             assert np.array_equal(record.as_array(), s[i]) and record.det == det[i]
+    # From 16384 values on, numpy may compute an expression in a temporary's memory, with
+    # its operands swapped: a grid past that size must still hold the bits of its slices.
+    p = CouplerParams(0.3, -0.2, 1.1, 0.7)
+    zs = PropagationGrid(20.0, 40001).points()
+    s, det = scattering_array(p, zs)
+    for part in (slice(start, start + 1000) for start in range(0, zs.size, 1000)):
+        s_part, det_part = scattering_array(p, zs[part])
+        assert np.array_equal(s_part, s[part]) and np.array_equal(det_part, det[part])
