@@ -11,18 +11,19 @@ z = 0 on the 11-site default chain; no rho; no z), a memoryless sweep with
 no phi, a sweep of several pieces on each backend, and every command of
 perfbench's workloads, the sweep_dense config at seeds 1 to 3 (each distinct
 argv once), must exit 0; the refusals (a negative z in a memoryless and in a
-lattice sweep, fig4 --phi 4, a chain past the site limit, a chain's series
-past its limit at the far end of a grid of several pieces, a grid step too
-small for distinct points) must exit 1. Every command and refusal must write
-the same stderr on both trees, byte for byte (the short chain's warning
-among them). Each tree runs them in fresh interpreters whose PYTHONPATH is
-its src/: this checkout's as it is on disk, and the src/ of the baseline
-extracted with git archive, as scripts/bench.py --baseline does. Every CSV
-and every <command>_run.txt sidecar is compared byte for byte (both trees
-read the same config paths); one that differs, or that only one tree wrote,
-is listed, and so is a command that does not exit as it must or whose exit
-code or stderr differs. A differing CSV names its differing columns, each
-with its largest absolute difference.
+lattice sweep, fig4 --phi 4 and --gamma -1, a chain past the site limit, a
+chain's series past its limit at the far end of a grid of several pieces, a
+grid step too small for distinct points) must exit 1, and on this tree leave
+no --out directory. Every command and refusal must write the same stderr on
+both trees, byte for byte (the short chain's warning among them). Each tree
+runs them in fresh interpreters whose PYTHONPATH is its src/: this checkout's
+as it is on disk, and the src/ of the baseline extracted with git archive, as
+scripts/bench.py --baseline does. Every CSV and every <command>_run.txt
+sidecar is compared byte for byte (both trees read the same config paths);
+one that differs, or that only one tree wrote, is listed, and so is a command
+that does not exit as it must or whose exit code or stderr differs, and a
+refusal that leaves its --out directory on this tree. A differing CSV names
+its differing columns, each with its largest absolute difference.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def refusals(configs: Path) -> dict[str, list[str]]:
         (configs / f"refuse_{backend}.cfg").write_text(f"backend = {backend}\n{axis}\nphi = 0\nz = 0, -1\n")
         runs[f"refuse_{backend}_negative_z"] = ["sweep", "--config", str(configs / f"refuse_{backend}.cfg")]
     runs["refuse_fig4_phi"] = ["fig4", "--phi", "4"]
+    runs["refuse_fig4_gamma"] = ["fig4", "--gamma", "-1"]
     runs["refuse_fig5_sites"] = ["fig5", "--sigma", "1e6", "--points", "2"]
     runs["refuse_fig5_series"] = ["fig5", "--points", "100000", "--zmax", "12000"]
     runs["refuse_fig2_step"] = ["fig2", "--zmax", "8e-323", "--points", "10"]
@@ -153,6 +155,9 @@ def main() -> int:
         trees = {"this": REPO / "src", "baseline": extract_src(args.baseline, tmp / "baseline_src")}
         problems = failures(runs, refused, {tree: run_tree(src, runs | refused, tmp / tree)
                                             for tree, src in trees.items()})
+        # This tree only: a baseline may predate refusing before the directory is made.
+        problems += [f"this: {name} left its --out directory" for name in refused
+                     if (tmp / "this" / name).exists()]
         files = {tree: {p.relative_to(tmp / tree) for pattern in ("*.csv", "*_run.txt")
                         for p in (tmp / tree).rglob(pattern)} for tree in trees}
         same = []

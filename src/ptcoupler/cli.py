@@ -2,13 +2,13 @@
 
 _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
 from _FLAGS); main() builds the parser once per process and runs <name> as the
-module-level cmd_<name>, looked up at dispatch. Each command lazily makes its
-tables, and _write_tables writes them and the <command>_run.txt sidecar, each
-in pieces of about _FIGURE_POINTS (rate, z) propagators from one call (_chains:
-one chain per rho): a figure over (rate, z), one file per rate, in pieces of the
-z grid (_per_rate); the sweep in pieces of consecutive axis values, each with
-all of their (phi, z) rows. So a command's peak follows one piece; a sweep holds
-one axis value's (phi, z) rows whole, and its config's z tuple (32 B a value).
+module-level cmd_<name>, looked up at dispatch. A command checks its propagator
+source, _closed_form (memoryless loss rates) or _chains (a chain per rho), before
+_write_tables makes --out and writes the tables, made in pieces of about
+_FIGURE_POINTS (rate, z) propagators from one source call, and <command>_run.txt:
+a figure in pieces of the z grid, one file per rate (_per_rate); the sweep in pieces
+of consecutive axis values with all their (phi, z) rows. So a command's peak follows
+one piece; a sweep holds one axis value's rows whole, and its z tuple (32 B a value).
 CSV layout, sweep keys, exit codes: README.md.
 
 write_table writes every CSV, one block of rows of all a table's files at a
@@ -323,15 +323,11 @@ def _shared(args, grid: PropagationGrid, **swept) -> dict:
             "zmax": grid.z_max, "points": grid.num_points}
 
 
-def _per_rate(args, grid, name: str, rates, values, labels, curves, propagators=None) -> list:
+def _per_rate(args, grid, name: str, rates, values, labels, curves, propagators) -> list:
     """The table over (rate, z) of fig2 to fig5, a rate being a loss rate or fig5's rho: one file
     <name><rate/kappa>.csv per rate, with the metadata values(rate), z and the curves labels. Its
     pieces of about _FIGURE_POINTS (rate, z) points are made as they are written: curves(s, det, zs)
-    gives each label's values, shape (rate, z), from one propagators(zs) call, S and determinants at
-    every rate over a piece zs of the grid (by default the closed form, the rates loss rates)."""
-    if propagators is None:
-        params, axis = CouplerParams(args.beta1, args.beta2, args.kappa), np.array(rates)[:, None]
-        propagators = lambda zs: scattering_array(params, zs, gamma=axis)  # noqa: E731
+    gives each label's values, shape (rate, z), from one propagators(zs) call (_closed_form, _chains)."""
     step = max(1, _FIGURE_POINTS // len(rates))
     return [([f"{name}{rate / args.kappa:g}.csv" for rate in rates], [_metadata(values(rate)) for rate in rates],
              ["z", *labels], ([zs, *curves(*propagators(zs), zs)] for start in range(0, grid.num_points, step)
@@ -347,7 +343,8 @@ def cmd_fig2(args) -> int:
     _write_tables(args.out, "fig2", _shared(args, grid, gammas=gammas), _per_rate(
         args, grid, "fig2_gamma", gammas,
         lambda gamma: head | _shared(args, grid, gamma=gamma) | {"solid": labels[0], "dashed": labels[1]},
-        labels, lambda s, det, zs: [_power(s, launch) for launch in launches]))
+        labels, lambda s, det, zs: [_power(s, launch) for launch in launches],
+        _closed_form(args, gammas, np.array([grid.z_max]))))
     return 0
 
 
@@ -356,7 +353,8 @@ def cmd_fig3(args) -> int:
     head = {"command": "fig3", "backend": "markovian", "input": "indistinguishable_pair"}
     _write_tables(args.out, "fig3", _shared(args, grid, gammas=gammas), _per_rate(
         args, grid, "fig3_gamma", gammas, lambda gamma: head | _shared(args, grid, gamma=gamma),
-        ["survival_indistinguishable"], lambda s, det, zs: [survival_indistinguishable(s)]))
+        ["survival_indistinguishable"], lambda s, det, zs: [survival_indistinguishable(s)],
+        _closed_form(args, gammas, np.array([grid.z_max]))))
     return 0
 
 
@@ -371,15 +369,17 @@ def cmd_fig4(args) -> int:
             "input": "polarization_entangled_pair"}
     # z0: the product kappa z0 = 3 as a length; panel (b)'s loss rates run up to 5 kappa.
     z0, (gamma_max,) = _length(kappa, 3.0, "z0"), _rates(None, kappa, (5.0,))
+    # Panel (a): survival vs distance, one file per loss rate; (b): at z0 against the loss rate.
+    panel_a = _per_rate(args, grid, "fig4a_gamma", gammas,
+                        lambda gamma: head | _shared(args, grid, gamma=gamma) | {"phis": phis},
+                        labels, lambda s, det, zs: survival_entangled(s, phase_axis[..., None], det),
+                        _closed_form(args, gammas, np.array([grid.z_max])))
+    gamma_axis = np.linspace(0.0, gamma_max, 201)
+    panel_b = _closed_form(args, gamma_axis, np.array(z0))
 
     def tables():
-        # Panel (a): survival vs distance, one file per loss rate.
-        yield from _per_rate(args, grid, "fig4a_gamma", gammas,
-                             lambda gamma: head | _shared(args, grid, gamma=gamma) | {"phis": phis},
-                             labels, lambda s, det, zs: survival_entangled(s, phase_axis[..., None], det))
-        # Panel (b): survival at the fixed distance z0 against the loss rate.
-        gamma_axis = np.linspace(0.0, gamma_max, 201)
-        s, det = scattering_array(CouplerParams(args.beta1, args.beta2, kappa), z0, gamma=gamma_axis)
+        yield from panel_a
+        s, det = panel_b(np.array(z0))
         yield "fig4b.csv", _metadata(head | {
             "panel": "b", "kappa": kappa, "beta1": args.beta1, "beta2": args.beta2,
             "z0": z0, "kappa_z0": 3.0, "gamma_min": 0.0, "gamma_max": gamma_max,
@@ -395,12 +395,11 @@ def cmd_fig5(args) -> int:
     (sigma,) = _rates(args.sigma, kappa, (20.0,))
     rhos = _rates(args.rho, kappa, (5.0, 10.0))
     phi = PolarizationEntangled(args.phi if args.phi is not None else math.pi).phi
-    nsites, chains = _chains(args, sigma, rhos, args.beta2, np.array([grid.z_max]))
-    rates = np.array([lattice_gamma(sigma, rho) for rho in rhos])[:, None]
+    nsites, rates, chains = _chains(args, sigma, rhos, args.beta2, np.array([grid.z_max]))
 
     def curves(s, det, zs):
         with np.errstate(over="ignore"):  # gamma_eff z past the floats is inf, its exponential 0
-            markovian = np.exp(-2.0 * (rates * zs))  # 2 gamma_eff may overflow; inf times 0 is NaN
+            markovian = np.exp(-2.0 * (rates[:, None] * zs))  # 2 gamma_eff may overflow; inf times 0 is NaN
         return survival_entangled(s, phi, det), markovian
 
     def values(rho):
@@ -413,28 +412,33 @@ def cmd_fig5(args) -> int:
     _write_tables(args.out, "fig5", _shared(args, grid, rhos=rhos, sigma=sigma, phi=phi, nsites=nsites),
                   _per_rate(args, grid, "fig5_rho", rhos, values,
                             ["survival_lattice", "survival_markovian_exponential"], curves, chains))
-    _warn_if_short(nsites, sigma, grid.z_max)
     return 0
 
 
-def _warn_if_short(nsites: int, sigma: float, z_max: float) -> None:
-    """One stderr line if reflections off the chain ends can reach the coupler by z_max."""
-    if z_max > 0.0 and nsites < (needed := min_lattice_size(sigma, z_max)):
-        print(f"warning: nsites = {nsites} < min_lattice_size(sigma = {sigma:g}, zmax = {z_max:g}) "
-              f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
+def _closed_form(source, rates, zs: np.ndarray):
+    """propagators(z, part=slice(None)): S and the reduced determinants, shape (rate,) + z.shape, at
+    each loss rate of rates[part] from one scattering_array call on the coupler of source, the flags
+    or the sweep config. The coupler, the rates and the distances zs are checked before any S."""
+    params, rates = CouplerParams(source.beta1, source.beta2, source.kappa), require_non_negative("gamma", rates)
+    require_non_negative("z", zs)
+    return lambda z, part=slice(None): scattering_array(params, z, gamma=rates[part].reshape((-1,) + (1,) * z.ndim))
 
 
 def _chains(source, sigma: float, rhos, beta_lattice: float, zs: np.ndarray):
-    """nsites, source.nsites or else min_lattice_size(sigma, far) at the farthest distance of zs
-    (11 sites at far = 0), and propagators(z, part): S and the entrywise determinants on the chain
-    of each rho of rhos[part], shape (rho,) + z.shape. source, the flags or the sweep config, gives
-    beta1, beta2, kappa and nsites. Every chain is checked at zs, rho by rho, before any S is made."""
+    """nsites (source.nsites, else min_lattice_size(sigma, far) at the farthest distance of zs, 11 at
+    far = 0), the rates lattice_gamma(sigma, rho) and propagators(z, part) as _closed_form's, with the
+    entrywise determinants, on the chain of each rho. source also gives nsites. Every chain is checked
+    at zs, then every rate, before any S; a chain whose ends can reflect back by far warns on stderr."""
     far = float(zs.max(initial=0.0))
     nsites = source.nsites if source.nsites is not None else min_lattice_size(sigma, far) if far > 0.0 else 11
     params, chains = CouplerParams(source.beta1, source.beta2, source.kappa), []
     for rho in rhos:
         chains.append(LatticePropagator(params, LatticeReservoir(sigma, rho, nsites, beta_lattice)))
         chains[-1]._sizes(zs)  # the propagator's own refusal, before the first piece
+    rates = np.array([lattice_gamma(sigma, rho) for rho in rhos])
+    if far > 0.0 and nsites < (needed := min_lattice_size(sigma, far)):
+        print(f"warning: nsites = {nsites} < min_lattice_size(sigma = {sigma:g}, zmax = {far:g}) "
+              f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
 
     def propagators(z: np.ndarray, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         s, det = np.empty((n := len(chains[part]),) + z.shape + (2, 2), complex), np.empty((n,) + z.shape, complex)
@@ -442,7 +446,7 @@ def _chains(source, sigma: float, rhos, beta_lattice: float, zs: np.ndarray):
             s[i], det[i] = chain.scattering_array(z)
         return s, det
 
-    return nsites, propagators
+    return nsites, rates, propagators
 
 
 # One sweep column: observable name -> f(s, det, phis, bare, rates), its values
@@ -586,14 +590,10 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[list[np.ndarr
     bare = CouplerParams(cfg.beta1, cfg.beta2, cfg.kappa)
     axis_values, phis, zs = np.array(axis), np.array(cfg.phi), np.array(cfg.z)
     if cfg.backend == "markovian":
-        rates = require_non_negative("gamma", axis_values)
-        require_non_negative("z", zs)  # scattering_array's checks, for every piece before the first
-        propagators = lambda z, part: scattering_array(bare, z, gamma=rates[part, None, None])  # noqa: E731
+        rates, propagators = axis_values, _closed_form(cfg, axis_values, zs)
     else:
-        rates = np.array([lattice_gamma(cfg.sigma, rho) for rho in axis])
         beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
-        nsites, propagators = _chains(cfg, cfg.sigma, axis, beta_lattice, zs)
-        _warn_if_short(nsites, cfg.sigma, max(cfg.z, default=0.0))
+        _, rates, propagators = _chains(cfg, cfg.sigma, axis, beta_lattice, zs)
     # One propagator call per piece (one, empty, if the axis is), S of shape (axis, 1, z): phi broadcasts.
     step = max(1, _FIGURE_POINTS // max(len(zs), 1))
     parts = [slice(start, start + step) for start in range(0, len(axis) or 1, step)]

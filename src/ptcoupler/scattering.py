@@ -44,8 +44,6 @@ point, checked by the ScatteringMatrix record it returns.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -71,11 +69,8 @@ def scaled_roots(params: CouplerParams, gamma=None) -> tuple:
     roots (no loss) the one with the sign of Re d, so that w + d never cancels.
     gamma, when given, replaces params.gamma (any array shape)."""
     gamma = params.gamma if gamma is None else gamma
-    beta = params.beta1 + params.beta2
-    if abs(beta) < math.inf:
-        half_trace = 0.5 * (beta - 1j * gamma)
-    else:  # the sum passes the float range, the mean of the two does not
-        half_trace = 0.5 * params.beta1 + 0.5 * params.beta2 - 0.5j * gamma
+    # Halves first: beta1 + beta2 may pass the float range where their mean does not.
+    half_trace = 0.5 * params.beta1 + 0.5 * params.beta2 - 0.5j * gamma
     a, b = 0.5 * (params.beta1 - params.beta2), 0.5 * gamma
     e = np.frexp(np.maximum(np.maximum(params.kappa, abs(a)), b))[1] - 1
     kappa, a, b = np.ldexp(params.kappa, -e), np.ldexp(a, -e), np.ldexp(b, -e)

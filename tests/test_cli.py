@@ -779,6 +779,21 @@ def test_a_refused_command_leaves_no_file(tmp_path, capsys, argv, message):
     assert leftovers(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--gamma", "-1"], "gamma must be non-negative"),
+    (["fig3", "--gamma", "nan"], "gamma must be finite, got nan"),
+    (["fig4", "--gamma", "-1"], "gamma must be non-negative"),
+    (["fig4", "--beta1", "nan"], "beta1 must be finite, got nan"),
+    (["fig4", "--beta2", "1e309"], "beta2 must be finite, got inf"),
+], ids=["fig2_gamma", "fig3_gamma", "fig4_gamma", "fig4_beta1", "fig4_beta2"])
+def test_a_refused_flag_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    # The closed form's coupler, loss rates and distances are checked before the
+    # output directory is made, as the chain's are.
+    assert main(argv + ["--points", "3", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_given_zmax_needs_no_default_length_of_kappa(tmp_path):
     # 10/kappa passes the floats at kappa = 1e-310, but --zmax replaces it.
     assert main(["fig2", "--kappa", "1e-310", "--zmax", "1", "--points", "5",

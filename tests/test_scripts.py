@@ -67,6 +67,7 @@ def test_compare_outputs_refusals_exit_1_with_their_messages(scripts, tmp_path, 
         "refuse_markovian_negative_z": "z must be non-negative",
         "refuse_lattice_negative_z": "z must be finite and non-negative",
         "refuse_fig4_phi": "phi must lie in [0, pi]",
+        "refuse_fig4_gamma": "gamma must be non-negative",
         "refuse_fig5_sites": "chain reservoir too large: sigma = 1e+06 and n_sites = 1.5e+07; "
                              "the limit is 1e+07 sites",
         "refuse_fig5_series": "chain reservoir too large: sigma = 20 and z = 12000 need a longer series; "
@@ -78,6 +79,7 @@ def test_compare_outputs_refusals_exit_1_with_their_messages(scripts, tmp_path, 
     for name, argv in refused.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 1
         assert capsys.readouterr().err == f"error: {messages[name]}\n"
+        assert not (tmp_path / name).exists()  # refused before the directory is made
 
 
 def test_compare_outputs_fails_a_command_that_fails_and_a_refusal_that_differs(scripts):
