@@ -13,8 +13,9 @@ perfbench's workloads, the sweep_dense config at seeds 1 to 3 (each distinct
 argv once), must exit 0; the refusals (a negative z in a memoryless and in a
 lattice sweep, fig4 --phi 4 and --gamma -1, a chain past the site limit, a
 chain's series past its limit at the far end of a grid of several pieces, a
-grid step too small for distinct points) must exit 1, and on this tree leave
-no --out directory. Every command and refusal must write the same stderr on
+grid step too small for distinct points, a propagator past the float range
+found once --out is made) must exit 1, and on this tree leave no --out
+directory. Every command and refusal must write the same stderr on
 both trees, byte for byte (the short chain's warning among them). Each tree
 runs them in fresh interpreters whose PYTHONPATH is its src/: this checkout's
 as it is on disk, and the src/ of the baseline extracted with git archive, as
@@ -96,6 +97,7 @@ def refusals(configs: Path) -> dict[str, list[str]]:
     runs["refuse_fig5_sites"] = ["fig5", "--sigma", "1e6", "--points", "2"]
     runs["refuse_fig5_series"] = ["fig5", "--points", "100000", "--zmax", "12000"]
     runs["refuse_fig2_step"] = ["fig2", "--zmax", "8e-323", "--points", "10"]
+    runs["refuse_fig2_zmax"] = ["fig2", "--zmax", "1e308", "--points", "3"]
     return runs
 
 

@@ -4,12 +4,13 @@ _COMMANDS declares the subcommands, fig2 to fig5 and sweep (help line, flags
 from _FLAGS); main() builds the parser once per process and runs <name> as the
 module-level cmd_<name>, looked up at dispatch. A command checks its propagator
 source, _closed_form (memoryless loss rates) or _chains (a chain per rho), before
-_write_tables makes --out and writes the tables, made in pieces of about
-_FIGURE_POINTS (rate, z) propagators from one source call, and <command>_run.txt:
-a figure in pieces of the z grid, one file per rate (_per_rate); the sweep in pieces
-of consecutive axis values with all their (phi, z) rows. So a command's peak follows
-one piece; a sweep holds one axis value's rows whole, and its z tuple (32 B a value).
-CSV layout, sweep keys, exit codes: README.md.
+_write_tables makes --out and writes the tables and <command>_run.txt. One
+generator, _blocks, tiles every table: a figure in blocks of the z grid of about
+_FIGURE_POINTS (rate, z) propagators (_per_rate), the sweep in blocks of at most
+8 _FIGURE_POINTS (axis, phi, z) rows, from S of at most _FIGURE_POINTS propagators
+that every phase shares, and write_table's blocks of _WRITE_LINES rows. A command's
+peak follows one block and its config (32 B a value of the sweep's lists and of
+its columns of S at every z of an axis value). CSV layout, keys, exit codes: README.md.
 
 write_table writes every CSV, one block of rows of all a table's files at a
 time, as bytes: a float cell's bytes are format_float's, spelled for the block
@@ -25,7 +26,9 @@ import itertools
 import math
 import os
 import re
+import signal
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -37,6 +40,7 @@ from .classical import _power, _regimes, _supermodes
 from .core import (MAX_GRID_POINTS, ClassicalInput, CouplerParams, PolarizationEntangled, PropagationGrid,
                    require_non_negative)
 from .quantum import (
+    _entangled,
     _survival_label,
     mean_photon_number,
     survival_entangled,
@@ -171,6 +175,21 @@ def _spell(columns: list[np.ndarray]) -> list[np.ndarray]:
             zip(columns, starts.tolist(), np.maximum.reduceat(ends, starts).tolist())]
 
 
+def _blocks(shape: tuple, size: int) -> Iterator[tuple[slice, ...]]:
+    """The blocks of an array of shape in C order, each of at most size elements (one at
+    least): one index of each leading axis, a chunk of the next axis, all of the rest."""
+    axis = next((k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= size), len(shape) - 1)
+    step, rows = max(1, size // max(math.prod(shape[axis + 1 :]), 1)), math.prod(shape)
+    for *lead, start in itertools.product(*map(range, shape[:axis]), range(0, shape[axis] if rows else 0, step)):
+        yield (*(slice(i, i + 1) for i in lead), slice(start, min(start + step, shape[axis])),
+               *(slice(None),) * (len(shape) - axis - 1))
+
+
+def _at(column: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
+    """The block of a column that broadcasts against the blocked shape, axes of length 1 whole."""
+    return column[tuple([part if n > 1 else slice(None) for part, n in zip(block, column.shape)])]
+
+
 def _cells(header: list[str], columns, shape: tuple) -> list[np.ndarray]:
     """columns checked against shape and given all of its axes, text as UTF-8 bytes
     along a new last axis, NUL-padded to one byte past the longest cell."""
@@ -192,21 +211,14 @@ def _cells(header: list[str], columns, shape: tuple) -> list[np.ndarray]:
 
 
 def _write_rows(outs: list, columns: list[np.ndarray], shape: tuple) -> None:
-    """The rows of _cells' columns of shape (files, rows...), each file's to its out."""
-    # Blocks: slices of the first row axis past which one index holds at most _WRITE_LINES
-    # rows of all the files together: each block is spelled once for every file.
-    lines = max(1, _WRITE_LINES // max(shape[0], 1))
-    axis = next(k for k in range(1, len(shape)) if math.prod(shape[k + 1 :]) <= lines)
-    step = max(1, lines // max(math.prod(shape[axis + 1 :]), 1))
-    for *lead, start in itertools.product(*map(range, shape[1:axis]),
-                                          range(0, shape[axis] if math.prod(shape) else 0, step)):
-        block = [c[(slice(None),) + tuple(i if n > 1 else 0 for i, n in zip(lead, c.shape[1:]))]
-                 for c in columns]
-        block = [b[:, start : start + step] if b.shape[1] > 1 else b for b in block]
+    """The rows of _cells' columns of shape (files, rows...), each file's to its out, in
+    blocks of at most _WRITE_LINES rows of all the files together, each spelled once."""
+    for index in _blocks(shape[1:], _WRITE_LINES // max(shape[0], 1)):
+        block = [_at(c, (slice(None), *index)) for c in columns]
         # One byte matrix of the block's rows, cells NUL-padded; written without the NULs.
         spelled = iter(_spell(fs) if (fs := [b for b in block if b.dtype.kind == "f"]) else [])
         block = [next(spelled) if b.dtype.kind == "f" else b for b in block]
-        here = (shape[0], min(step, shape[axis] - start)) + shape[axis + 1 :]
+        here = shape[:1] + tuple(len(range(n)[part]) for part, n in zip(index, shape[1:]))
         rows = np.concatenate([np.broadcast_to(b, here + b.shape[-1:]) for b in block], axis=-1)
         rows[..., np.cumsum([b.shape[-1] for b in block]) - 1] = ord(",")  # after each cell
         rows[..., -1] = ord("\n")
@@ -224,30 +236,32 @@ def write_table(path, metadata: dict, header: list[str], columns, shape=None) ->
     path may be a list of paths and metadata a list of dicts, one file per
     index of shape's first axis: each file holds the rows of its index, and
     each block of rows is spelled once for all of them. columns may be an
-    iterator of such lists, each the next piece of the rows' first axis, as
-    long as its first column: a table is then made while it is written."""
+    iterator of such lists, each the next block of rows in C order, of its
+    columns' broadcast shape (the files' axis first where there are several),
+    and shape is required: a table is then made while it is written."""
     many, streamed = isinstance(path, list), isinstance(columns, Iterator)
     paths, metadata = (path, metadata) if many else ([path], [metadata])
-    pieces = columns if streamed else iter([columns])
-    first = list(next(pieces, []))
-    shape = (len(first[0]) if first else 0,) if shape is None else tuple(shape)
+    shape = (len(columns[0]) if len(columns) else 0,) if shape is None else tuple(shape)
     if many and (len(shape) < 2 or not len(paths) == len(metadata) == shape[0]):
         raise ValueError(f"need one path and one metadata dict per index of the first axis of {shape}")
     whole = shape if many else (1,) + shape  # the files' axis first
 
-    def checked(piece):
-        piece, here = list(piece), whole
-        if streamed:  # as long as its first column
-            here = whole[:1] + (len(np.atleast_1d(piece[0])) if piece else 0,) + whole[2:]
+    def checked(piece):  # a streamed piece: the next block of rows, of its columns' broadcast shape
+        piece = list(piece)
+        here = np.broadcast_shapes(*map(np.shape, piece)) if streamed else shape
+        here = here if many else (1, *here)
+        if len(here) != len(whole) or here[0] != whole[0]:
+            raise ValueError(f"a piece of shape {here} is no block of rows of {whole}")
         return _cells(header, piece, here), here
 
-    first, rows = checked(first), 0  # the first piece is refused before any file is opened
+    pieces = map(checked, columns if streamed else [columns])
+    first, rows = list(itertools.islice(pieces, 1)), 0  # refused before any file is opened
     with contextlib.ExitStack() as stack:
         outs = [stack.enter_context(open(file, "wb")) for file in paths]
         for out, values in zip(outs, metadata):
             out.write(("".join(f"# {key}={value}\n" for key, value in values.items())
                        + ",".join(header) + "\n").encode())
-        for piece, here in itertools.chain([first], map(checked, pieces)):
+        for piece, here in itertools.chain(first, pieces):
             _write_rows(outs, piece, here)
             rows += math.prod(here)
     if rows != math.prod(shape):
@@ -273,8 +287,9 @@ def _write_tables(out, command: str, settings: dict, tables) -> None:
     gives a list of files and one of metadata (see write_table). All or nothing:
     each file is written under a hidden name, .<file>.part, and moved into place,
     the sidecar last, once every table is made; on any error, an interrupt too,
-    every file written is removed."""
+    every file written is removed, and so is each directory made that is left empty."""
     outdir = Path(out)
+    made = list(itertools.takewhile(lambda directory: not directory.exists(), [outdir, *outdir.parents]))
     outdir.mkdir(parents=True, exist_ok=True)
     files, written = [], []
     try:
@@ -292,6 +307,9 @@ def _write_tables(out, command: str, settings: dict, tables) -> None:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for directory in made:  # the deepest first; one that holds a file stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
 
 
@@ -328,10 +346,10 @@ def _per_rate(args, grid, name: str, rates, values, labels, curves, propagators)
     <name><rate/kappa>.csv per rate, with the metadata values(rate), z and the curves labels. Its
     pieces of about _FIGURE_POINTS (rate, z) points are made as they are written: curves(s, det, zs)
     gives each label's values, shape (rate, z), from one propagators(zs) call (_closed_form, _chains)."""
-    step = max(1, _FIGURE_POINTS // len(rates))
     return [([f"{name}{rate / args.kappa:g}.csv" for rate in rates], [_metadata(values(rate)) for rate in rates],
-             ["z", *labels], ([zs, *curves(*propagators(zs), zs)] for start in range(0, grid.num_points, step)
-                              for zs in [grid.points(start, min(start + step, grid.num_points))]),
+             ["z", *labels], ([zs, *curves(*propagators(zs), zs)]
+                              for (part,) in _blocks((grid.num_points,), _FIGURE_POINTS // len(rates))
+                              for zs in [grid.points(part.start, part.stop)]),
              (len(rates), grid.num_points))]
 
 
@@ -441,29 +459,25 @@ def _chains(source, sigma: float, rhos, beta_lattice: float, zs: np.ndarray):
               f"= {needed}: end reflections can reach the coupler", file=sys.stderr)
 
     def propagators(z: np.ndarray, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        s, det = np.empty((n := len(chains[part]),) + z.shape + (2, 2), complex), np.empty((n,) + z.shape, complex)
-        for i, chain in enumerate(chains[part]):
-            s[i], det[i] = chain.scattering_array(z)
-        return s, det
+        s, det = zip(*(chain.scattering_array(z) for chain in chains[part]))
+        return np.stack(s), np.stack(det)
 
     return nsites, rates, propagators
 
 
-# One sweep column: observable name -> f(s, det, phis, bare, rates), its values
-# broadcasting against (axis, phi, z); s the propagators, shape (axis, 1, z, 2, 2),
-# det their determinants (reduced for the memoryless coupler, entrywise for the
-# lattice), bare the lossless coupler, rates the axis's (effective) loss rates.
-_SWEEP_COLUMNS = {
-    "classical_power": lambda s, det, phis, bare, rates: _power(s, ClassicalInput.BALANCED_ORTHOGONAL),
-    "mean_photon_number": lambda s, det, phis, bare, rates: mean_photon_number(s),
-    "p_boson": lambda s, det, phis, bare, rates: survival_indistinguishable(s),
-    "p_entangled": lambda s, det, phis, bare, rates: survival_entangled(s, np.array(phis)[:, None], det),
-    "p_fermion": lambda s, det, phis, bare, rates: survival_fermionic(s, det),
-    "ep_regime": lambda s, det, phis, bare, rates: _regimes(bare, rates)[:, None, None],
-    "eigenvalue_gap": lambda s, det, phis, bare, rates: _supermodes(bare, rates)[2][:, None, None],
+# The sweep's columns: of S, name -> f(s, det) over S's (axis, z), det its determinants (reduced for the
+# memoryless coupler, entrywise for the lattice); of the axis, name -> f(bare, rates) over the (effective)
+# loss rates, bare the lossless coupler; p_entangled mixes p_boson and p_fermion at each phase.
+_S_COLUMNS = {
+    "classical_power": lambda s, det: _power(s, ClassicalInput.BALANCED_ORTHOGONAL),
+    "mean_photon_number": lambda s, det: mean_photon_number(s),
+    "p_boson": lambda s, det: survival_indistinguishable(s),
+    "p_fermion": lambda s, det: survival_fermionic(s, det),
 }
-
-SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
+_AXIS_COLUMNS = {"ep_regime": lambda bare, rates: _regimes(bare, rates),
+                 "eigenvalue_gap": lambda bare, rates: _supermodes(bare, rates)[2]}
+SWEEP_OBSERVABLES = ("classical_power", "mean_photon_number", "p_boson", "p_entangled", "p_fermion",
+                     "ep_regime", "eigenvalue_gap")
 
 
 def _parse_number(key: str, token: str) -> float:
@@ -557,7 +571,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[list[np.ndarray]], tuple[int, int, int]]:
     """The sweep's metadata, header, columns and row shape (axis, phi, z) for write_table, the columns
-    made as they are written: every (phi, z) row of about _FIGURE_POINTS / len(z) axis values at a time."""
+    made as they are written, in blocks of rows (_blocks) of a bounded size."""
     if cfg.backend == "markovian":
         for key in ("rho", "sigma", "nsites", "beta_lattice"):
             if getattr(cfg, key) not in (None, ()):
@@ -594,12 +608,26 @@ def run_sweep(cfg: SweepConfig) -> tuple[dict, list[str], Iterator[list[np.ndarr
     else:
         beta_lattice = cfg.beta_lattice if cfg.beta_lattice is not None else cfg.beta2
         _, rates, propagators = _chains(cfg, cfg.sigma, axis, beta_lattice, zs)
-    # One propagator call per piece (one, empty, if the axis is), S of shape (axis, 1, z): phi broadcasts.
-    step = max(1, _FIGURE_POINTS // max(len(zs), 1))
-    parts = [slice(start, start + step) for start in range(0, len(axis) or 1, step)]
-    return _metadata(values), header, ([axis_values[part, None, None], phis[:, None], zs] + [
-        _SWEEP_COLUMNS[name](s, det, cfg.phi, bare, rates[part]) for name in cfg.observables]
-        for part in parts for s, det in [propagators(zs[None], part)]), shape
+    # The columns of S that the observables read, held at every z of a chunk of axis values.
+    of_s = [name for name in _S_COLUMNS if name in cfg.observables
+            or "p_entangled" in cfg.observables and name in ("p_boson", "p_fermion")]
+
+    def pieces():  # of at most 8 _FIGURE_POINTS rows: a piece's p_entangled takes the bytes of S
+        for (part,) in _blocks((len(axis),), _FIGURE_POINTS // max(len(zs), 1)):
+            n, held = len(axis_values[part]), {name: _AXIS_COLUMNS[name](bare, rates[part])[:, None, None]
+                                               for name in cfg.observables if name in _AXIS_COLUMNS}
+            held |= {name: np.empty((n, 1, len(zs))) for name in of_s}
+            for (z,) in _blocks((len(zs),), _FIGURE_POINTS // n):
+                s, det = propagators(zs[z], part)
+                for name in of_s:
+                    held[name][:, 0, z] = _S_COLUMNS[name](s, det)
+            for a, p, z in _blocks((n, len(phis), len(zs)), 8 * _FIGURE_POINTS):
+                at = {name: _at(column, (a, p, z)) for name, column in held.items()}
+                yield [axis_values[part][a, None, None], phis[p, None], zs[z]] + [
+                    _entangled(np.cos(phis[p, None]), at["p_boson"], at["p_fermion"]) if name == "p_entangled"
+                    else at[name] for name in cfg.observables]
+
+    return _metadata(values), header, pieces(), shape
 
 
 def cmd_sweep(args) -> int:
@@ -679,8 +707,16 @@ _parser = functools.cache(build_parser)  # main()'s parser, built once per proce
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        # Looked up now, so a wrapper installed on cmd_<name> after import runs.
-        return globals()[f"cmd_{args.command}"](args)
+        # In the main thread, SIGTERM raises SystemExit(128 + SIGTERM) while the command
+        # runs, so that _write_tables takes back what it wrote; the old handler returns after.
+        terminate = threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum)) if terminate else None
+        try:
+            # Looked up now, so a wrapper installed on cmd_<name> after import runs.
+            return globals()[f"cmd_{args.command}"](args)
+        finally:
+            if terminate:
+                signal.signal(signal.SIGTERM, previous)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1

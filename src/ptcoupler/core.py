@@ -216,12 +216,12 @@ class ScatteringMatrix:
 
 
 # Largest accepted grid, and largest sweep (rows), checked before anything
-# of its size is allocated. Every command makes and writes its table in pieces,
-# so its peak follows one piece: fig2 and fig5 at 3 * 10**6 points peak at about
-# 36 MB resident, a 2000 x 1 x 1000 sweep at 38 MB. A sweep's piece holds one
-# axis value's (phi, z) rows whole, and its config the z list (32 bytes a value):
-# 1 x 1 x 10**6 rows peak at 296 MB. So this refuses only sizes that take
-# several GB (a sweep of one long z list) or minutes (fig5, 5 to 6 s per 10**6).
+# of its size is allocated. Every command makes and writes its table in blocks,
+# so its peak follows one block: fig2 and fig5 at 3 * 10**6 points peak at about
+# 36 MB resident, a 10000 x 1000 x 1 sweep at 39 MB. A sweep also holds its config's
+# lists (32 bytes a value) and the columns of S at every z of an axis value (at most
+# 32 bytes a z): 1 x 1 x 10**6 rows peak at 173 MB, as reading the config does. So this
+# refuses only sizes that take GB (one long z list) or minutes (fig5, 5 to 6 s per 10**6).
 MAX_GRID_POINTS = 10**7
 
 

@@ -96,9 +96,11 @@ def survival_entangled(s, phi, det=None) -> float | np.ndarray:
     the batch shape of s, one P_B and P_F serving every phase."""
     if not np.all(np.greater_equal(phi, 0.0) & np.less_equal(phi, math.pi)):  # NaN too
         raise ValueError("phi must lie in [0, pi]")
-    c = np.cos(phi)
-    p_boson, p_fermion = survival_indistinguishable(s), survival_fermionic(s, det)
-    # Both parts lie in [0, 1] and the weights sum to 1 up to roundoff.
+    return _entangled(np.cos(phi), survival_indistinguishable(s), survival_fermionic(s, det))
+
+
+def _entangled(c, p_boson, p_fermion) -> np.ndarray:
+    """cos^2(phi/2) P_B + sin^2(phi/2) P_F at c = cos(phi): both in [0, 1], weights summing to 1 up to roundoff."""
     return np.minimum(0.5 * (1.0 + c) * p_boson + 0.5 * (1.0 - c) * p_fermion, 1.0)
 
 

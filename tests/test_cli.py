@@ -3,9 +3,12 @@ import dataclasses
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -586,7 +589,7 @@ def test_sweep_gap_closes_at_critical_loss(tmp_path):
 
 
 def test_sweep_empty_axis_writes_header_only(tmp_path, capsys):
-    # Every axis empty in turn, on both backends: each config reaches the propagator calls.
+    # Every axis empty in turn, on both backends: a header and no rows.
     lattice = dict(backend="lattice", gamma="", sigma="5", rho="1, 2")
     for i, overrides in enumerate([dict(z=""), dict(phi=""), dict(gamma=""),
                                    lattice | dict(rho=""), lattice | dict(z="")]):
@@ -792,6 +795,59 @@ def test_a_refused_flag_leaves_no_output_directory(tmp_path, capsys, argv, messa
     assert main(argv + ["--points", "3", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_refusal_found_while_a_table_is_made_removes_the_directories_it_made(tmp_path, capsys):
+    # S at the far end of the grid passes the floats: found once the first piece is made,
+    # after --out and its parents are made. Each made directory goes; one given that exists stays.
+    argv = ["fig2", "--zmax", "1e308", "--points", "3", "--out"]
+    message = "error: the propagator's phase or decay at z = 5e+307 passes the float range\n"
+    assert main(argv + [str(tmp_path / "a" / "b" / "out")]) == 1
+    assert capsys.readouterr().err == message
+    assert leftovers(tmp_path) == []
+    (tmp_path / "given").mkdir()
+    assert main(argv + [str(tmp_path / "given")]) == 1
+    assert capsys.readouterr().err == message
+    assert leftovers(tmp_path) == ["given"] and leftovers(tmp_path / "given") == []
+
+
+def test_sigterm_takes_back_what_a_command_wrote(tmp_path):
+    # Killed while it writes, a command exits 128 + SIGTERM and leaves no part file and no --out.
+    src = str(Path(ptcoupler.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    command = subprocess.Popen([sys.executable, "-m", "ptcoupler", "fig5", "--points", "1000000",
+                                "--out", str(out)], env=dict(os.environ, PYTHONPATH=src),
+                               stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(out.glob(".*.part")) and command.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert list(out.glob(".*.part")), "the command wrote no part file"
+        command.send_signal(signal.SIGTERM)
+        assert command.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        command.kill()
+        command.wait()
+    assert command.stderr.read() == b""
+    assert not out.exists()
+
+
+def test_main_restores_the_sigterm_handler_and_runs_outside_the_main_thread(tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main(["fig3", "--points", "3", "--gamma", "1", "--out", str(tmp_path / "main")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(
+        main(["fig3", "--points", "3", "--gamma", "1", "--out", str(tmp_path / "thread")])))
+    thread.start()
+    thread.join()
+    assert codes == [0] and leftovers(tmp_path / "thread") == leftovers(tmp_path / "main")
 
 
 def test_a_given_zmax_needs_no_default_length_of_kappa(tmp_path):
@@ -1534,6 +1590,33 @@ def test_a_sweep_of_many_pieces_holds_a_few_pieces_not_its_propagators(tmp_path)
     assert code == 0
     assert peak < 8 * 64 * cli._FIGURE_POINTS
     assert len(read_table(tmp_path / "out" / "sweep.csv")[2]) == 200_000
+
+
+@pytest.mark.parametrize("axis, phis, zs, bound", [
+    # 2 x 5000 x 12 rows: held whole, the rows of an axis value take 480 KB of p_entangled
+    # alone, and its mix's temporaries several times that: the bound is 16 bytes a row of one value.
+    (2, 5000, 12, 16 * 5000 * 12),
+    # 1 x 1 x 20000 rows: S at every z takes 1.28 MB, its temporaries several times that; the
+    # columns of S at every z take 32 bytes a z. The bound is twice S of every z.
+    (1, 1, 20000, 2 * 64 * 20000),
+], ids=["phases", "distances"])
+def test_a_sweep_holds_blocks_of_rows_not_the_rows_of_an_axis_value(tmp_path, monkeypatch, axis, phis, zs, bound):
+    # S in blocks of at most 64 propagators, rows in pieces and write blocks of at most 512.
+    import ptcoupler.cli as cli
+
+    monkeypatch.setattr(cli, "_FIGURE_POINTS", 64)
+    monkeypatch.setattr(cli, "_WRITE_LINES", 512)
+    cfg = parse_sweep_config(sweep_config_text(gamma=", ".join(str(0.5 * i) for i in range(axis)),
+                                               phi=", ".join(str(3.0 * i / phis) for i in range(phis)),
+                                               z=", ".join(str(0.001 * i) for i in range(zs))))
+    tracemalloc.start()
+    try:
+        rows = write_table(tmp_path / "sweep.csv", *run_sweep(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == axis * phis * zs == len(read_table(tmp_path / "sweep.csv")[2])
+    assert peak < bound
 
 
 def test_fig5_refuses_a_chain_past_its_limits_before_any_piece(tmp_path, monkeypatch, capsys):

@@ -73,13 +73,14 @@ def test_compare_outputs_refusals_exit_1_with_their_messages(scripts, tmp_path, 
         "refuse_fig5_series": "chain reservoir too large: sigma = 20 and z = 12000 need a longer series; "
                               "the limit is 5e+05 terms",
         "refuse_fig2_step": "z_max = 8e-323 is too small for 10 distinct points",
+        "refuse_fig2_zmax": "the propagator's phase or decay at z = 5e+307 passes the float range",
     }
     refused = compare.refusals(tmp_path)
     assert set(refused) == set(messages) and not set(refused) & set(compare.commands(tmp_path))
     for name, argv in refused.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 1
         assert capsys.readouterr().err == f"error: {messages[name]}\n"
-        assert not (tmp_path / name).exists()  # refused before the directory is made
+        assert not (tmp_path / name).exists()  # refused before the directory is made, or it is removed
 
 
 def test_compare_outputs_fails_a_command_that_fails_and_a_refusal_that_differs(scripts):
